@@ -9,6 +9,7 @@ average.
 """
 
 from fhuplink import (RunConfig, build_topology, per_link_rate_curves, sweep)
+from fhuplink.experiments import scale_to_cm
 
 
 def main():
@@ -27,11 +28,8 @@ def main():
     print("\n" + "=" * 72)
     print("Outage vs code rate for individual uplinks (one realization)")
     print("=" * 72)
-    topo = build_topology(cfg.replace(trials=1))
-    from fhuplink.topology import scale_topology
-    from fhuplink.experiments import cm_ratio_of
-    base_cm = cm_ratio_of(topo, cfg.density_per_km2)
-    topo = scale_topology(topo, (base_cm / 0.1) ** 0.5)  # C/M = 0.1
+    topo = scale_to_cm(build_topology(cfg.replace(trials=1)),
+                       cfg.density_per_km2, 0.1)
     rows = per_link_rate_curves(topo, cfg, n_links=6,
                                 beta_db_grid=[-3.0, 0.0, 3.0, 6.0])
     grid = sorted({r["beta_db"] for r in rows})

@@ -10,7 +10,7 @@ from .association import Association, ShadowingTable, associate, draw_shadowing_
 from .beams import BeamParams, max_pair_gain, mobile_gain_toward, sector_gain
 from .config import (ConfigError, RunConfig, build_topology, config_sha256,
                      parse_config, parse_config_text, serialize)
-from .experiments import (OutageStats, TrialResult, cm_ratio_of, code_rate,
+from .experiments import (OutageStats, cm_ratio_of, code_rate,
                           densification_sweep, per_link_rate_curves,
                           run_campaign, run_trial, sweep)
 from .linkbudget import (HopPlan, InterferenceProfile, build_interferer_sets,

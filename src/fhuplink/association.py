@@ -115,16 +115,3 @@ def associate(t: Topology, mobile_xy, dist_mc, prop: PropagationParams,
     denied = np.flatnonzero(serving < 0)
     return Association(serving, loads, denied)
 
-
-def serving_table(assoc: Association, sectors_per_bs: int = 1) -> str:
-    """Human-readable dump of the serving map, for debugging."""
-    lines = [f"{'mobile':>7} {'sector':>7} {'bs':>5}"]
-    for i, s in enumerate(assoc.serving):
-        if s < 0:
-            lines.append(f"{i:>7} {'denied':>7} {'-':>5}")
-        else:
-            lines.append(f"{i:>7} {s:>7} {s // sectors_per_bs:>5}")
-    lines.append(f"# served {int(np.sum(assoc.served_mask))}, "
-                 f"denied {len(assoc.denied)}, "
-                 f"max load {int(assoc.loads.max())}")
-    return "\n".join(lines)

@@ -3,9 +3,9 @@
 Both patterns are flat-topped: one constant gain over the mainlobe and a
 lower constant gain over sidelobes and backlobes.  A sector mainlobe is an
 angular wedge of width 2*pi/zeta at the BS; a mobile's beam has width
-Theta and always points at its serving BS.  Average gains A_s and A_m
-scale the absolute levels but cancel in every interference-to-signal
-ratio, so they default to 1.
+Theta and always points at its serving BS.  Levels are relative to each
+pattern's average gain, which would scale the absolute levels but cancels
+in every interference-to-signal ratio, so it is not modelled.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ class BeamParams:
     b     : sector sidelobe level relative to an isotropic pattern
     theta : mobile mainlobe beamwidth in radians
     a     : mobile sidelobe level
-    a_s, a_m : average gains of the sector and mobile patterns
     """
 
     zeta: int = 24
     b: float = 0.01
     theta: float = 0.1 * np.pi
     a: float = 0.1
-    a_s: float = 1.0
-    a_m: float = 1.0
 
     def __post_init__(self):
         if self.zeta < 1:
@@ -44,12 +41,10 @@ class BeamParams:
             raise ValueError("mobile sidelobe level a must be in [0, 1)")
         if not (0 < self.theta <= TWO_PI):
             raise ValueError("mobile beamwidth theta must be in (0, 2*pi]")
-        if self.a_s <= 0 or self.a_m <= 0:
-            raise ValueError("average gains must be positive")
 
     # Levels relative to the average gain.  The mainlobe covers a fraction
     # 1/zeta (resp. theta/(2*pi)) of the circle, so each pattern averages
-    # to exactly its average gain.
+    # to exactly 1.
     @property
     def sector_mainlobe_level(self) -> float:
         return self.b + self.zeta * (1.0 - self.b)
@@ -78,11 +73,9 @@ def in_sector_wedge(theta, wedge_start, zeta):
 
 
 def sector_gain(theta, wedge_start, bp: BeamParams):
-    """Sector-beam gain toward arrival angle theta at the BS."""
+    """Sector-beam level toward arrival angle theta at the BS."""
     inside = in_sector_wedge(theta, wedge_start, bp.zeta)
-    out = bp.a_s * np.where(inside, bp.sector_mainlobe_level,
-                            bp.sector_sidelobe_level)
-    return float(out) if np.ndim(theta) == 0 else out
+    return np.where(inside, bp.sector_mainlobe_level, bp.sector_sidelobe_level)
 
 
 def mobile_mainlobe_mask(mobile_xy, target_xy, serving_xy, theta):
@@ -103,14 +96,11 @@ def mobile_mainlobe_mask(mobile_xy, target_xy, serving_xy, theta):
 
 
 def mobile_gain_toward(mobile_xy, target_xy, serving_xy, bp: BeamParams):
-    """Mobile-beam gain in the direction of the target sector receiver."""
+    """Mobile-beam level in the direction of the target sector receiver."""
     main = mobile_mainlobe_mask(mobile_xy, target_xy, serving_xy, bp.theta)
-    out = bp.a_m * np.where(main, bp.mobile_mainlobe_level,
-                            bp.mobile_sidelobe_level)
-    return float(out) if out.ndim == 0 else out
+    return np.where(main, bp.mobile_mainlobe_level, bp.mobile_sidelobe_level)
 
 
 def max_pair_gain(bp: BeamParams) -> float:
-    """Maximum combined gain of an aligned sector/mobile antenna pair."""
-    return (bp.a_s * bp.a_m
-            * bp.sector_mainlobe_level * bp.mobile_mainlobe_level)
+    """Maximum combined level of an aligned sector/mobile antenna pair."""
+    return bp.sector_mainlobe_level * bp.mobile_mainlobe_level

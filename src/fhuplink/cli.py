@@ -17,19 +17,17 @@ import numpy as np
 
 from .config import (ConfigError, RunConfig, build_topology, config_sha256,
                      parse_config, provenance_lines)
-from .experiments import (cm_ratio_of, densification_sweep, per_link_rate_curves,
-                          resolve_dr_override, run_campaign, sweep)
+from .experiments import (_sweep_row, cm_ratio_of, densification_sweep,
+                          per_link_rate_curves, resolve_dr_override,
+                          run_campaign, scale_to_cm, sweep)
 from .outage import run_validation
-from .topology import generate_topology, save_coordinates, scale_topology
+from .topology import generate_topology, save_coordinates
 
-CAMPAIGN_COLUMNS = ("cm_ratio", "d_r_km", "epsilon_bar", "halfwidth95",
-                    "epsilon_bar_no_hop", "halfwidth95_no_hop",
-                    "code_rate_bpcu", "throughput_bpcu", "ase_bpcu_km2",
-                    "n_trials", "mean_interferers", "mean_denied")
 DENSIFY_COLUMNS = ("cm_ratio", "d_r_km", "epsilon_bar", "halfwidth95",
                    "epsilon_bar_no_hop", "halfwidth95_no_hop",
                    "code_rate_bpcu", "throughput_bpcu", "ase_bpcu_km2",
                    "n_trials")
+CAMPAIGN_COLUMNS = DENSIFY_COLUMNS + ("mean_interferers", "mean_denied")
 SWEEP_COLUMNS = ("axis", "value") + DENSIFY_COLUMNS
 LINKS_COLUMNS = ("link", "mobile_index", "beta_db", "code_rate_bpcu",
                  "epsilon")
@@ -108,23 +106,13 @@ def cmd_campaign(args) -> int:
     topo = build_topology(cfg)
     extra = {}
     if args.cm is not None:
-        base_cm = cm_ratio_of(topo, cfg.density_per_km2)
-        topo = scale_topology(topo, (base_cm / args.cm) ** 0.5)
+        topo = scale_to_cm(topo, cfg.density_per_km2, args.cm)
         extra["cm"] = _fmt(args.cm)
     cm = cm_ratio_of(topo, cfg.density_per_km2)
     override = resolve_dr_override(cfg, cm, sweep_default="realized")
-    stats, records = run_campaign(topo, cfg, d_r_override=override)
-    row = {
-        "cm_ratio": cm, "d_r_km": stats.mean_d_r,
-        "epsilon_bar": stats.epsilon_bar, "halfwidth95": stats.halfwidth95,
-        "epsilon_bar_no_hop": stats.epsilon_bar_no_hop,
-        "halfwidth95_no_hop": stats.halfwidth95_no_hop,
-        "code_rate_bpcu": stats.code_rate,
-        "throughput_bpcu": stats.throughput, "ase_bpcu_km2": stats.ase,
-        "n_trials": stats.n_trials,
-        "mean_interferers": stats.mean_interferers,
-        "mean_denied": stats.mean_denied,
-    }
+    stats, _ = run_campaign(topo, cfg, d_r_override=override)
+    row = {**_sweep_row(cm, stats), "mean_interferers": stats.mean_interferers,
+           "mean_denied": stats.mean_denied}
     _emit(_csv_text(_header("campaign", cfg, cfg.seed, extra),
                     CAMPAIGN_COLUMNS, [row]), args.out)
     return 0
@@ -143,8 +131,7 @@ def cmd_densify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = _float_list(args.values) if args.axis != "preset" \
-        else [v.strip() for v in args.values.split(",") if v.strip()]
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     ratios = _float_list(args.ratios) if args.ratios else None
     rows = sweep(cfg, args.axis, values, ratios=ratios)
     extra = {"axis": args.axis, "values": args.values}
@@ -157,8 +144,7 @@ def cmd_links(args) -> int:
     cfg = _load_config(args)
     topo = build_topology(cfg)
     if args.cm is not None:
-        base_cm = cm_ratio_of(topo, cfg.density_per_km2)
-        topo = scale_topology(topo, (base_cm / args.cm) ** 0.5)
+        topo = scale_to_cm(topo, cfg.density_per_km2, args.cm)
     beta_grid = _float_list(args.beta_db)
     rows = per_link_rate_curves(topo, cfg, args.links, beta_grid)
     extra = {"links": args.links, "beta_db": args.beta_db}
@@ -219,8 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep a named parameter")
     _add_run_options(p)
-    p.add_argument("--axis", required=True, help="config parameter to sweep")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--axis", required=True,
+                   help="config key to sweep, or L_over_Lj (hopset over "
+                        "block size)")
+    p.add_argument("--values", required=True,
+                   help="comma-separated values, written as in a config "
+                        "file (integer keys take integers)")
     p.add_argument("--ratios", help="comma-separated C/M ratios")
     p.set_defaults(func=cmd_sweep)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .beams import BeamParams
 from .linkbudget import HopPlan
-from .propagation import PRESETS, PropagationParams
+from .propagation import PRESETS, PropagationParams, preset_params
 from .seeding import DOMAIN_TOPOLOGY, derive_rng
 from .topology import (Topology, central_zone, generate_topology,
                        load_topology, square)
@@ -154,6 +154,10 @@ _MIN_ONE = {"bs_count", "candidate_bs", "zeta", "hopset_channels",
 _LINE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*[:=]\s*(.*?)\s*$")
 
 
+def _where(line):
+    return f" (line {line})" if line else ""
+
+
 def _cast(key, text, line):
     if key in _STR_KEYS:
         return text
@@ -163,8 +167,8 @@ def _cast(key, text, line):
         try:
             vals = tuple(float(v) for v in text.split(",") if v.strip())
         except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers "
-                              f"(line {line})") from None
+            raise ConfigError(f"{key}: expected comma-separated numbers"
+                              f"{_where(line)}") from None
         return vals
     return _num(key, text, line, int if key in _INT_KEYS else float)
 
@@ -174,11 +178,11 @@ def _num(key, text, line, typ):
         return typ(text)
     except ValueError:
         raise ConfigError(f"{key}: expected {typ.__name__} value, got "
-                          f"{text!r} (line {line})") from None
+                          f"{text!r}{_where(line)}") from None
 
 
 def _check_key(key, value, line):
-    where = f" (line {line})" if line else ""
+    where = _where(line)
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(f"{key} must be one of "
                           f"{sorted(_CHOICES[key])}{where}")
@@ -197,6 +201,27 @@ def _check_key(key, value, line):
     if key == "cm_ratios":
         if any(v <= 0 for v in value):
             raise ConfigError(f"cm_ratios must be positive{where}")
+
+
+def _preset_keys(name) -> dict:
+    """RunConfig values set by a named propagation preset."""
+    p = preset_params(name)
+    return dict(preset=name, alpha_min=p.alpha_min, alpha_max=p.alpha_max,
+                sigma_min_db=p.sigma_min, sigma_max_db=p.sigma_max,
+                m_min=p.m_min, m_max=p.m_max)
+
+
+def set_key(cfg: RunConfig, key, text) -> RunConfig:
+    """cfg with one key set from its text form, checked as in a config file.
+
+    Setting preset also resets the propagation values it names.
+    """
+    if key not in _FIELDS:
+        raise ConfigError(f"unknown key '{key}'")
+    value = _cast(key, str(text), None)
+    _check_key(key, value, None)
+    return cfg.replace(**(_preset_keys(value) if key == "preset"
+                          else {key: value}))
 
 
 def parse_config_text(text, source="<config>") -> RunConfig:
@@ -222,10 +247,7 @@ def parse_config_text(text, source="<config>") -> RunConfig:
     if "preset" in entries:
         text_v, line = entries["preset"]
         _check_key("preset", text_v, line)
-        a_min, a_max, s_min, s_max, m_min, m_max = PRESETS[text_v]
-        kwargs.update(preset=text_v, alpha_min=a_min, alpha_max=a_max,
-                      sigma_min_db=s_min, sigma_max_db=s_max,
-                      m_min=m_min, m_max=m_max)
+        kwargs.update(_preset_keys(text_v))
     for key in _FIELDS:
         if key == "preset" or key not in entries:
             continue

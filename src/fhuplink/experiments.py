@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import associate, draw_shadowing_table
-from .config import RunConfig, build_topology
+from .config import RunConfig, build_topology, set_key
 from .linkbudget import reference_link_profile
 from .outage import outage_closed_form, outage_no_hopping
 from .propagation import sample_shadowing
@@ -39,16 +39,6 @@ def code_rate(beta_linear, shannon_loss=0.794) -> float:
     if not (0 < shannon_loss <= 1):
         raise ValueError("shannon_loss must be in (0, 1]")
     return math.log2(1.0 + shannon_loss * beta_linear)
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    epsilon: float           # conditional outage of the reference link
-    epsilon_no_hop: float    # same realization without slot diversity
-    d_r: float               # reference link length used (km)
-    serving_sector: int
-    n_interferers: int       # after strongest-K truncation
-    n_denied: int
 
 
 @dataclass(frozen=True)
@@ -73,9 +63,13 @@ class OutageStats:
     mean_denied: float
 
 
-TRIAL_DTYPE = np.dtype([("epsilon", "f8"), ("epsilon_no_hop", "f8"),
-                        ("d_r", "f8"), ("serving_sector", "i8"),
-                        ("n_interferers", "i8"), ("n_denied", "i8")])
+TRIAL_DTYPE = np.dtype([
+    ("epsilon", "f8"),          # conditional outage of the reference link
+    ("epsilon_no_hop", "f8"),   # same realization without slot diversity
+    ("d_r", "f8"),              # reference link length used (km)
+    ("serving_sector", "i8"),
+    ("n_interferers", "i8"),    # after strongest-K truncation
+    ("n_denied", "i8")])
 
 
 def realize_network(t: Topology, cfg: RunConfig, rng: np.random.Generator):
@@ -91,11 +85,12 @@ def realize_network(t: Topology, cfg: RunConfig, rng: np.random.Generator):
     return placement, shadow, assoc
 
 
-def trial_with_profile(t: Topology, cfg: RunConfig, rng: np.random.Generator,
-                       d_r_override=None):
-    """One simulation trial; returns (TrialResult, InterferenceProfile).
+def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
+              d_r_override=None):
+    """One simulation trial; returns (row, InterferenceProfile).
 
-    Fully deterministic given the rng state.  d_r_override switches the
+    row is a tuple of the TRIAL_DTYPE fields in order.  Fully
+    deterministic given the rng state.  d_r_override switches the
     reference link to the typical length used in densification studies;
     its shadowing is then redrawn at that length so the whole link model
     is consistent.
@@ -118,27 +113,10 @@ def trial_with_profile(t: Topology, cfg: RunConfig, rng: np.random.Generator,
         assoc, ref, rng, delta=cfg.delta, beta=cfg.beta_linear,
         p_over_n=cfg.p_over_n_linear, k_strongest=cfg.k_strongest,
         d_r=d_r_override, xi_ref_db=xi_ref)
-    result = TrialResult(epsilon=float(outage_closed_form(profile)),
-                         epsilon_no_hop=float(outage_no_hopping(profile)),
-                         d_r=info["d_r"],
-                         serving_sector=info["serving_sector"],
-                         n_interferers=profile.n_interferers,
-                         n_denied=len(assoc.denied))
-    return result, profile
-
-
-def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
-              d_r_override=None) -> TrialResult:
-    """One simulation trial; see trial_with_profile."""
-    result, _ = trial_with_profile(t, cfg, rng, d_r_override)
-    return result
-
-
-def _trial_record(t, cfg, seed, index, d_r_override):
-    rng = derive_rng(seed, DOMAIN_TRIAL, index)
-    r = run_trial(t, cfg, rng, d_r_override)
-    return (r.epsilon, r.epsilon_no_hop, r.d_r, r.serving_sector,
-            r.n_interferers, r.n_denied)
+    row = (outage_closed_form(profile), outage_no_hopping(profile),
+           info["d_r"], info["serving_sector"], profile.n_interferers,
+           len(assoc.denied))
+    return row, profile
 
 
 # worker-process state for parallel campaigns
@@ -152,8 +130,8 @@ def _init_worker(t, cfg, seed, d_r_override):
 def _run_chunk(bounds):
     t, cfg, seed, d_r_override = _WORKER["args"]
     lo, hi = bounds
-    return lo, [_trial_record(t, cfg, seed, i, d_r_override)
-                for i in range(lo, hi)]
+    return lo, [run_trial(t, cfg, derive_rng(seed, DOMAIN_TRIAL, i),
+                          d_r_override)[0] for i in range(lo, hi)]
 
 
 def run_campaign(t: Topology, cfg: RunConfig, n_trials=None, seed=None,
@@ -173,7 +151,8 @@ def run_campaign(t: Topology, cfg: RunConfig, n_trials=None, seed=None,
     records = np.empty(n, dtype=TRIAL_DTYPE)
     if threads <= 1 or n == 1:
         for i in range(n):
-            records[i] = _trial_record(t, cfg, seed, i, d_r_override)
+            records[i], _ = run_trial(t, cfg, derive_rng(seed, DOMAIN_TRIAL, i),
+                                      d_r_override)
     else:
         chunk = max(1, -(-n // (threads * 8)))
         bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
@@ -212,6 +191,15 @@ def cm_ratio_of(t: Topology, density) -> float:
     return t.n_bs / (density * t.extent.area)
 
 
+def scale_to_cm(t: Topology, density, ratio) -> Topology:
+    """Rescale the whole network to a BS-per-mobile ratio at fixed density.
+
+    The BS layout is kept, so the mobile count follows the scaled area.
+    """
+    target_area = t.n_bs / (density * ratio)
+    return scale_topology(t, math.sqrt(target_area / t.extent.area))
+
+
 def resolve_dr_override(cfg: RunConfig, cm, sweep_default="typical"):
     """Typical reference-link length for the mode, or None for realized."""
     mode = cfg.dr_mode
@@ -226,20 +214,17 @@ def densification_sweep(t: Topology, cfg: RunConfig, ratios=None, *,
                         n_trials=None, seed=None, threads=None):
     """Re-run the campaign over BS-per-mobile ratios C/M.
 
-    The BS layout is kept and the whole network is rescaled around a
-    fixed mobile density, so the mobile count follows the scaled area.
-    Unless dr_mode says otherwise the reference link takes the typical
-    length for each ratio.  Returns one row dict per ratio.
+    The network is rescaled per ratio by scale_to_cm.  Unless dr_mode
+    says otherwise the reference link takes the typical length for each
+    ratio.  Returns one row dict per ratio.
     """
     ratios = cfg.cm_ratios if ratios is None else tuple(ratios)
-    base_area = t.extent.area
     rows = []
     for ratio in ratios:
         if not (0.05 <= ratio <= 1.0):
             warnings.warn(f"C/M ratio {ratio} outside the calibrated range "
                           "[0.05, 1]; computing anyway")
-        target_area = t.n_bs / (cfg.density_per_km2 * ratio)
-        scaled = scale_topology(t, math.sqrt(target_area / base_area))
+        scaled = scale_to_cm(t, cfg.density_per_km2, ratio)
         override = resolve_dr_override(cfg, ratio, sweep_default="typical")
         stats, _ = run_campaign(scaled, cfg, n_trials, seed, threads,
                                 d_r_override=override)
@@ -262,60 +247,44 @@ def _sweep_row(ratio, stats: OutageStats) -> dict:
     }
 
 
-# named parameter axes accepted by sweep(); each maps a value onto the
-# config
-def _set_l_over_lj(cfg: RunConfig, value) -> RunConfig:
-    ratio = int(value)
+def _set_l_over_lj(cfg: RunConfig, value):
+    try:
+        ratio = int(str(value))
+    except ValueError:
+        raise ValueError(f"L/L_j must be an integer, got {value!r}") from None
     if ratio < 1 or cfg.hopset_channels % ratio:
         raise ValueError(f"L/L_j = {value} must divide the hopset size "
                          f"{cfg.hopset_channels}")
     block = cfg.hopset_channels // ratio
-    return cfg.replace(ref_block_channels=block, sector_block_channels=block)
-
-
-def _set_preset(cfg: RunConfig, value) -> RunConfig:
-    from .propagation import PRESETS
-    a_min, a_max, s_min, s_max, m_min, m_max = PRESETS[str(value)]
-    return cfg.replace(preset=str(value), alpha_min=a_min, alpha_max=a_max,
-                       sigma_min_db=s_min, sigma_max_db=s_max,
-                       m_min=m_min, m_max=m_max)
-
-
-SWEEP_AXES = {
-    "delta": lambda c, v: c.replace(delta=float(v)),
-    "beta_db": lambda c, v: c.replace(beta_db=float(v)),
-    "p_over_n_db": lambda c, v: c.replace(p_over_n_db=float(v)),
-    "zeta": lambda c, v: c.replace(zeta=int(v)),
-    "mobile_beamwidth_rad": lambda c, v: c.replace(mobile_beamwidth_rad=float(v)),
-    "sidelobe_mobile": lambda c, v: c.replace(sidelobe_mobile=float(v)),
-    "sidelobe_bs": lambda c, v: c.replace(sidelobe_bs=float(v)),
-    "mu_per_km": lambda c, v: c.replace(mu_per_km=float(v)),
-    "density_per_km2": lambda c, v: c.replace(density_per_km2=float(v)),
-    "activity_prob": lambda c, v: c.replace(activity_prob=float(v)),
-    "k_strongest": lambda c, v: c.replace(k_strongest=int(v)),
-    "L_over_Lj": _set_l_over_lj,
-    "preset": _set_preset,
-}
+    return cfg.replace(ref_block_channels=block,
+                       sector_block_channels=block), ratio
 
 
 def sweep(cfg: RunConfig, axis, values, *, ratios=None, n_trials=None,
           seed=None, threads=None):
     """Nested sweep: for each axis value, run the densification sweep.
 
+    Every RunConfig key is an axis, its values parsed and checked as in a
+    config file; L_over_Lj sets both block sizes from the hopset size.
     The topology is rebuilt per value (the axis may change the sector
-    count) from the same master seed, so BS positions stay comparable
-    across values.  Returns row dicts tagged with (axis, value).
+    count) from the value's master seed, so BS positions stay comparable
+    across values; seed, when given, replaces the config's seed before
+    the axis applies.  Returns row dicts tagged with (axis, value as cast).
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; choose from "
-                         f"{sorted(SWEEP_AXES)}")
-    seed_eff = cfg.seed if seed is None else int(seed)
+    if axis != "L_over_Lj" and axis not in RunConfig.__dataclass_fields__:
+        raise ValueError(f"unknown sweep axis {axis!r}; choose a config key "
+                         "or L_over_Lj")
+    cfg = cfg if seed is None else cfg.replace(seed=int(seed))
     rows = []
     for value in values:
-        cfg_v = SWEEP_AXES[axis](cfg, value)
-        t = build_topology(cfg_v, seed_eff)
+        if axis == "L_over_Lj":
+            cfg_v, value = _set_l_over_lj(cfg, value)
+        else:
+            cfg_v = set_key(cfg, axis, value)
+            value = getattr(cfg_v, axis)
+        t = build_topology(cfg_v)
         for row in densification_sweep(t, cfg_v, ratios, n_trials=n_trials,
-                                       seed=seed_eff, threads=threads):
+                                       threads=threads):
             rows.append({"axis": axis, "value": value, **row})
     return rows
 

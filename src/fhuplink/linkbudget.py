@@ -73,8 +73,7 @@ def timing_offset(d_ref_km, d_int_km, slot_ms):
     delay_ms = (np.asarray(d_ref_km, dtype=float)
                 - np.asarray(d_int_km, dtype=float)) / SPEED_OF_LIGHT_KM_S * 1e3
     t = np.mod(delay_ms, slot_ms)
-    t = np.where(t >= slot_ms, 0.0, t)  # fp wrap when delay is a hair below 0
-    return float(t) if t.ndim == 0 else t
+    return np.where(t >= slot_ms, 0.0, t)  # fp wrap when delay is a hair below 0
 
 
 def fractional_durations(t, slot_ms):
@@ -103,8 +102,7 @@ def collision_probability(n_g, l_g, l_j, hopset, activity):
     if np.any(occupied > hopset):
         raise ValueError("sector occupancy exceeds the hopset "
                          "(capacity invariant violated)")
-    q = np.maximum(occupied, l_j) * activity / hopset
-    return float(q) if q.ndim == 0 else q
+    return np.maximum(occupied, l_j) * activity / hopset
 
 
 def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector: int,
@@ -227,10 +225,9 @@ def power_control_ratio(xi_ij_db, xi_ig_db, xi_ref_db, f_ij, f_ig, f_dr,
     if not (0.0 <= delta <= 1.0):
         raise ValueError("power-control parameter delta must be in [0, 1]")
     xi_net = xi_ij_db - delta * xi_ig_db + (delta - 1.0) * xi_ref_db
-    bmax_rel = bp.sector_mainlobe_level * bp.mobile_mainlobe_level
     return (10.0 ** (xi_net / 10.0) * f_ij * spec_factor
             * mobile_level * sector_level
-            / (f_dr ** (1.0 - delta) * f_ig ** delta * bmax_rel))
+            / (f_dr ** (1.0 - delta) * f_ig ** delta * bm.max_pair_gain(bp)))
 
 
 def reference_link_profile(t: Topology, prop: PropagationParams,
@@ -285,12 +282,9 @@ def reference_link_profile(t: Topology, prop: PropagationParams,
     xi_ig = shadow.toward_sector(idx, g_sec, t)
 
     # mobile beams point at their serving BS; sector j's wedge is fixed
-    mob_main = bm.mobile_mainlobe_mask(mobile_xy[idx], pos_j, pos_g, bp.theta)
-    mob_level = np.where(mob_main, bp.mobile_mainlobe_level,
-                         bp.mobile_sidelobe_level)
+    mob_level = bm.mobile_gain_toward(mobile_xy[idx], pos_j, pos_g, bp)
     theta_ij = np.mod(np.arctan2(rel_j[:, 1], rel_j[:, 0]), 2.0 * np.pi)
-    sec_level = np.where(bm.in_sector_wedge(theta_ij, t.wedge_start(j), bp.zeta),
-                         bp.sector_mainlobe_level, bp.sector_sidelobe_level)
+    sec_level = bm.sector_gain(theta_ij, t.wedge_start(j), bp)
 
     omega = power_control_ratio(
         xi_ij, xi_ig, xi_ref_db, f_ij, f_ig, f_dr, delta,

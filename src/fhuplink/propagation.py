@@ -63,11 +63,11 @@ PRESETS = {
 def preset_params(name, mu=20.0, d0=0.004):
     """Return the PropagationParams for a named urban preset."""
     try:
-        a_min, a_max, s_min, s_max, m_min, m_max = PRESETS[name]
+        values = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown propagation preset {name!r}; "
                          f"choose from {sorted(PRESETS)}") from None
-    return PropagationParams(a_min, a_max, s_min, s_max, m_min, m_max, mu, d0)
+    return PropagationParams(*values, mu, d0)
 
 
 def _checked_distance(d):
@@ -77,29 +77,22 @@ def _checked_distance(d):
     return d
 
 
-def _scalar_like(value, template):
-    return float(value) if np.ndim(template) == 0 else value
-
-
 def alpha_of(d, p: PropagationParams):
     """Path-loss exponent at link length d (km)."""
     d = _checked_distance(d)
-    out = p.alpha_min + (p.alpha_max - p.alpha_min) * np.tanh(p.mu * d)
-    return _scalar_like(out, d)
+    return p.alpha_min + (p.alpha_max - p.alpha_min) * np.tanh(p.mu * d)
 
 
 def sigma_of(d, p: PropagationParams):
     """Shadowing standard deviation in dB at link length d (km)."""
     d = _checked_distance(d)
-    out = p.sigma_min + (p.sigma_max - p.sigma_min) * np.tanh(p.mu * d)
-    return _scalar_like(out, d)
+    return p.sigma_min + (p.sigma_max - p.sigma_min) * np.tanh(p.mu * d)
 
 
 def m_of(d, p: PropagationParams):
     """Nakagami shape at link length d (km); decreases with distance."""
     d = _checked_distance(d)
-    out = p.m_max - (p.m_max - p.m_min) * np.tanh(p.mu * d)
-    return _scalar_like(out, d)
+    return p.m_max - (p.m_max - p.m_min) * np.tanh(p.mu * d)
 
 
 def round_integer_m(d, p: PropagationParams) -> int:
@@ -122,8 +115,7 @@ def path_loss(d, p: PropagationParams):
     """
     d = _checked_distance(d)
     dd = np.maximum(d, p.d0)
-    out = (dd / p.d0) ** (-alpha_of(dd, p))
-    return _scalar_like(out, d)
+    return (dd / p.d0) ** (-alpha_of(dd, p))
 
 
 def sample_shadowing(d, p: PropagationParams, rng: np.random.Generator):
@@ -132,8 +124,7 @@ def sample_shadowing(d, p: PropagationParams, rng: np.random.Generator):
     Vectorized over d; one draw per entry.
     """
     d = _checked_distance(d)
-    out = rng.normal(0.0, 1.0, size=d.shape) * sigma_of(d, p)
-    return _scalar_like(out, d)
+    return rng.normal(0.0, 1.0, size=d.shape) * sigma_of(d, p)
 
 
 def sample_power_gain(m, rng: np.random.Generator, size=None):
@@ -145,7 +136,4 @@ def sample_power_gain(m, rng: np.random.Generator, size=None):
     m = np.asarray(m, dtype=float)
     if np.any(m < 0.5):
         raise ValueError("Nakagami shape m must be >= 0.5")
-    out = rng.gamma(shape=m, scale=1.0 / m, size=size)
-    if size is None and m.ndim == 0:
-        return float(out)
-    return out
+    return rng.gamma(shape=m, scale=1.0 / m, size=size)

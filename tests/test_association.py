@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fhuplink.association import (ShadowingTable, associate,
-                                  draw_shadowing_table, serving_table)
+                                  draw_shadowing_table)
 from fhuplink.propagation import preset_params
 from fhuplink.topology import Topology, generate_topology, place_mobiles, square
 
@@ -127,17 +127,6 @@ def test_sector_mode_shadowing():
     # toward_sector picks the matching local sector entry
     val = shadow.toward_sector(0, 5, t)  # BS 1, local sector 2
     assert val == shadow.xi_db[0, 1, 2]
-
-
-def test_serving_table_dump():
-    ext = square(2.0)
-    t = Topology(np.array([[1.0, 1.0]]), ext, ext, sectors_per_bs=4)
-    xy = np.array([[1.3, 1.1], [1.4, 1.2]])
-    assoc = associate(t, xy, _dist(xy, t.bs_xy), NY, _zero_shadow(2, 1),
-                      capacity=1, rng=np.random.default_rng(0))
-    dump = serving_table(assoc, t.sectors_per_bs)
-    assert "denied" in dump and "mobile" in dump
-    assert dump.count("\n") == 3
 
 
 def test_draw_shadowing_table_stddev_tracks_distance():

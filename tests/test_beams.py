@@ -29,7 +29,7 @@ def test_levels():
 
 
 def test_sector_gain_wedge():
-    bp = BeamParams(zeta=24, b=0.01, a_s=1.0)
+    bp = BeamParams(zeta=24, b=0.01)
     width = 2 * np.pi / 24
     assert sector_gain(0.0, 0.0, bp) == pytest.approx(23.77)      # lower edge in
     assert sector_gain(width / 2, 0.0, bp) == pytest.approx(23.77)
@@ -43,11 +43,11 @@ def test_sector_gain_wedge():
     assert avg == pytest.approx(1.0, rel=1e-12)
     # grid average over an aligned grid of multiples of the wedge
     thetas = np.arange(24 * 1000) * (2 * np.pi / (24 * 1000))
-    assert np.mean(sector_gain(thetas, 0.0, bp)) == pytest.approx(bp.a_s, rel=1e-9)
+    assert np.mean(sector_gain(thetas, 0.0, bp)) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_sector_gain_omni_when_b_is_one_limit():
-    # b -> 1 collapses both levels toward A_s (b = 1 itself is excluded)
+    # b -> 1 collapses both levels toward 1 (b = 1 itself is excluded)
     bp = BeamParams(zeta=8, b=1 - 1e-12)
     assert bp.sector_mainlobe_level == pytest.approx(1.0, abs=1e-9)
     assert bp.sector_sidelobe_level == pytest.approx(1.0, abs=1e-9)
@@ -76,7 +76,7 @@ def test_mobile_gain():
     target = np.array([0.0, 2.0])
     assert not mobile_mainlobe_mask(mobile, target, serving, bp_wide.theta)
     gain = mobile_gain_toward(mobile, target, serving, bp_wide)
-    assert gain == pytest.approx(bp_wide.a_m * bp_wide.mobile_sidelobe_level)
+    assert gain == pytest.approx(bp_wide.mobile_sidelobe_level)
 
 
 def test_mobile_gain_collocated_raises():
@@ -87,7 +87,5 @@ def test_mobile_gain_collocated_raises():
 
 def test_max_pair_gain():
     assert max_pair_gain(DEFAULT) == pytest.approx(430.237, abs=1e-9)
-    scaled = BeamParams(a_s=2.0, a_m=3.0)
-    assert max_pair_gain(scaled) == pytest.approx(6 * 430.237, abs=1e-8)
-    iso = BeamParams(zeta=1, b=0.3, theta=2 * np.pi, a=0.7, a_s=1.3, a_m=0.9)
-    assert max_pair_gain(iso) == pytest.approx(1.3 * 0.9, rel=1e-12)
+    iso = BeamParams(zeta=1, b=0.3, theta=2 * np.pi, a=0.7)
+    assert max_pair_gain(iso) == pytest.approx(1.0, rel=1e-12)

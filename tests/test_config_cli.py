@@ -235,6 +235,11 @@ def test_cli_error_reporting(tmp_path, capsys):
     bad.write_text("delta = 3\n")
     assert cli.main(["campaign", "--config", str(bad)]) == 2
     assert "delta" in capsys.readouterr().err
+    # integer keys take integers on a sweep axis too
+    assert cli.main(["sweep", "--config", _write_cfg(tmp_path), "--axis",
+                     "k_strongest", "--values", "2.5", "--ratios", "1",
+                     "--trials", "1"]) == 2
+    assert "k_strongest: expected int" in capsys.readouterr().err
 
 
 def test_cli_env_overrides(tmp_path, monkeypatch):

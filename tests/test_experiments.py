@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fhuplink.config import RunConfig
-from fhuplink.experiments import (cm_ratio_of, code_rate, densification_sweep,
-                                  per_link_rate_curves, run_campaign, run_trial,
-                                  sweep, trial_with_profile)
+from fhuplink.config import ConfigError, RunConfig
+from fhuplink.experiments import (TRIAL_DTYPE, cm_ratio_of, code_rate,
+                                  densification_sweep, per_link_rate_curves,
+                                  run_campaign, run_trial, scale_to_cm, sweep)
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
 
 from oracles import noise_only_outage
@@ -33,10 +33,11 @@ def test_code_rate():
 
 def test_run_trial_deterministic():
     t = _topo(SMALL)
-    a = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0))
-    b = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0))
+    a, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0))
+    b, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0))
     assert a == b
-    c = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 1))
+    assert len(a) == len(TRIAL_DTYPE.names)
+    c, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 1))
     assert c != a  # different trial index, different realization
 
 
@@ -46,14 +47,15 @@ def test_single_mobile_reduces_to_noise_only():
     cfg = RunConfig(bs_count=4, extent_km=0.1, density_per_km2=100.0,
                     r_ex_km=0.0, ref_zone_km=0.0, trials=1, seed=9)
     t = _topo(cfg, 9)
-    result, profile = trial_with_profile(t, cfg, derive_rng(9, DOMAIN_TRIAL, 0))
+    row, profile = run_trial(t, cfg, derive_rng(9, DOMAIN_TRIAL, 0))
+    result = dict(zip(TRIAL_DTYPE.names, row))
     assert profile.n_interferers == 0
-    assert result.n_interferers == 0
+    assert result["n_interferers"] == 0
     want = noise_only_outage(profile.gamma0, profile.m0, cfg.beta_linear)
-    assert result.epsilon == pytest.approx(want, abs=1e-12)
+    assert result["epsilon"] == pytest.approx(want, abs=1e-12)
     want_nh = noise_only_outage(profile.gamma0, profile.m0, cfg.beta_linear,
                                 hopping=False)
-    assert result.epsilon_no_hop == pytest.approx(want_nh, abs=1e-12)
+    assert result["epsilon_no_hop"] == pytest.approx(want_nh, abs=1e-12)
 
 
 def test_campaign_stats_and_identities():
@@ -104,11 +106,9 @@ def test_densification_sweep_typical_lengths():
 
 
 def test_densification_scaling_keeps_density():
-    from fhuplink.topology import scale_topology
     t = _topo(SMALL)
     for ratio in (0.2, 0.5, 1.0):
-        area = t.n_bs / (SMALL.density_per_km2 * ratio)
-        scaled = scale_topology(t, np.sqrt(area / t.extent.area))
+        scaled = scale_to_cm(t, SMALL.density_per_km2, ratio)
         assert cm_ratio_of(scaled, SMALL.density_per_km2) == pytest.approx(ratio)
 
 
@@ -167,5 +167,32 @@ def test_sweep_bandwidth_axis_sets_blocks():
 
 def test_sweep_zeta_rebuilds_topology():
     cfg = SMALL.replace(trials=2)
-    rows = sweep(cfg, "zeta", [8, 24], ratios=[1.0], n_trials=2)
+    rows = sweep(cfg, "zeta", [8, "24"], ratios=[1.0], n_trials=2)
     assert [r["value"] for r in rows] == [8, 24]
+    assert all(type(r["value"]) is int for r in rows)
+
+
+def test_sweep_integer_axes_reject_fractions():
+    # a fractional value used to be truncated while the rows kept its label
+    with pytest.raises(ConfigError, match="zeta: expected int"):
+        sweep(SMALL, "zeta", [8.5], ratios=[1.0], n_trials=2)
+    with pytest.raises(ConfigError, match="k_strongest"):
+        sweep(SMALL, "k_strongest", ["2.5"], ratios=[1.0], n_trials=2)
+    with pytest.raises(ValueError, match="integer"):
+        sweep(SMALL, "L_over_Lj", [2.5], ratios=[1.0], n_trials=2)
+
+
+def test_sweep_any_config_key_is_an_axis():
+    rows = sweep(SMALL, "trials", [2, 3], ratios=[1.0])
+    assert [r["n_trials"] for r in rows] == [2, 3]
+    rows = sweep(SMALL, "candidate_bs", [1, 8], ratios=[1.0])
+    assert [r["value"] for r in rows] == [1, 8]
+    assert rows[0]["epsilon_bar"] != rows[1]["epsilon_bar"]
+    # each value's seed drives its topology and trials
+    rows = sweep(SMALL, "seed", [1, 2], ratios=[1.0])
+    assert rows[0]["epsilon_bar"] != rows[1]["epsilon_bar"]
+    assert sweep(SMALL, "seed", [1], ratios=[1.0]) == rows[:1]
+    # an explicit seed argument is the base the axis overrides
+    assert sweep(SMALL, "seed", [1, 2], ratios=[1.0], seed=7) == rows
+    with pytest.raises(ValueError, match="unknown sweep axis"):
+        sweep(SMALL, "beta_linear", [1.0])

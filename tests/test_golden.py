@@ -19,7 +19,7 @@ CASES = {
     "campaign": (["campaign"],
                  "aa798ae2ab7fe598eac544532f246874731690f5d8e32a384b37b68bbd5c31ec"),
     "campaign_cm": (["campaign", "--cm", "0.3"],
-                    "7ab87f0402c872ced2ad5b5117ad9079951237cb9a20f15f03408a06f76fdb8c"),
+                    "306bacb35f1434c9e0c7e4a032ee731366990a936fc88a42c628f7f72d955ef6"),
     "densify": (["densify", "--ratios", "0.35,1"],
                 "60b12ec80b0dd40875590e27577d4126db402136392ff79623f8e1dabc478a8f"),
     "sweep_delta": (["sweep", "--axis", "delta", "--values", "0,0.5",
@@ -27,13 +27,13 @@ CASES = {
                     "6031a9c2dfcb600a9541dfc00218d1c4b6a93d57e232333f59d216d34545c1b8"),
     "sweep_zeta": (["sweep", "--axis", "zeta", "--values", "8,24",
                     "--ratios", "1", "--trials", "3"],
-                   "c282313bf55220d2ee2d5000ea4dc4e8e089153fc7acba12e442b18232b87a64"),
+                   "a27788d88c3c3e0fffd4fde3b329e4726832ae580414e442d811a954b90f1ca5"),
     "sweep_preset": (["sweep", "--axis", "preset", "--values",
                       "newyork,austin", "--ratios", "1", "--trials", "3"],
                      "979726fef38fd4b7bc7687ebdfb90ca25a1b56369c0d32ee77c49bc40738615d"),
     "links_cm": (["links", "--cm", "0.3", "--links", "3",
                   "--beta-db", "0,3"],
-                 "e4a7be8d9d31d8f9272530869874294eabc136fc82a9c9f17819a4d4f9a71365"),
+                 "b2103442634bdcaa5f0fba2d90a5c41f238289ef1731b937445a4c0166af1ae6"),
     "validate": (["validate", "--profiles", "4", "--samples", "2000"],
                  "155e07fc8a0fc8f8af015cc82d463246c60bf320a6a1cf6a3ddef184849c2d4e"),
 }
