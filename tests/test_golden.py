@@ -1,8 +1,8 @@
 """Golden output: SHA-256 of small campaign, sweep, links and validate CSVs.
 
 Each case runs one CLI command on the 40-BS network of acceptance
-criterion 9 and compares the hash of the whole CSV, header included, to a
-committed value.  A refactor that keeps behaviour keeps every hash; a
+criterion 9, plus optional config lines, and compares the hash of the
+whole CSV, header included, to a committed value.  A refactor that keeps behaviour keeps every hash; a
 change that moves a result must re-pin the hash and state why in
 CHANGES.md.
 """
@@ -14,6 +14,10 @@ import pytest
 from fhuplink import cli
 
 CONFIG = "bs_count = 40\nextent_km = 1.0\ntrials = 6\ncandidate_bs = 10\n"
+
+# zeta = 1 with 50-channel blocks leaves a capacity of 2 per sector, so
+# sectors overflow and association's sequential admission runs
+SATURATED = "zeta = 1\nref_block_channels = 50\nsector_block_channels = 50\n"
 
 CASES = {
     "campaign": (["campaign"],
@@ -36,6 +40,14 @@ CASES = {
                  "b2103442634bdcaa5f0fba2d90a5c41f238289ef1731b937445a4c0166af1ae6"),
     "validate": (["validate", "--profiles", "4", "--samples", "2000"],
                  "155e07fc8a0fc8f8af015cc82d463246c60bf320a6a1cf6a3ddef184849c2d4e"),
+    "campaign_saturated": (
+        ["campaign"],
+        "7ba36ae45b57d2a297722d73561b308a84f66425211dd43482af8467187ea244",
+        SATURATED),
+    "campaign_sector_shadowing": (
+        ["campaign"],
+        "1b9494693881c6a703f6d8f52e651b09dff7c6944a9017e0a8d810c6610941a4",
+        "shadowing_per = sector\n"),
 }
 
 
@@ -44,9 +56,9 @@ def test_golden_csv_hash(name, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FHUPLINK_SEED", raising=False)
     monkeypatch.delenv("FHUPLINK_THREADS", raising=False)
     cfg_file = tmp_path / "golden.cfg"
-    cfg_file.write_text(CONFIG)
+    argv, want, *extra = CASES[name]
+    cfg_file.write_text(CONFIG + "".join(extra))
     out = tmp_path / "out.csv"
-    argv, want = CASES[name]
     rc = cli.main(argv + ["--config", str(cfg_file), "--seed", "29",
                           "--threads", "1", "--out", str(out)])
     assert rc == 0
