@@ -1,9 +1,10 @@
 """Serving-sector assignment by maximum local-mean received power.
 
 Each mobile ranks the sectors whose mainlobe covers it (exactly one per
-BS) by shadowed area-mean power and is admitted to the best-ranked sector
-with spare capacity.  Overflowing mobiles fall through to their next
-candidate; a mobile with no candidate left is denied service.
+BS) by shadowed area-mean power and, taking turns in a random order, is
+admitted to the best-ranked sector with spare capacity.  Overflowing
+mobiles fall through to their next candidate; a mobile with no candidate
+left is denied service.
 """
 
 from __future__ import annotations
@@ -22,19 +23,33 @@ class ShadowingTable:
 
     per='bs': one factor per (mobile, BS), shared by the BS's sectors,
     since those links share the propagation path.  per='sector': an
-    independent factor per (mobile, sector).
+    independent factor per (mobile, sector).  A drawn table holds unit
+    normals in z and scales an entry by sigma_of of its link's distance in
+    dist_mc when it is read; without dist_mc, z holds the factors in dB.
     """
 
-    xi_db: np.ndarray      # (M, C) for per='bs', (M, C, zeta) for per='sector'
+    z: np.ndarray          # (M, C) for per='bs', (M, C, zeta) for per='sector'
     per: str = "bs"
+    dist_mc: np.ndarray | None = None
+    prop: PropagationParams | None = None
+
+    @property
+    def xi_db(self):
+        """The whole table in dB."""
+        sigma = 1.0 if self.dist_mc is None else sigma_of(self.dist_mc, self.prop)
+        return self.z * (sigma if self.per == "bs" else np.expand_dims(sigma, -1))
+
+    def read(self, mobile_idx, bs, local):
+        """Factors in dB of mobile(s) toward BS(s), local sector(s) local."""
+        z = self.z[mobile_idx, bs] if self.per == "bs" else self.z[mobile_idx, bs, local]
+        if self.dist_mc is None:
+            return z
+        return z * sigma_of(self.dist_mc[mobile_idx, bs], self.prop)
 
     def toward_sector(self, mobile_idx, sector_id, t: Topology):
         """Shadowing of the link(s) from mobile(s) to sector receiver(s)."""
-        sector_id = np.asarray(sector_id)
-        bs = sector_id // t.sectors_per_bs
-        if self.per == "bs":
-            return self.xi_db[mobile_idx, bs]
-        return self.xi_db[mobile_idx, bs, sector_id % t.sectors_per_bs]
+        return self.read(mobile_idx, sector_id // t.sectors_per_bs,
+                         sector_id % t.sectors_per_bs)
 
 
 def draw_shadowing_table(dist_mc, p: PropagationParams, rng: np.random.Generator,
@@ -44,15 +59,11 @@ def draw_shadowing_table(dist_mc, p: PropagationParams, rng: np.random.Generator
     dist_mc is the (M, C) mobile-to-BS distance matrix in km; the standard
     deviation of each factor follows the distance of its link.
     """
-    sigma = sigma_of(dist_mc, p)
-    if per == "bs":
-        xi = rng.normal(0.0, 1.0, size=dist_mc.shape) * sigma
-    elif per == "sector":
-        xi = (rng.normal(0.0, 1.0, size=dist_mc.shape + (sectors_per_bs,))
-              * sigma[:, :, None])
-    else:
+    if per not in ("bs", "sector"):
         raise ValueError("shadowing per must be 'bs' or 'sector'")
-    return ShadowingTable(xi, per)
+    dist_mc = np.asarray(dist_mc, dtype=float)
+    shape = dist_mc.shape + ((sectors_per_bs,) if per == "sector" else ())
+    return ShadowingTable(rng.normal(0.0, 1.0, size=shape), per, dist_mc, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +73,7 @@ class Association:
     serving: np.ndarray    # (M,) global sector index, -1 if denied
     loads: np.ndarray      # (n_sectors,) mobiles admitted per sector
     denied: np.ndarray     # indices of unserved mobiles
+    sequential: bool = False   # admitted one by one (a sector overflowed)
 
     @property
     def served_mask(self):
@@ -76,7 +88,10 @@ def associate(t: Topology, mobile_xy, dist_mc, prop: PropagationParams,
     Candidates per mobile are the covering sectors of its k_nearest BSs
     (distant BSs cannot plausibly win the ranking under urban shadowing).
     Mobiles are processed in a uniformly random order, each taking its
-    best-ranked candidate with load below capacity.
+    best-ranked candidate with load below capacity.  That loop runs only
+    if it can differ from one bincount of first choices: a sector is the
+    first choice of more than capacity mobiles, or a distance tie at the
+    k-th place or a rank tie at the top leaves the pick to candidate order.
     """
     if capacity < 1:
         raise ValueError("sector capacity must be >= 1")
@@ -85,33 +100,40 @@ def associate(t: Topology, mobile_xy, dist_mc, prop: PropagationParams,
     k = min(int(k_nearest), c)
     if k < 1:
         raise ValueError("k_nearest must be >= 1")
-
+    order = rng.permutation(m)
     rows = np.arange(m)[:, None]
-    if k < c:
-        near = np.argpartition(dist_mc, k - 1, axis=1)[:, :k]
-    else:
-        near = np.broadcast_to(np.arange(c), (m, c)).copy()
-    d_near = dist_mc[rows, near]
 
+    def rank_db(near, cand_sec):
+        local = None if cand_sec is None else cand_sec % t.sectors_per_bs
+        return (shadow.read(rows, near, local)
+                + 10.0 * np.log10(path_loss(dist_mc[rows, near], prop)))
+
+    # first choices among the k nearest BSs, found by a distance threshold
+    near = dist_mc <= np.partition(dist_mc, k - 1, axis=1)[:, k - 1:k]
+    if np.count_nonzero(near) == m * k:
+        near = np.flatnonzero(near).reshape(m, k) - rows * c
+        cand_sec = (None if shadow.per == "bs"
+                    else t.covering_sector(near, mobile_xy[:, None, :]))
+        rank = rank_db(near, cand_sec)
+        best = rank.argmax(axis=1)[:, None]
+        serving = t.covering_sector(near[rows, best], mobile_xy[:, None, :])[:, 0]
+        loads = np.bincount(serving, minlength=t.n_sectors)
+        if loads.max() <= capacity and np.count_nonzero(rank == rank[rows, best]) == m:
+            return Association(serving, loads, np.flatnonzero(serving < 0))
+
+    near = (np.argpartition(dist_mc, k - 1, axis=1)[:, :k] if k < c
+            else np.broadcast_to(np.arange(c), (m, c)))
     # candidate sector per (mobile, near BS): the covering one
     cand_sec = t.covering_sector(near, mobile_xy[:, None, :])
-    if shadow.per == "bs":
-        xi = shadow.xi_db[rows, near]
-    else:
-        xi = shadow.xi_db[rows, near, cand_sec % t.sectors_per_bs]
-
-    rank_db = xi + 10.0 * np.log10(path_loss(d_near, prop))
-    pref = np.argsort(-rank_db, axis=1, kind="stable")
+    pref = np.argsort(-rank_db(near, cand_sec), axis=1, kind="stable")
 
     serving = np.full(m, -1, dtype=int)
     loads = np.zeros(t.n_sectors, dtype=int)
-    for i in rng.permutation(m):
+    for i in order:
         for slot in pref[i]:
             s = cand_sec[i, slot]
             if loads[s] < capacity:
                 serving[i] = s
                 loads[s] += 1
                 break
-    denied = np.flatnonzero(serving < 0)
-    return Association(serving, loads, denied)
-
+    return Association(serving, loads, np.flatnonzero(serving < 0), sequential=True)

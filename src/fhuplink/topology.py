@@ -338,9 +338,10 @@ def _exclusion_conflicts(cand, r_ex):
 def distance_matrix(a, b):
     """Pairwise Euclidean distances between two point sets, (len(a), len(b)).
 
-    Uses the expanded square so the cross term is a single matrix product;
-    with planar points the reduction has two terms, so the result does not
-    depend on BLAS threading.
+    Uses the expanded square so the cross term is one BLAS matrix product
+    (dgemm).  Its last bits depend on the kernel BLAS picks for the CPU (an
+    FMA kernel rounds unlike a plain product), and so does every result
+    hashed downstream; large products also run on several BLAS threads.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

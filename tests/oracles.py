@@ -11,6 +11,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from fhuplink.outage import g_coeff
+from fhuplink.propagation import path_loss
 
 
 def h_t_enumeration(profile, beta0, t_max):
@@ -64,3 +65,40 @@ def single_pair_outage_quadrature(gamma0, m0, beta, omega, m, q, c):
         0.0, 60.0, limit=400)
     assert err < 1e-7
     return (1.0 - q) * desired_cdf(beta * z) + q * val
+
+
+def associate_sequential(t, mobile_xy, dist_mc, prop, shadow, capacity, rng,
+                         k_nearest=12):
+    """Association by the plain sequential admission pass.
+
+    Ranks the covering sectors of each mobile's k nearest BSs
+    (argpartition) by the fully scaled shadowing table plus path loss,
+    then admits mobiles in one uniformly random order, each to its
+    best-ranked candidate with load below capacity.  Returns (serving,
+    loads, denied).
+    """
+    mobile_xy = np.asarray(mobile_xy, dtype=float)
+    m, c = dist_mc.shape
+    k = min(int(k_nearest), c)
+    rows = np.arange(m)[:, None]
+    if k < c:
+        near = np.argpartition(dist_mc, k - 1, axis=1)[:, :k]
+    else:
+        near = np.broadcast_to(np.arange(c), (m, c)).copy()
+    cand_sec = t.covering_sector(near, mobile_xy[:, None, :])
+    if shadow.per == "bs":
+        xi = shadow.xi_db[rows, near]
+    else:
+        xi = shadow.xi_db[rows, near, cand_sec % t.sectors_per_bs]
+    rank_db = xi + 10.0 * np.log10(path_loss(dist_mc[rows, near], prop))
+    pref = np.argsort(-rank_db, axis=1, kind="stable")
+    serving = np.full(m, -1, dtype=int)
+    loads = np.zeros(t.n_sectors, dtype=int)
+    for i in rng.permutation(m):
+        for slot in pref[i]:
+            s = cand_sec[i, slot]
+            if loads[s] < capacity:
+                serving[i] = s
+                loads[s] += 1
+                break
+    return serving, loads, np.flatnonzero(serving < 0)

@@ -3,6 +3,7 @@ import pytest
 
 from fhuplink.association import (ShadowingTable, associate,
                                   draw_shadowing_table)
+from oracles import associate_sequential
 from fhuplink.propagation import preset_params
 from fhuplink.topology import Topology, generate_topology, place_mobiles, square
 
@@ -136,3 +137,55 @@ def test_draw_shadowing_table_stddev_tracks_distance():
     assert np.std(shadow.xi_db) == pytest.approx(11.0503, abs=0.05)
     with pytest.raises(ValueError):
         draw_shadowing_table(d, NY, rng, per="link")
+
+
+def _against_oracle(t, xy, dist, shadow, capacity, k, seed):
+    """associate vs the sequential oracle from equal rng states; the path taken."""
+    rng_new = np.random.default_rng(seed)
+    rng_old = np.random.default_rng(seed)
+    got = associate(t, xy, dist, NY, shadow, capacity, rng_new, k_nearest=k)
+    want = associate_sequential(t, xy, dist, NY, shadow, capacity, rng_old,
+                                k_nearest=k)
+    for a, b in zip((got.serving, got.loads, got.denied), want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    return got.sequential
+
+
+def test_associate_matches_sequential_oracle():
+    paths = set()
+    for scene in range(32):
+        rng = np.random.default_rng(500 + scene)
+        capacity = (1, 2, 3, 1000)[scene % 4]
+        per = ("bs", "sector")[scene // 4 % 2]
+        k = (1, 4, 12, 40)[scene // 8]      # 12 BSs: k >= C in the last two
+        zeta = (1, 3, 4)[scene % 3]
+        t = generate_topology("uniform-random", 12, 1.0, rng, sectors_per_bs=zeta)
+        pl = place_mobiles(t, 150.0, 0.0, rng)
+        dist = _dist(pl.xy, t.bs_xy)
+        shadow = draw_shadowing_table(dist, NY, rng, per=per, sectors_per_bs=zeta)
+        sequential = _against_oracle(t, pl.xy, dist, shadow, capacity, k, scene)
+        if capacity == 1:
+            assert sequential
+        if capacity == 1000:
+            assert not sequential
+        paths.add(sequential)
+    assert paths == {False, True}
+
+
+def test_associate_ties_take_the_sequential_path():
+    # (2, 2) and (1, 2) sit at equal distance from four BSs of a 4x4 grid
+    ext = square(4.0)
+    t = generate_topology("grid", 16, ext, sectors_per_bs=3)
+    rng = np.random.default_rng(8)
+    xy = np.vstack([[[2.0, 2.0], [1.0, 2.0]], place_mobiles(t, 20.0, 0.0, rng).xy])
+    dist = _dist(xy, t.bs_xy)
+    assert dist[0, 5] == dist[0, 6] == dist[0, 9] == dist[0, 10]
+    shadow = draw_shadowing_table(dist, NY, rng)
+    # k = 2 cuts through the four: a tie at the k-th distance
+    assert _against_oracle(t, xy, dist, shadow, 1000, 2, 1)
+    # k = 4 takes all four, and distinct shadowing ranks them
+    assert not _against_oracle(t, xy, dist, shadow, 1000, 4, 2)
+    # without shadowing the four tie at the top rank
+    assert _against_oracle(t, xy, dist, _zero_shadow(len(xy), 16), 1000, 4, 3)
