@@ -63,7 +63,7 @@ def draw_shadowing_table(dist_mc, p: PropagationParams, rng: np.random.Generator
         raise ValueError("shadowing per must be 'bs' or 'sector'")
     dist_mc = np.asarray(dist_mc, dtype=float)
     shape = dist_mc.shape + ((sectors_per_bs,) if per == "sector" else ())
-    return ShadowingTable(rng.normal(0.0, 1.0, size=shape), per, dist_mc, p)
+    return ShadowingTable(rng.standard_normal(shape), per, dist_mc, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +73,7 @@ class Association:
     serving: np.ndarray    # (M,) global sector index, -1 if denied
     loads: np.ndarray      # (n_sectors,) mobiles admitted per sector
     denied: np.ndarray     # indices of unserved mobiles
-    sequential: bool = False   # admitted one by one (a sector overflowed)
+    sequential: bool = False   # the one-by-one admission loop ran
 
     @property
     def served_mask(self):

@@ -339,9 +339,9 @@ def distance_matrix(a, b):
     """Pairwise Euclidean distances between two point sets, (len(a), len(b)).
 
     Uses the expanded square so the cross term is one BLAS matrix product
-    (dgemm).  Its last bits depend on the kernel BLAS picks for the CPU (an
-    FMA kernel rounds unlike a plain product), and so does every result
-    hashed downstream; large products also run on several BLAS threads.
+    (dgemm).  BLAS threads never split its two-term sums, but their last
+    bits depend on the kernel BLAS picks for the CPU (an FMA kernel rounds
+    unlike a plain product), and so does every result hashed downstream.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
