@@ -2,10 +2,11 @@
 
 For a fixed network realization the outage probability of the reference
 link has an exact expression: frequency hopping gives the desired signal
-two independently faded slots (a gamma gain of doubled shape), every
-interferer-period pair contributes a short coefficient polynomial, and
-one truncated convolution combines them.  The Monte Carlo estimator here
-samples the same SINR directly and should agree to sampling noise.
+two independently faded slots (a gamma gain of doubled shape), and the
+outage is the tail of a count, a Poisson noise count plus one
+collision-gated negative binomial count per interferer-period pair, folded
+from positive terms only.  The Monte Carlo estimator here samples the
+same SINR directly and should agree to sampling noise.
 """
 
 import numpy as np

@@ -167,13 +167,13 @@ class InterferenceProfile:
             if not np.all(np.isfinite(val)):
                 raise ValueError(f"non-finite {name} in interference profile")
             object.__setattr__(self, name, val)
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
+        if not 0 < self.gamma0 < np.inf:
+            raise ValueError("gamma0 must be positive and finite")
         if self.m0 != int(self.m0) or self.m0 < 1:
             raise ValueError("reference fading shape m0 must be an integer >= 1")
         object.__setattr__(self, "m0", int(self.m0))
-        if self.beta <= 0:
-            raise ValueError("SINR threshold must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("SINR threshold must be positive and finite")
         if np.any(omega < 0):
             raise ValueError("interference ratios must be non-negative")
         if np.any(m < 0.5):

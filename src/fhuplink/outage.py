@@ -2,107 +2,110 @@
 
 Conditioned on one network realization, the subframe-averaged SINR of the
 reference link is gbar / (1/Gamma0 + sum of collided interference terms),
-with gbar a unit-mean gamma gain of shape 2*m0 (the two hop slots fade
-independently and their powers average).  The outage probability has an
-exact expression built from per-interferer coefficient polynomials; this
-module evaluates it with truncated polynomial convolutions and provides a
-direct SINR-sampling estimator for validation.
+with gbar a unit-mean gamma gain of shape n = 2*m0 (the two hop slots fade
+independently and their powers average; n = m0 without hopping).  A gamma
+CDF of integer shape is a Poisson tail, and a Poisson count with a gamma
+mean is negative binomial, so the outage is P(K + sum_ik N_ik >= n) with
+K ~ Poisson(beta0 z) and N_ik = Bernoulli(q_ik) NegBin(m_i, 1 / (1 +
+beta0 omega_i c_ik / m_i)), beta0 = beta n: the finite-network Nakagami
+closed form of Torrieri and Valenti (IEEE Trans. Commun., 2012) read
+through its generating function.  This module folds that tail from
+positive terms only, so small outages keep their relative accuracy, and
+provides a direct SINR-sampling estimator for validation.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .linkbudget import InterferenceProfile
 
 
-def psi(omega, c, m, beta0):
-    """Per-interferer, per-period attenuation kernel in (0, 1]."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0) or np.any(np.asarray(c) < 0):
-        raise ValueError("omega and c must be non-negative")
-    if np.any(np.asarray(m) <= 0) or beta0 < 0:
-        raise ValueError("need m > 0 and beta0 >= 0")
-    out = 1.0 / (beta0 * omega * np.asarray(c) / np.asarray(m) + 1.0)
-    return float(out) if out.ndim == 0 else out
+def _count_law(profile: InterferenceProfile, beta0, n):
+    """Pmf of the interference count and tail of the total count.
 
-
-def g_coeff(ell, q, omega, c, m, beta0):
-    """Series coefficient G_ell of one interferer-period pair.
-
-    G_0 covers the no-collision mass plus the collided kernel; for
-    ell > 0 the gamma-ratio prefactor is computed as a rising factorial
-    of m, which stays exact for the real-valued shapes of interferers.
+    Returns (pmf, tail) with pmf[k] = P(sum N_ik = k) for k < n and
+    tail = P(K + sum N_ik >= n).  Each term is one row of the (a, b, 0)
+    recursion pmf_{k+1} = pmf_k (alpha + rho k) / (k + 1): rho = 0 for K
+    and rho = 1 - p for a negative binomial.  Pairs that cannot collide
+    (q = 0 or omega * c = 0) are skipped, which leaves the result
+    bit-identical.  The fold P(A + B >= n) = P(A >= n) + sum_{k<n}
+    P(A = k) P(B >= n - k) runs over all terms at once, K last, so its
+    pmf never enters a prefix.
     """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    p = psi(omega, c, m, beta0)
-    q = np.asarray(q, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if ell == 0:
-        out = 1.0 - q * (1.0 - p ** m)
-    else:
-        rising = np.ones_like(m)
-        for r in range(ell):
-            rising = rising * (m + r)
-        out = (q * rising / math.factorial(ell)
-               * (np.asarray(omega) * np.asarray(c) / m) ** ell
-               * p ** (m + ell))
-    return float(out) if np.ndim(out) == 0 else out
+    omega_c = profile.omega[:, None] * profile.c
+    live = (profile.q > 0) & (omega_c > 0)
+    m = np.broadcast_to(profile.m[:, None], live.shape)[live]
+    a = beta0 * omega_c[live] / m
+    lam = beta0 * profile.z
+    q = np.append(profile.q[live], 1.0)
+    rho = np.append(a / (1.0 + a), 0.0)
+    alpha = np.append(m * rho[:-1], lam)
+    log_p0 = np.append(-m * np.log1p(a), -lam)
+
+    k = np.arange(n - 1)
+    steps = np.empty((len(q), n))           # pmf_0, then pmf_{k+1} / pmf_k
+    steps[:, 0] = np.exp(log_p0)
+    steps[:, 1:] = (alpha[:, None] + rho[:, None] * k) / (k + 1)
+    pmf = np.cumprod(steps, axis=1)
+    first = -np.expm1(log_p0)               # P(X >= 1)
+    head = np.zeros_like(pmf)               # sum of pmf_1 .. pmf_{r-1}
+    head[:, 1:] = np.cumsum(pmf[:, 1:], axis=1)
+    tails = first[:, None] - head           # tails[:, r-1] = P(X >= r)
+    deep = np.flatnonzero(head[:, -1] > 0.5 * first)
+    if deep.size:
+        # there the subtraction would cancel: sum the pmf beyond n - 1
+        al, rh = alpha[deep, None], rho[deep, None]
+        term, beyond, j = pmf[deep, -1], 0.0, n - 1
+        while True:
+            ks = j + np.arange(32)
+            terms = term[:, None] * np.cumprod((al + rh * ks) / (ks + 1),
+                                               axis=1)
+            beyond = beyond + terms.sum(axis=1)
+            term, j = terms[:, -1], j + 32
+            # later ratios stay below r, so the rest is below term r/(1-r)
+            r = np.maximum((al[:, 0] + rh[:, 0] * j) / (j + 1), rh[:, 0])
+            if np.all((r < 1) & (term * r <= 1e-17 * (1 - r) * beyond)):
+                break
+        tails[deep] = beyond[:, None]
+        tails[deep, :-1] += np.cumsum(pmf[deep, :0:-1], axis=1)[:, ::-1]
+
+    # prefix pmfs of the pair sums A_j, from one cumsum per degree on the
+    # pmf ratios to P(A_j = 0); past a P(N = 0) that underflows, every
+    # prefix is 0 whatever the ratio
+    qp = q[:-1, None]
+    none = (1.0 - qp) + qp * pmf[:-1, :1]
+    ratio = np.divide(qp * pmf[:-1, 1:], none, out=np.zeros((len(qp), n - 1)),
+                      where=none > 0)
+    g = np.zeros((len(q), n))
+    g[:, 0] = 1.0
+    for d in range(1, n):
+        g[1:, d] = np.cumsum((g[:-1, d - 1::-1] * ratio[:, :d]).sum(axis=1))
+    prefix = np.cumprod(np.append(1.0, none))[:, None] * g
+    tail = np.sum(prefix * (q[:, None] * tails)[:, ::-1])
+    return prefix[-1], min(float(tail), 1.0)
+
+
+def _outage(profile: InterferenceProfile, beta, diversity) -> float:
+    """Outage for a desired-signal shape of diversity * m0."""
+    if beta is not None:
+        profile = replace(profile, beta=beta)   # checked like any profile
+    n = diversity * profile.m0
+    return _count_law(profile, profile.beta * n, n)[1]
 
 
 def h_t_all(profile: InterferenceProfile, beta0, t_max):
     """Coefficients H_0..H_t_max of the joint interference polynomial.
 
     H_t is the coefficient of x^t in the product over all interferer-
-    period pairs of their coefficient series, obtained by iterated
-    convolution truncated at degree t_max.  Pairs that cannot collide
-    (q = 0 or omega * c = 0) contribute the identity factor and are
-    skipped, leaving the result bit-identical.
+    period pairs of their coefficient series; H_t beta0^t is the
+    probability that the pairs' counts sum to t.  beta0 must be positive.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    h = np.zeros(t_max + 1)
-    h[0] = 1.0
-    if profile.n_interferers == 0:
-        return h
-    omega = np.repeat(profile.omega[:, None], 4, axis=1).ravel()
-    m = np.repeat(profile.m[:, None], 4, axis=1).ravel()
-    q = profile.q.ravel()
-    c = profile.c.ravel()
-    live = (q > 0) & (omega * c > 0)
-    if not live.any():
-        return h
-    omega, m, q, c = omega[live], m[live], q[live], c[live]
-
-    g = np.empty((len(omega), t_max + 1))
-    for ell in range(t_max + 1):
-        g[:, ell] = g_coeff(ell, q, omega, c, m, beta0)
-    for row in g:
-        h = np.convolve(h, row)[:t_max + 1]
-    return h
-
-
-def _outage_series(beta0, z, h):
-    """Common tail of the closed forms; h has one entry per shape unit."""
-    if beta0 * z > 700.0:
-        # the noise-only survival probability already underflows doubles,
-        # so the outage is 1 to far better than the 1e-12 contract
-        return 1.0
-    n_shape = len(h)
-    total = 0.0
-    for s in range(n_shape):
-        inner = 0.0
-        for t in range(s + 1):
-            # beta0^s * z^(s-t) grouped to stay finite for extreme Gamma0
-            inner += beta0 ** s * z ** (s - t) / math.factorial(s - t) * h[t]
-        total += inner
-    raw = 1.0 - math.exp(-beta0 * z) * total
-    if raw < -1e-12 or raw > 1.0 + 1e-12:
-        raise ArithmeticError(f"outage series left [0, 1]: {raw!r}")
-    return min(max(raw, 0.0), 1.0)
+    t = np.arange(t_max + 1)
+    return _count_law(profile, beta0, t_max + 1)[0] / beta0 ** t
 
 
 def outage_closed_form(profile: InterferenceProfile, beta=None) -> float:
@@ -111,12 +114,7 @@ def outage_closed_form(profile: InterferenceProfile, beta=None) -> float:
     The two independently faded slots double the effective fading shape of
     the desired signal to 2*m0.  beta overrides the profile's threshold.
     """
-    beta = profile.beta if beta is None else float(beta)
-    if beta <= 0:
-        raise ValueError("SINR threshold must be positive")
-    beta0 = 2.0 * beta * profile.m0
-    h = h_t_all(profile, beta0, 2 * profile.m0 - 1)
-    return _outage_series(beta0, profile.z, h)
+    return _outage(profile, beta, 2)
 
 
 def outage_no_hopping(profile: InterferenceProfile, beta=None) -> float:
@@ -126,12 +124,7 @@ def outage_no_hopping(profile: InterferenceProfile, beta=None) -> float:
     single unit-mean gamma of shape m0.  The interference model keeps its
     per-period structure.
     """
-    beta = profile.beta if beta is None else float(beta)
-    if beta <= 0:
-        raise ValueError("SINR threshold must be positive")
-    beta0 = beta * profile.m0
-    h = h_t_all(profile, beta0, profile.m0 - 1)
-    return _outage_series(beta0, profile.z, h)
+    return _outage(profile, beta, 1)
 
 
 def outage_monte_carlo(profile: InterferenceProfile, n_samples: int,
@@ -196,6 +189,8 @@ def run_validation(n_profiles, n_samples, seed, beta):
     """
     from .seeding import DOMAIN_VALIDATE, derive_rng
 
+    if n_profiles < 1:
+        raise ValueError("validation needs at least one profile")
     n_samples = int(n_samples)
     records = []
     all_ok = True

@@ -6,12 +6,32 @@ production algorithms.
 """
 
 import itertools
+import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, stats
 
-from fhuplink.outage import g_coeff
 from fhuplink.propagation import path_loss
+
+
+def g_coeff(ell, q, omega, c, m, beta0):
+    """Series coefficient G_ell of one interferer-period pair.
+
+    With psi = 1 / (beta0 omega c / m + 1), G_0 = 1 - q (1 - psi^m) covers
+    the no-collision mass plus the collided kernel, and for ell > 0
+    G_ell = q Gamma(ell + m) / (ell! Gamma(m)) (omega c / m)^ell
+    psi^(m + ell), the gamma ratio taken as a rising factorial of m.
+    Plain arithmetic, so it runs on floats and on mpmath numbers alike.
+    """
+    p = 1 / (beta0 * omega * c / m + 1)
+    if ell == 0:
+        return 1 - q * (1 - p ** m)
+    rising = 1
+    for r in range(ell):
+        rising = rising * (m + r)
+    return (q * rising / math.factorial(ell) * (omega * c / m) ** ell
+            * p ** (m + ell))
 
 
 def h_t_enumeration(profile, beta0, t_max):
@@ -41,6 +61,33 @@ def h_t_enumeration(profile, beta0, t_max):
             total += prod
         h[t] = total
     return h
+
+
+def outage_g_series_mpmath(profile, hopping=True, dps=320):
+    """Outage from the defining G-series, evaluated in mpmath.
+
+    1 - e^(-beta0 z) sum_{s<n} sum_{t<=s} (beta0 z)^(s-t) / (s-t)!
+    beta0^t H_t, with H the product of every pair's G polynomial truncated
+    at degree n - 1.  The leading 1 - ... cancels, so an outage of 1e-k
+    keeps about dps - k correct digits; the inputs are converted exactly.
+    """
+    with mpmath.workdps(dps):
+        f = mpmath.mpf
+        n = (2 if hopping else 1) * profile.m0
+        beta0 = f(profile.beta) * n
+        x = beta0 / f(profile.gamma0)
+        h = [f(1)] + [f(0)] * (n - 1)
+        for i in range(profile.n_interferers):
+            for k in range(4):
+                g = [g_coeff(ell, f(profile.q[i, k]), f(profile.omega[i]),
+                             f(profile.c[i, k]), f(profile.m[i]), beta0)
+                     for ell in range(n)]
+                h = [mpmath.fsum(h[t - ell] * g[ell] for ell in range(t + 1))
+                     for t in range(n)]
+        total = mpmath.fsum(x ** (s - t) / mpmath.factorial(s - t)
+                            * beta0 ** t * h[t]
+                            for s in range(n) for t in range(s + 1))
+        return 1 - mpmath.exp(-x) * total
 
 
 def noise_only_outage(gamma0, m0, beta, hopping=True):

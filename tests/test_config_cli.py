@@ -240,6 +240,11 @@ def test_cli_error_reporting(tmp_path, capsys):
                      "k_strongest", "--values", "2.5", "--ratios", "1",
                      "--trials", "1"]) == 2
     assert "k_strongest: expected int" in capsys.readouterr().err
+    # a validation of no profiles would report success for a check that
+    # never ran
+    for n in ("0", "-3"):
+        assert cli.main(["validate", "--profiles", n, "--samples", "10"]) == 2
+        assert "at least one profile" in capsys.readouterr().err
 
 
 def test_cli_env_overrides(tmp_path, monkeypatch):

@@ -21,32 +21,32 @@ SATURATED = "zeta = 1\nref_block_channels = 50\nsector_block_channels = 50\n"
 
 CASES = {
     "campaign": (["campaign"],
-                 "aa798ae2ab7fe598eac544532f246874731690f5d8e32a384b37b68bbd5c31ec"),
+                 "69adc525c0026329a559f66e1115cbfb635f90d1419b2e391af9e870d67ddd0c"),
     "campaign_cm": (["campaign", "--cm", "0.3"],
-                    "306bacb35f1434c9e0c7e4a032ee731366990a936fc88a42c628f7f72d955ef6"),
+                    "0eb9144fc5414215bfbd4557c604eb336276f8f86e2999629b205cdbbb43b81a"),
     "densify": (["densify", "--ratios", "0.35,1"],
-                "60b12ec80b0dd40875590e27577d4126db402136392ff79623f8e1dabc478a8f"),
+                "a3bfdcc3e726cba3c913ae69bbec6fd311bb4b24aba2bf198970d9b06cc188a6"),
     "sweep_delta": (["sweep", "--axis", "delta", "--values", "0,0.5",
                      "--ratios", "1", "--trials", "3"],
-                    "6031a9c2dfcb600a9541dfc00218d1c4b6a93d57e232333f59d216d34545c1b8"),
+                    "9c8814ae165e2db5dba4491f33f74d8b1ef05ca78ed5f4d3db047fa4b2010d9b"),
     "sweep_zeta": (["sweep", "--axis", "zeta", "--values", "8,24",
                     "--ratios", "1", "--trials", "3"],
-                   "a27788d88c3c3e0fffd4fde3b329e4726832ae580414e442d811a954b90f1ca5"),
+                   "65cb5cec44175904f1470047fc19bd027721bd7de607893dae726e7b83ed8604"),
     "sweep_preset": (["sweep", "--axis", "preset", "--values",
                       "newyork,austin", "--ratios", "1", "--trials", "3"],
-                     "979726fef38fd4b7bc7687ebdfb90ca25a1b56369c0d32ee77c49bc40738615d"),
+                     "675731fed62dadac76b35cd49fbc4faf2a4e6fb4df28fd16a495a9c1f03683bc"),
     "links_cm": (["links", "--cm", "0.3", "--links", "3",
                   "--beta-db", "0,3"],
-                 "b2103442634bdcaa5f0fba2d90a5c41f238289ef1731b937445a4c0166af1ae6"),
+                 "1d494a870660e0991189215b5fac72c0c032c7fd2462cf37b0948fe7fcf08f2b"),
     "validate": (["validate", "--profiles", "4", "--samples", "2000"],
-                 "155e07fc8a0fc8f8af015cc82d463246c60bf320a6a1cf6a3ddef184849c2d4e"),
+                 "5a6341b80a24b688934a29866e5eab56e1071c8d932ab397448d0fd3d5bb17dc"),
     "campaign_saturated": (
         ["campaign"],
-        "7ba36ae45b57d2a297722d73561b308a84f66425211dd43482af8467187ea244",
+        "fcaf2bcf2972a9ec5d1fb8b2f42b49c79046f3afabe6d355cfeca1b8dcd69b41",
         SATURATED),
     "campaign_sector_shadowing": (
         ["campaign"],
-        "1b9494693881c6a703f6d8f52e651b09dff7c6944a9017e0a8d810c6610941a4",
+        "8e1df230a22734d9e7a9b4661a75c16f049d1f93664541ab9a00880e14619ee0",
         "shadowing_per = sector\n"),
 }
 

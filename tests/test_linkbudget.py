@@ -128,6 +128,16 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         InterferenceProfile(10.0, 1, 2.0, [1.0], [1.0],
                             [[1, 1, 1, 1]], [[0.3, 0.3, 0.3, 0.3]])  # sum != 1
+    quarter = [[0.25, 0.25, 0.25, 0.25]]
+    with pytest.raises(ValueError):
+        InterferenceProfile(10.0, 1, 2.0, [-1.0], [1.0], quarter, quarter)
+    with pytest.raises(ValueError):
+        InterferenceProfile(10.0, 1, 2.0, [1.0], [0.4], quarter, quarter)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            empty_profile(bad, 1, 2.0)
+        with pytest.raises(ValueError):
+            empty_profile(10.0, 1, bad)
 
 
 def test_truncate_strongest():

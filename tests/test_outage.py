@@ -1,13 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
+from fhuplink.config import RunConfig, build_topology
+from fhuplink.experiments import run_trial, scale_to_cm
 from fhuplink.linkbudget import InterferenceProfile, empty_profile, fractional_durations
-from fhuplink.outage import (g_coeff, h_t_all, outage_closed_form,
-                             outage_monte_carlo, outage_no_hopping, psi,
-                             random_profile, run_validation)
-from oracles import (h_t_enumeration, noise_only_outage,
-                     single_pair_outage_quadrature)
+from fhuplink.outage import (h_t_all, outage_closed_form, outage_monte_carlo,
+                             outage_no_hopping, random_profile, run_validation)
+from oracles import (g_coeff, h_t_enumeration, noise_only_outage,
+                     outage_g_series_mpmath, single_pair_outage_quadrature)
 
 
 def _profile(gamma0, m0, beta, omega, m, q, c):
@@ -21,17 +23,6 @@ def _profile(gamma0, m0, beta, omega, m, q, c):
                                np.asarray(c, float))
 
 
-def test_psi():
-    assert psi(0.0, 0.25, 1.0, 4.0) == 1.0
-    assert psi(1.0, 0.0, 1.0, 4.0) == 1.0
-    assert psi(1.0, 0.25, 1.0, 4.0) == 0.5
-    om = np.linspace(0, 50, 200)
-    vals = psi(om, 0.25, 1.3, 4.0)
-    assert np.all(np.diff(vals) < 0) and np.all((vals > 0) & (vals <= 1))
-    with pytest.raises(ValueError):
-        psi(-1.0, 0.25, 1.0, 4.0)
-
-
 def test_g_coeff():
     # silent interferer
     assert g_coeff(0, 0.0, 1.0, 0.25, 1.0, 4.0) == 1.0
@@ -40,8 +31,8 @@ def test_g_coeff():
     # worked example: q=1, omega=1, c=0.25, m=1, beta0=4
     assert g_coeff(0, 1.0, 1.0, 0.25, 1.0, 4.0) == pytest.approx(0.5)
     assert g_coeff(1, 1.0, 1.0, 0.25, 1.0, 4.0) == pytest.approx(0.0625)
-    # ell = 1 reduces to q*omega*c*psi^(m+1)
-    p = psi(0.7, 0.3, 1.6, 5.0)
+    # ell = 1 reduces to q*omega*c*psi^(m+1), psi = 1/(beta0 omega c/m + 1)
+    p = 1.0 / (5.0 * 0.7 * 0.3 / 1.6 + 1.0)
     assert g_coeff(1, 0.9, 0.7, 0.3, 1.6, 5.0) == pytest.approx(
         0.9 * 0.7 * 0.3 * p ** 2.6, rel=1e-12)
 
@@ -49,7 +40,7 @@ def test_g_coeff():
 def test_g_coeff_gamma_ratio_matches_special():
     # rising-factorial prefactor equals Gamma(ell+m)/(ell! Gamma(m))
     m, ell, q, om, c, b0 = 1.7, 3, 0.8, 0.9, 0.3, 5.0
-    p = psi(om, c, m, b0)
+    p = 1.0 / (b0 * om * c / m + 1.0)
     expected = (q * special.gamma(ell + m)
                 / (special.factorial(ell) * special.gamma(m))
                 * (om * c / m) ** ell * p ** (m + ell))
@@ -126,10 +117,67 @@ def test_limits():
     assert outage_closed_form(empty_profile(1e300, 1, 2.0)) == 0.0
     assert outage_closed_form(empty_profile(10.0, 1, 1e-12)) < 1e-9
     assert outage_closed_form(empty_profile(1e-12, 2, 2.0)) == 1.0
-    # extreme z would overflow the power series; the guard short-circuits
+    # e^-(beta0 z) underflows to 0 and no (beta0 z)^k ever forms
     assert outage_closed_form(empty_profile(1e-300, 2, 2.0)) == 1.0
-    with pytest.raises(ValueError):
-        outage_closed_form(empty_profile(10.0, 1, 2.0), beta=0.0)
+    prof = empty_profile(10.0, 1, 2.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        for closed_form in (outage_closed_form, outage_no_hopping):
+            with pytest.raises(ValueError):
+                closed_form(prof, beta=bad)
+
+
+def _relative_error(got, want):
+    return float(abs(mpmath.mpf(got) - want) / want)
+
+
+def test_noise_only_relative_accuracy_down_to_1e_250():
+    # the Poisson tail of a gamma CDF, against mpmath's regularized
+    # incomplete gamma; double precision alone would cancel below 1e-16
+    worst, smallest = 0.0, 1.0
+    for m0 in (1, 2, 3):
+        for log_g0 in (1, 3, 6, 12, 25, 50, 90, 125, 250):
+            prof = empty_profile(10.0 ** log_g0, m0, 2.0)
+            for shape, closed_form in ((2 * m0, outage_closed_form),
+                                       (m0, outage_no_hopping)):
+                got = closed_form(prof)
+                with mpmath.workdps(50):
+                    want = mpmath.gammainc(shape, 0, 2.0 * shape / mpmath.mpf(
+                        prof.gamma0), regularized=True)
+                if want > 1e-300:
+                    worst = max(worst, _relative_error(got, want))
+                    smallest = min(smallest, float(want))
+    assert smallest < 1e-250
+    assert worst <= 1e-10
+
+
+def _trial_like_profile(rng, gamma0, m0):
+    # 30 weak, rarely colliding interferers, as in a C/M 1.0 trial
+    omega = 10.0 ** rng.uniform(-11.0, -6.0, size=30)
+    q = np.repeat(rng.uniform(0.05, 0.2, size=30)[:, None], 4, axis=1)
+    c = fractional_durations(rng.uniform(0.0, 0.5, size=30), 0.5)
+    return InterferenceProfile(gamma0, m0, 2.0, omega,
+                               rng.uniform(1.0, 2.0, size=30), q, c)
+
+
+def test_relative_accuracy_against_g_series():
+    # the defining G-series in mpmath at 320 digits, so its own 1 - ...
+    # cancellation leaves far more digits than the gate needs
+    rng = np.random.default_rng(43)
+    profiles = [random_profile(rng, beta=10 ** 0.3) for _ in range(17)]
+    profiles += [_trial_like_profile(rng, 1e9, 1),
+                 _trial_like_profile(rng, 1e12, 2)]
+    cfg = RunConfig(seed=29)
+    topo = scale_to_cm(build_topology(cfg, cfg.seed), cfg.density_per_km2, 1.0)
+    profiles.append(run_trial(topo, cfg, np.random.default_rng(0))[1])
+    worst, smallest = 0.0, 1.0
+    for prof in profiles:
+        for hopping, closed_form in ((True, outage_closed_form),
+                                     (False, outage_no_hopping)):
+            want = outage_g_series_mpmath(prof, hopping, dps=320)
+            worst = max(worst, _relative_error(closed_form(prof), want))
+            smallest = min(smallest, float(want))
+    assert smallest < 1e-20
+    assert worst <= 1e-10
 
 
 def test_all_silent_reduces_to_noise_only():
