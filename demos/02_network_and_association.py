@@ -11,7 +11,7 @@ import numpy as np
 from fhuplink import BeamParams, RunConfig, build_topology, max_pair_gain
 from fhuplink.experiments import realize_network
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
-from fhuplink.topology import distance_matrix
+from fhuplink.topology import distance
 
 
 def main():
@@ -33,14 +33,13 @@ def main():
     print(f"loaded sectors: {len(loads)}; max load {loads.max()}; "
           f"mean load {loads.mean():.2f}")
 
-    dist = distance_matrix(placement.xy, topo.bs_xy)
-    nearest = np.argmin(dist, axis=1)
+    nearest = topo.nearest_bs(placement.xy, 1)[0][:, 0]
     serving_bs = assoc.serving // topo.sectors_per_bs
     flipped = np.mean(serving_bs[assoc.served_mask]
                       != nearest[assoc.served_mask])
     print(f"\nshadowing sends {flipped:.1%} of mobiles to a BS that is not "
           "their nearest")
-    d_serving = dist[np.arange(m), serving_bs.clip(min=0)]
+    d_serving = distance(placement.xy, topo.bs_xy[serving_bs.clip(min=0)])
     print(f"serving-link length: median {np.median(d_serving)*1000:.0f} m, "
           f"90th pct {np.percentile(d_serving, 90)*1000:.0f} m")
 

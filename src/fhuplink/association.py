@@ -1,10 +1,11 @@
 """Serving-sector assignment by maximum local-mean received power.
 
-Each mobile ranks the sectors whose mainlobe covers it (exactly one per
-BS) by shadowed area-mean power and, taking turns in a random order, is
-admitted to the best-ranked sector with spare capacity.  Overflowing
+Each mobile ranks the sectors of its k nearest BSs that cover it (one
+per BS) by shadowed area-mean power and, taking turns in a random order,
+is admitted to the best-ranked sector with spare capacity.  Overflowing
 mobiles fall through to their next candidate; a mobile with no candidate
-left is denied service.
+left is denied service.  Shadowing is drawn for these candidate links;
+any other link is drawn when it is read.
 """
 
 from __future__ import annotations
@@ -14,56 +15,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import PropagationParams, path_loss, sigma_of
-from .topology import Topology
+from .seeding import derive_rng
+from .topology import Topology, distance
 
 
 @dataclass(frozen=True, eq=False)
 class ShadowingTable:
-    """Per-trial shadowing factors in dB.
+    """One trial's shadowing factors in dB, one value per link.
 
-    per='bs': one factor per (mobile, BS), shared by the BS's sectors,
-    since those links share the propagation path.  per='sector': an
-    independent factor per (mobile, sector).  A drawn table holds unit
-    normals in z and scales an entry by sigma_of of its link's distance in
-    dist_mc when it is read; without dist_mc, z holds the factors in dB.
+    per='bs': one factor per (mobile, BS), shared by the BS's sectors
+    (their links share the propagation path); per='sector': one per
+    (mobile, sector).  xi_db holds the candidate links, mobile i toward
+    BS near[i, s] (its covering sector with per='sector').  Any other link
+    of mobile i is sigma_of(its length) times entry i of a column of unit
+    normals drawn from (seed, BS or sector), whatever the read order.
     """
 
-    z: np.ndarray          # (M, C) for per='bs', (M, C, zeta) for per='sector'
+    t: Topology
+    mobile_xy: np.ndarray  # (M, 2) km
+    near: np.ndarray       # (M, k) candidate BSs, nearest first
+    dist: np.ndarray       # (M, k) km
+    xi_db: np.ndarray      # (M, k) dB
+    prop: PropagationParams
     per: str = "bs"
-    dist_mc: np.ndarray | None = None
-    prop: PropagationParams | None = None
+    seed: int = 0
 
-    @property
-    def xi_db(self):
-        """The whole table in dB."""
-        sigma = 1.0 if self.dist_mc is None else sigma_of(self.dist_mc, self.prop)
-        return self.z * (sigma if self.per == "bs" else np.expand_dims(sigma, -1))
+    def toward_sector(self, mobile_idx, sector_id):
+        """Shadowing in dB of the link(s) from mobile(s) to sector(s)."""
+        i, sector = np.broadcast_arrays(mobile_idx, sector_id)
+        shape, i, sector = i.shape, i.ravel(), sector.ravel()
+        bs = sector // self.t.sectors_per_bs
+        hit = self.near[i] == bs[:, None]
+        if self.per == "sector":
+            hit &= (self.t.covering_sector(bs, self.mobile_xy[i]) == sector)[:, None]
+        xi = self.xi_db[i, hit.argmax(axis=1)]
+        off = np.flatnonzero(~hit.any(axis=1))
+        keys = (bs if self.per == "bs" else sector)[off]
+        for key in np.unique(keys):
+            link = off[keys == key]
+            z = derive_rng(self.seed, key).standard_normal(len(self.mobile_xy))
+            d = distance(self.mobile_xy[i[link]], self.t.bs_xy[bs[link]])
+            xi[link] = z[i[link]] * sigma_of(d, self.prop)
+        return xi.reshape(shape)
 
-    def read(self, mobile_idx, bs, local):
-        """Factors in dB of mobile(s) toward BS(s), local sector(s) local."""
-        z = self.z[mobile_idx, bs] if self.per == "bs" else self.z[mobile_idx, bs, local]
-        if self.dist_mc is None:
-            return z
-        return z * sigma_of(self.dist_mc[mobile_idx, bs], self.prop)
 
-    def toward_sector(self, mobile_idx, sector_id, t: Topology):
-        """Shadowing of the link(s) from mobile(s) to sector receiver(s)."""
-        return self.read(mobile_idx, sector_id // t.sectors_per_bs,
-                         sector_id % t.sectors_per_bs)
-
-
-def draw_shadowing_table(dist_mc, p: PropagationParams, rng: np.random.Generator,
-                         per="bs", sectors_per_bs=1) -> ShadowingTable:
-    """Draw the trial's shadowing factors for all (mobile, BS/sector) pairs.
-
-    dist_mc is the (M, C) mobile-to-BS distance matrix in km; the standard
-    deviation of each factor follows the distance of its link.
-    """
+def draw_shadowing_table(t: Topology, mobile_xy, near, dist,
+                         p: PropagationParams, rng: np.random.Generator,
+                         per="bs") -> ShadowingTable:
+    """Draw one factor per candidate link (near, dist: the (M, k) BSs and
+    distances in km from Topology.nearest_bs), its standard deviation set
+    by the link's length, and one seed for the links outside the table."""
     if per not in ("bs", "sector"):
         raise ValueError("shadowing per must be 'bs' or 'sector'")
-    dist_mc = np.asarray(dist_mc, dtype=float)
-    shape = dist_mc.shape + ((sectors_per_bs,) if per == "sector" else ())
-    return ShadowingTable(rng.standard_normal(shape), per, dist_mc, p)
+    xi = rng.standard_normal(np.shape(near)) * sigma_of(dist, p)
+    return ShadowingTable(t, np.asarray(mobile_xy, dtype=float), near, dist,
+                          xi, p, per, int(rng.integers(2**63)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,53 +86,34 @@ class Association:
         return self.serving >= 0
 
 
-def associate(t: Topology, mobile_xy, dist_mc, prop: PropagationParams,
-              shadow: ShadowingTable, capacity: int, rng: np.random.Generator,
-              k_nearest: int = 12) -> Association:
+def associate(shadow: ShadowingTable, prop: PropagationParams, capacity: int,
+              rng: np.random.Generator) -> Association:
     """Assign mobiles to sectors by maximum shadowed local-mean power.
 
-    Candidates per mobile are the covering sectors of its k_nearest BSs
-    (distant BSs cannot plausibly win the ranking under urban shadowing).
-    Mobiles are processed in a uniformly random order, each taking its
-    best-ranked candidate with load below capacity.  That loop runs only
-    if it can differ from one bincount of first choices: a sector is the
-    first choice of more than capacity mobiles, or a distance tie at the
-    k-th place or a rank tie at the top leaves the pick to candidate order.
+    Candidates are the covering sectors of each mobile's BSs in
+    shadow.near (distant BSs cannot plausibly win the ranking under urban
+    shadowing), ranked with ties going to the earlier candidate.  Mobiles
+    take turns in a uniformly random order, each taking its best-ranked
+    candidate with load below capacity.  That loop runs only if a sector
+    is the first choice of more than capacity mobiles; otherwise one
+    bincount of first choices gives the same result.
     """
     if capacity < 1:
         raise ValueError("sector capacity must be >= 1")
-    mobile_xy = np.asarray(mobile_xy, dtype=float)
-    m, c = dist_mc.shape
-    k = min(int(k_nearest), c)
-    if k < 1:
-        raise ValueError("k_nearest must be >= 1")
+    t = shadow.t
+    m = len(shadow.near)
     order = rng.permutation(m)
     rows = np.arange(m)[:, None]
+    xy = shadow.mobile_xy[:, None, :]
+    rank = shadow.xi_db + 10.0 * np.log10(path_loss(shadow.dist, prop))
+    best = rank.argmax(axis=1)[:, None]
+    serving = t.covering_sector(shadow.near[rows, best], xy)[:, 0]
+    loads = np.bincount(serving, minlength=t.n_sectors)
+    if loads.max() <= capacity:
+        return Association(serving, loads, np.flatnonzero(serving < 0))
 
-    def rank_db(near, cand_sec):
-        local = None if cand_sec is None else cand_sec % t.sectors_per_bs
-        return (shadow.read(rows, near, local)
-                + 10.0 * np.log10(path_loss(dist_mc[rows, near], prop)))
-
-    # first choices among the k nearest BSs, found by a distance threshold
-    near = dist_mc <= np.partition(dist_mc, k - 1, axis=1)[:, k - 1:k]
-    if np.count_nonzero(near) == m * k:
-        near = np.flatnonzero(near).reshape(m, k) - rows * c
-        cand_sec = (None if shadow.per == "bs"
-                    else t.covering_sector(near, mobile_xy[:, None, :]))
-        rank = rank_db(near, cand_sec)
-        best = rank.argmax(axis=1)[:, None]
-        serving = t.covering_sector(near[rows, best], mobile_xy[:, None, :])[:, 0]
-        loads = np.bincount(serving, minlength=t.n_sectors)
-        if loads.max() <= capacity and np.count_nonzero(rank == rank[rows, best]) == m:
-            return Association(serving, loads, np.flatnonzero(serving < 0))
-
-    near = (np.argpartition(dist_mc, k - 1, axis=1)[:, :k] if k < c
-            else np.broadcast_to(np.arange(c), (m, c)))
-    # candidate sector per (mobile, near BS): the covering one
-    cand_sec = t.covering_sector(near, mobile_xy[:, None, :])
-    pref = np.argsort(-rank_db(near, cand_sec), axis=1, kind="stable")
-
+    cand_sec = t.covering_sector(shadow.near, xy)
+    pref = np.argsort(-rank, axis=1, kind="stable")
     serving = np.full(m, -1, dtype=int)
     loads = np.zeros(t.n_sectors, dtype=int)
     for i in order:

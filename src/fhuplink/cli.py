@@ -72,19 +72,11 @@ def _emit(text, out_path):
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    updates = {}
-    env_seed = os.environ.get("FHUPLINK_SEED")
-    env_threads = os.environ.get("FHUPLINK_THREADS")
-    if env_seed is not None:
-        updates["seed"] = int(env_seed)
-    if env_threads is not None:
-        updates["threads"] = int(env_threads)
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        updates["threads"] = args.threads
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
+    env = {key: os.environ.get(f"FHUPLINK_{key.upper()}") for key in ("seed", "threads")}
+    updates = {key: int(value) for key, value in env.items() if value is not None}
+    for key in ("seed", "threads", "trials"):   # options beat the environment
+        if getattr(args, key, None) is not None:
+            updates[key] = getattr(args, key)
     return cfg.replace(**updates) if updates else cfg
 
 
@@ -143,13 +135,11 @@ def cmd_sweep(args) -> int:
 def cmd_links(args) -> int:
     cfg = _load_config(args)
     topo = build_topology(cfg)
-    if args.cm is not None:
-        topo = scale_to_cm(topo, cfg.density_per_km2, args.cm)
-    beta_grid = _float_list(args.beta_db)
-    rows = per_link_rate_curves(topo, cfg, args.links, beta_grid)
     extra = {"links": args.links, "beta_db": args.beta_db}
     if args.cm is not None:
+        topo = scale_to_cm(topo, cfg.density_per_km2, args.cm)
         extra["cm"] = _fmt(args.cm)
+    rows = per_link_rate_curves(topo, cfg, args.links, _float_list(args.beta_db))
     _emit(_csv_text(_header("links", cfg, cfg.seed, extra),
                     LINKS_COLUMNS, rows), args.out)
     return 0

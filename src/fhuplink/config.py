@@ -165,11 +165,10 @@ def _cast(key, text, line):
         return None if text.lower() == "none" else _num(key, text, line, float)
     if key == "cm_ratios":
         try:
-            vals = tuple(float(v) for v in text.split(",") if v.strip())
+            return tuple(float(v) for v in text.split(",") if v.strip())
         except ValueError:
             raise ConfigError(f"{key}: expected comma-separated numbers"
                               f"{_where(line)}") from None
-        return vals
     return _num(key, text, line, int if key in _INT_KEYS else float)
 
 

@@ -24,8 +24,8 @@ from .linkbudget import reference_link_profile
 from .outage import outage_closed_form, outage_no_hopping
 from .propagation import sample_shadowing
 from .seeding import DOMAIN_LINKS, DOMAIN_TRIAL, derive_rng
-from .topology import (Topology, distance_matrix, pick_reference_mobile,
-                       place_mobiles, scale_topology)
+from .topology import (Topology, pick_reference_mobile, place_mobiles,
+                       scale_topology)
 
 
 def code_rate(beta_linear, shannon_loss=0.794) -> float:
@@ -75,13 +75,11 @@ TRIAL_DTYPE = np.dtype([
 def realize_network(t: Topology, cfg: RunConfig, rng: np.random.Generator):
     """Draw one network realization: placement, shadowing, association."""
     prop = cfg.propagation_params()
-    hop = cfg.hop_plan()
     placement = place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, rng)
-    dist = distance_matrix(placement.xy, t.bs_xy)
-    shadow = draw_shadowing_table(dist, prop, rng, cfg.shadowing_per,
-                                  t.sectors_per_bs)
-    assoc = associate(t, placement.xy, dist, prop, shadow,
-                      hop.sector_capacity, rng, cfg.candidate_bs)
+    near, dist = t.nearest_bs(placement.xy, cfg.candidate_bs)
+    shadow = draw_shadowing_table(t, placement.xy, near, dist, prop, rng,
+                                  cfg.shadowing_per)
+    assoc = associate(shadow, prop, cfg.hop_plan().sector_capacity, rng)
     return placement, shadow, assoc
 
 
@@ -105,9 +103,8 @@ def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
     else:
         raise RuntimeError("no served mobile fell inside the reference zone; "
                            "check density and reference-zone size")
-    xi_ref = None
-    if d_r_override is not None:
-        xi_ref = float(sample_shadowing(d_r_override, prop, rng))
+    xi_ref = (None if d_r_override is None
+              else float(sample_shadowing(d_r_override, prop, rng)))
     profile, info = reference_link_profile(
         t, prop, cfg.beam_params(), cfg.hop_plan(), placement.xy, shadow,
         assoc, ref, rng, delta=cfg.delta, beta=cfg.beta_linear,
@@ -326,10 +323,9 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
         eps_all = np.array([outage_closed_form(profiles[idx], beta=beta)
                             for idx in served])
         for rank, idx in enumerate(chosen, start=1):
-            pos = int(np.searchsorted(served, idx))
             rows.append({"link": f"link{rank}", "mobile_index": int(idx),
                          "beta_db": float(beta_db), "code_rate_bpcu": rate,
-                         "epsilon": float(eps_all[pos])})
+                         "epsilon": float(eps_all[np.searchsorted(served, idx)])})
         rows.append({"link": "average", "mobile_index": -1,
                      "beta_db": float(beta_db), "code_rate_bpcu": rate,
                      "epsilon": float(np.sum(eps_all) / len(eps_all))})

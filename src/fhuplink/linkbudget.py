@@ -18,7 +18,7 @@ from .association import Association, ShadowingTable
 from .beams import BeamParams
 from .propagation import (SPEED_OF_LIGHT_KM_S, PropagationParams, m_of,
                           path_loss, round_integer_m)
-from .topology import Topology
+from .topology import Topology, distance
 
 
 @dataclass(frozen=True)
@@ -250,36 +250,35 @@ def reference_link_profile(t: Topology, prop: PropagationParams,
         raise ValueError("reference mobile is not served")
     mobile_xy = np.asarray(mobile_xy, dtype=float)
     pos_j = t.sector_position(j)
-    d_real = float(np.linalg.norm(mobile_xy[ref_idx] - pos_j))
-    if d_r is None:
-        d_r = d_real
+    d_real = float(distance(mobile_xy[ref_idx], pos_j))
+    d_r = d_real if d_r is None else d_r
     if d_r <= 0:
         raise ValueError("reference link length must be positive")
     if xi_ref_db is None:
-        xi_ref_db = float(shadow.toward_sector(ref_idx, j, t))
+        xi_ref_db = float(shadow.toward_sector(ref_idx, j))
 
     f_dr = path_loss(d_r, prop)
     g0 = gamma0(p_over_n, xi_ref_db, f_dr)
     m0 = round_integer_m(d_r, prop)
 
     idx = build_interferer_sets(assoc, hop, j, rng)
+    info = {"d_r": d_r, "d_real": d_real, "serving_sector": j,
+            "n_potential": len(idx)}
     if len(idx) == 0:
-        info = {"d_r": d_r, "d_real": d_real, "serving_sector": j,
-                "n_potential": 0}
         return empty_profile(g0, m0, beta), info
 
     rel_j = mobile_xy[idx] - pos_j
-    d_ij = np.linalg.norm(rel_j, axis=1)
+    d_ij = distance(mobile_xy[idx], pos_j)
     if np.any(d_ij == 0):
         raise ValueError("interfering mobile collocated with the reference BS")
     f_ij = path_loss(d_ij, prop)
-    xi_ij = shadow.toward_sector(idx, j, t)
+    xi_ij = shadow.toward_sector(idx, j)
 
     g_sec = assoc.serving[idx]
     pos_g = t.sector_position(g_sec)
-    d_ig = np.linalg.norm(mobile_xy[idx] - pos_g, axis=1)
+    d_ig = distance(mobile_xy[idx], pos_g)
     f_ig = path_loss(d_ig, prop)
-    xi_ig = shadow.toward_sector(idx, g_sec, t)
+    xi_ig = shadow.toward_sector(idx, g_sec)
 
     # mobile beams point at their serving BS; sector j's wedge is fixed
     mob_level = bm.mobile_gain_toward(mobile_xy[idx], pos_j, pos_g, bp)
@@ -297,6 +296,4 @@ def reference_link_profile(t: Topology, prop: PropagationParams,
     m_int = m_of(d_ij, prop)
 
     profile = InterferenceProfile(g0, m0, beta, omega, m_int, q, c)
-    info = {"d_r": d_r, "d_real": d_real, "serving_sector": j,
-            "n_potential": len(idx)}
     return truncate_strongest(profile, k_strongest), info

@@ -9,7 +9,7 @@ mobile.  Coordinates are in km.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,6 +87,7 @@ class Topology:
     reference_zone: Rect
     sectors_per_bs: int = 1
     sector_offsets: np.ndarray | None = None  # (C,) radians, default all zero
+    _grids: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         xy = np.asarray(self.bs_xy, dtype=float)
@@ -103,13 +104,11 @@ class Topology:
             raise ValueError("reference zone must lie inside the extent")
         if self.sectors_per_bs < 1:
             raise ValueError("sectors_per_bs must be >= 1")
-        if self.sector_offsets is None:
-            object.__setattr__(self, "sector_offsets", np.zeros(len(xy)))
-        else:
-            off = np.asarray(self.sector_offsets, dtype=float)
-            if off.shape != (len(xy),):
-                raise ValueError("sector_offsets must hold one angle per BS")
-            object.__setattr__(self, "sector_offsets", np.mod(off, TWO_PI))
+        off = np.zeros(len(xy)) if self.sector_offsets is None else \
+            np.asarray(self.sector_offsets, dtype=float)
+        if off.shape != (len(xy),):
+            raise ValueError("sector_offsets must hold one angle per BS")
+        object.__setattr__(self, "sector_offsets", np.mod(off, TWO_PI))
 
     @property
     def n_bs(self) -> int:
@@ -119,12 +118,9 @@ class Topology:
     def n_sectors(self) -> int:
         return self.n_bs * self.sectors_per_bs
 
-    def bs_of_sector(self, sector):
-        return np.asarray(sector) // self.sectors_per_bs
-
     def sector_position(self, sector):
         """Sector receivers are collocated with their BS."""
-        return self.bs_xy[self.bs_of_sector(sector)]
+        return self.bs_xy[np.asarray(sector) // self.sectors_per_bs]
 
     def wedge_start(self, sector):
         """Start angle of a sector's mainlobe wedge, in [0, 2*pi)."""
@@ -147,6 +143,54 @@ class Topology:
         local = np.floor(np.mod(theta - self.sector_offsets[bs_idx], TWO_PI)
                          / width).astype(int) % self.sectors_per_bs
         return bs_idx * self.sectors_per_bs + local
+
+    def nearest_bs(self, xy, k):
+        """The k nearest BSs of each point, ordered by (distance, BS index).
+
+        Returns (M, k) BS indices and distances in km, k capped at C, for
+        points inside the extent.  A point compares only the BSs its cell
+        of a uniform grid keeps: all within d_k(centre) + 2h of the cell
+        centre, h the half-diagonal.  The k-th-nearest distance d_k is
+        1-Lipschitz, so that covers every BS within d_k(p) of any point p
+        of the cell.  The grid is built once per k and cached.
+        """
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        k = min(int(k), self.n_bs)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if not np.all(self.extent.contains(xy)):
+            raise ValueError("points must lie inside the extent")
+        if k not in self._grids:
+            self._grids[k] = self._cell_grid(k)
+        lo, scale, n, cand, bx, by = self._grids[k]
+        cell = np.minimum(((xy - lo) * scale).astype(int), n - 1)
+        near = cand[cell[:, 0] * n + cell[:, 1]]
+        dx, dy = bx[near], by[near]
+        np.subtract(xy[:, :1], dx, out=dx)     # the arithmetic of distance()
+        np.subtract(xy[:, 1:], dy, out=dy)
+        d = np.sqrt(dx * dx + dy * dy)
+        # cells list their BSs by index, so a stable sort breaks ties by it
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        return np.take_along_axis(near, order, 1), np.take_along_axis(d, order, 1)
+
+    def _cell_grid(self, k):
+        """Origin, cells per km, cells per side, each cell's BS list (by
+        index, padded with C, a BS at infinity), and BS x and y."""
+        n = int(np.ceil(6.0 * np.sqrt(self.n_bs)))
+        lo = np.array([self.extent.xmin, self.extent.ymin])
+        span = np.array([self.extent.width, self.extent.height])
+        reach = float(distance(span / n, 0.0)) * (1.0 + 1e-9)   # 2h, rounded up
+        centre_y = lo[1] + (np.arange(n) + 0.5) * span[1] / n
+        keep = []
+        for x in lo[0] + (np.arange(n) + 0.5) * span[0] / n:
+            d = distance_matrix(np.column_stack([np.full(n, x), centre_y]), self.bs_xy)
+            d_k = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+            keep.append(d <= d_k * (1.0 + 1e-9) + reach)
+        cells, bs = np.nonzero(np.concatenate(keep))     # by cell, then index
+        cand = np.full((n * n, np.bincount(cells).max()), self.n_bs)
+        cand[cells, np.arange(len(cells)) - np.searchsorted(cells, cells)] = bs
+        bx, by = np.append(self.bs_xy, [[np.inf, np.inf]], axis=0).T.copy()
+        return lo, n / np.where(span > 0, span, 1.0), n, cand, bx, by
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +281,6 @@ def generate_topology(kind, count, extent, rng=None, *, reference_zone=None,
         ])
     elif kind == "grid":
         side_n = int(np.ceil(np.sqrt(count)))
-        if side_n * side_n < count:
-            raise ValueError(f"cannot pack {count} BSs on a {side_n}x{side_n} grid")
         cx = extent.xmin + (np.arange(side_n) + 0.5) * extent.width / side_n
         cy = extent.ymin + (np.arange(side_n) + 0.5) * extent.height / side_n
         gx, gy = np.meshgrid(cx, cy)
@@ -280,29 +322,20 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
     if r_ex == 0.0:
         return MobilePlacement(cand, 0.0, density)
 
-    rejected = _exclusion_conflicts(cand, r_ex)
-    if rejected:
-        keep = np.ones(m, dtype=bool)
-        keep[list(rejected)] = False
-        acc = cand[keep]
-    else:
-        acc = cand
-    missing = m - len(acc)
-    while missing > 0:
-        tries = 0
-        while True:
+    # the first candidate is always accepted, so acc is never empty
+    acc = np.delete(cand, sorted(_exclusion_conflicts(cand, r_ex)), axis=0)
+    for _ in range(m - len(acc)):
+        for _ in range(max_tries):
             p = np.array([rng.uniform(ext.xmin, ext.xmax),
                           rng.uniform(ext.ymin, ext.ymax)])
-            if len(acc) == 0 or np.min(np.sum((acc - p) ** 2, axis=1)) >= r_ex * r_ex:
+            if np.min(np.sum((acc - p) ** 2, axis=1)) >= r_ex * r_ex:
                 acc = np.vstack([acc, p])
-                missing -= 1
                 break
-            tries += 1
-            if tries >= max_tries:
-                raise RuntimeError(
-                    f"uniform clustering failed: {max_tries} rejections while "
-                    f"packing {m} mobiles with r_ex={r_ex} km into "
-                    f"{ext.area:g} km^2")
+        else:
+            raise RuntimeError(
+                f"uniform clustering failed: {max_tries} rejections while "
+                f"packing {m} mobiles with r_ex={r_ex} km into "
+                f"{ext.area:g} km^2")
     return MobilePlacement(acc, float(r_ex), density)
 
 
@@ -335,20 +368,18 @@ def _exclusion_conflicts(cand, r_ex):
     return rejected
 
 
-def distance_matrix(a, b):
-    """Pairwise Euclidean distances between two point sets, (len(a), len(b)).
+def distance(a, b):
+    """Euclidean distances between points a and b shaped (..., 2), as
+    sqrt(dx*dx + dy*dy) elementwise: no BLAS, so the bits never depend
+    on the CPU."""
+    rel = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return np.sqrt(rel[..., 0] * rel[..., 0] + rel[..., 1] * rel[..., 1])
 
-    Uses the expanded square so the cross term is one BLAS matrix product
-    (dgemm).  BLAS threads never split its two-term sums, but their last
-    bits depend on the kernel BLAS picks for the CPU (an FMA kernel rounds
-    unlike a plain product), and so does every result hashed downstream.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d2 = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-          - 2.0 * (a @ b.T))
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+
+def distance_matrix(a, b):
+    """All distances between two point sets, (len(a), len(b)); the
+    brute-force reference for Topology.nearest_bs."""
+    return distance(np.asarray(a, dtype=float)[:, None], b)
 
 
 def pick_reference_mobile(placement: MobilePlacement, t: Topology,

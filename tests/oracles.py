@@ -13,6 +13,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from fhuplink.propagation import path_loss
+from fhuplink.topology import distance_matrix
 
 
 def g_coeff(ell, q, omega, c, m, beta0):
@@ -114,30 +115,26 @@ def single_pair_outage_quadrature(gamma0, m0, beta, omega, m, q, c):
     return (1.0 - q) * desired_cdf(beta * z) + q * val
 
 
-def associate_sequential(t, mobile_xy, dist_mc, prop, shadow, capacity, rng,
-                         k_nearest=12):
+def associate_sequential(shadow, prop, capacity, rng):
     """Association by the plain sequential admission pass.
 
-    Ranks the covering sectors of each mobile's k nearest BSs
-    (argpartition) by the fully scaled shadowing table plus path loss,
-    then admits mobiles in one uniformly random order, each to its
+    Takes each mobile's candidates, as many as the table has columns,
+    from all its BS distances in (distance, index) order; reads their
+    shadowing through the table, toward each BS's covering sector; ranks
+    them by that plus path loss, ties to the earlier candidate; then
+    admits mobiles in one uniformly random order, each to its
     best-ranked candidate with load below capacity.  Returns (serving,
     loads, denied).
     """
-    mobile_xy = np.asarray(mobile_xy, dtype=float)
-    m, c = dist_mc.shape
-    k = min(int(k_nearest), c)
+    t, xy = shadow.t, shadow.mobile_xy
+    m, k = shadow.near.shape
+    dist = distance_matrix(xy, t.bs_xy)
+    index = np.broadcast_to(np.arange(t.n_bs), dist.shape)
+    near = np.lexsort((index, dist), axis=1)[:, :k]
     rows = np.arange(m)[:, None]
-    if k < c:
-        near = np.argpartition(dist_mc, k - 1, axis=1)[:, :k]
-    else:
-        near = np.broadcast_to(np.arange(c), (m, c)).copy()
-    cand_sec = t.covering_sector(near, mobile_xy[:, None, :])
-    if shadow.per == "bs":
-        xi = shadow.xi_db[rows, near]
-    else:
-        xi = shadow.xi_db[rows, near, cand_sec % t.sectors_per_bs]
-    rank_db = xi + 10.0 * np.log10(path_loss(dist_mc[rows, near], prop))
+    cand_sec = t.covering_sector(near, xy[:, None, :])
+    xi = shadow.toward_sector(np.broadcast_to(rows, near.shape), cand_sec)
+    rank_db = xi + 10.0 * np.log10(path_loss(dist[rows, near], prop))
     pref = np.argsort(-rank_db, axis=1, kind="stable")
     serving = np.full(m, -1, dtype=int)
     loads = np.zeros(t.n_sectors, dtype=int)

@@ -4,30 +4,33 @@ import pytest
 from fhuplink.association import (ShadowingTable, associate,
                                   draw_shadowing_table)
 from oracles import associate_sequential
-from fhuplink.propagation import preset_params
-from fhuplink.topology import Topology, generate_topology, place_mobiles, square
+from fhuplink.propagation import preset_params, sigma_of
+from fhuplink.seeding import derive_rng
+from fhuplink.topology import (Topology, distance_matrix, generate_topology,
+                               place_mobiles, square)
 
 NY = preset_params("newyork")
 
 
-def _zero_shadow(m, c, per="bs", zeta=1):
-    shape = (m, c) if per == "bs" else (m, c, zeta)
-    return ShadowingTable(np.zeros(shape), per)
-
-
-def _dist(xy, bs_xy):
-    return np.linalg.norm(xy[:, None, :] - bs_xy[None, :, :], axis=2)
+def _table(t, xy, rng=None, k=12, per="bs", xi=None):
+    """Shadowing of the mobiles at xy: drawn from rng, or xi dB (nearest first)."""
+    xy = np.asarray(xy, dtype=float)
+    near, dist = t.nearest_bs(xy, k)
+    if xi is None:
+        return draw_shadowing_table(t, xy, near, dist, NY, rng, per)
+    return ShadowingTable(t, xy, near, dist,
+                          np.broadcast_to(np.asarray(xi, dtype=float), near.shape),
+                          NY, per)
 
 
 def test_no_shadowing_gives_nearest_bs():
     rng = np.random.default_rng(5)
     t = generate_topology("uniform-random", 9, 2.0, rng, sectors_per_bs=4)
     pl = place_mobiles(t, 50.0, 0.0, rng)
-    dist = _dist(pl.xy, t.bs_xy)
-    shadow = _zero_shadow(pl.n_mobiles, t.n_bs)
-    assoc = associate(t, pl.xy, dist, NY, shadow, capacity=1000, rng=rng)
+    shadow = _table(t, pl.xy, xi=0.0)
+    assoc = associate(shadow, NY, capacity=1000, rng=rng)
     assert len(assoc.denied) == 0
-    nearest = np.argmin(dist, axis=1)
+    nearest = np.argmin(distance_matrix(pl.xy, t.bs_xy), axis=1)
     expected = t.covering_sector(nearest, pl.xy)
     assert np.array_equal(assoc.serving, expected)
     # every served mobile is covered by its sector's mainlobe wedge
@@ -39,10 +42,9 @@ def test_loads_consistent_and_capacity_respected():
     rng = np.random.default_rng(6)
     t = generate_topology("uniform-random", 6, 1.0, rng, sectors_per_bs=3)
     pl = place_mobiles(t, 200.0, 0.0, rng)
-    dist = _dist(pl.xy, t.bs_xy)
-    shadow = draw_shadowing_table(dist, NY, rng)
+    shadow = _table(t, pl.xy, rng)
     cap = 5
-    assoc = associate(t, pl.xy, dist, NY, shadow, cap, rng)
+    assoc = associate(shadow, NY, cap, rng)
     assert np.all(assoc.loads <= cap)
     served = assoc.serving[assoc.serving >= 0]
     counts = np.bincount(served, minlength=t.n_sectors)
@@ -57,9 +59,8 @@ def test_capacity_one_single_bs_denies_second():
     ext = square(2.0)
     t = Topology(np.array([[1.0, 1.0]]), ext, ext, sectors_per_bs=4)
     xy = np.array([[1.3, 1.1], [1.4, 1.2]])  # both in the first quadrant wedge
-    dist = _dist(xy, t.bs_xy)
-    shadow = _zero_shadow(2, 1)
-    assoc = associate(t, xy, dist, NY, shadow, capacity=1, rng=np.random.default_rng(0))
+    assoc = associate(_table(t, xy, xi=0.0), NY, capacity=1,
+                      rng=np.random.default_rng(0))
     assert sorted([assoc.serving[0], assoc.serving[1]])[0] == -1
     assert len(assoc.denied) == 1
     assert assoc.loads.sum() == 1
@@ -71,9 +72,7 @@ def test_overflow_goes_to_next_candidate():
     ext = square(4.0)
     t = Topology(np.array([[1.0, 1.0], [3.0, 1.0]]), ext, ext, sectors_per_bs=1)
     xy = np.array([[1.1, 1.0], [1.2, 1.0]])
-    dist = _dist(xy, t.bs_xy)
-    shadow = _zero_shadow(2, 2)
-    assoc = associate(t, xy, dist, NY, shadow, capacity=1,
+    assoc = associate(_table(t, xy, xi=0.0), NY, capacity=1,
                       rng=np.random.default_rng(3))
     assert sorted(assoc.serving.tolist()) == [0, 1]
     assert len(assoc.denied) == 0
@@ -83,10 +82,9 @@ def test_strong_shadowing_flips_to_far_bs():
     ext = square(4.0)
     t = Topology(np.array([[1.0, 1.0], [3.0, 1.0]]), ext, ext, sectors_per_bs=1)
     xy = np.array([[1.1, 1.0]])  # much closer to BS0
-    dist = _dist(xy, t.bs_xy)
-    xi = np.array([[0.0, 200.0]])  # absurdly favorable shadowing toward BS1
-    assoc = associate(t, xy, dist, NY, ShadowingTable(xi), capacity=10,
-                      rng=np.random.default_rng(0))
+    # absurdly favorable shadowing toward the second candidate, BS1
+    shadow = _table(t, xy, xi=[[0.0, 200.0]])
+    assoc = associate(shadow, NY, capacity=10, rng=np.random.default_rng(0))
     assert assoc.serving[0] == 1
 
 
@@ -94,10 +92,9 @@ def test_deterministic_given_seed():
     rng = np.random.default_rng(12)
     t = generate_topology("uniform-random", 8, 1.0, rng, sectors_per_bs=6)
     pl = place_mobiles(t, 150.0, 0.0, rng)
-    dist = _dist(pl.xy, t.bs_xy)
-    shadow = draw_shadowing_table(dist, NY, rng)
-    a = associate(t, pl.xy, dist, NY, shadow, 3, np.random.default_rng(42))
-    b = associate(t, pl.xy, dist, NY, shadow, 3, np.random.default_rng(42))
+    shadow = _table(t, pl.xy, rng)
+    a = associate(shadow, NY, 3, np.random.default_rng(42))
+    b = associate(shadow, NY, 3, np.random.default_rng(42))
     assert np.array_equal(a.serving, b.serving)
     assert np.array_equal(a.loads, b.loads)
 
@@ -106,13 +103,11 @@ def test_candidate_restriction_k_nearest():
     rng = np.random.default_rng(2)
     t = generate_topology("uniform-random", 30, 2.0, rng, sectors_per_bs=1)
     pl = place_mobiles(t, 30.0, 0.0, rng)
-    dist = _dist(pl.xy, t.bs_xy)
-    shadow = _zero_shadow(pl.n_mobiles, t.n_bs)
     # without shadowing the nearest BS always wins, so k=1 and k=30 agree
-    a1 = associate(t, pl.xy, dist, NY, shadow, 1000, np.random.default_rng(0),
-                   k_nearest=1)
-    a30 = associate(t, pl.xy, dist, NY, shadow, 1000, np.random.default_rng(0),
-                    k_nearest=30)
+    a1 = associate(_table(t, pl.xy, k=1, xi=0.0), NY, 1000,
+                   np.random.default_rng(0))
+    a30 = associate(_table(t, pl.xy, k=30, xi=0.0), NY, 1000,
+                    np.random.default_rng(0))
     assert np.array_equal(a1.serving, a30.serving)
 
 
@@ -120,32 +115,81 @@ def test_sector_mode_shadowing():
     rng = np.random.default_rng(7)
     t = generate_topology("uniform-random", 4, 1.0, rng, sectors_per_bs=3)
     pl = place_mobiles(t, 100.0, 0.0, rng)
-    dist = _dist(pl.xy, t.bs_xy)
-    shadow = draw_shadowing_table(dist, NY, rng, per="sector", sectors_per_bs=3)
-    assert shadow.xi_db.shape == (pl.n_mobiles, 4, 3)
-    assoc = associate(t, pl.xy, dist, NY, shadow, 10, rng)
+    shadow = _table(t, pl.xy, rng, per="sector")
+    assert shadow.xi_db.shape == (pl.n_mobiles, 4)
+    assoc = associate(shadow, NY, 10, rng)
     assert np.all(assoc.loads <= 10)
-    # toward_sector picks the matching local sector entry
-    val = shadow.toward_sector(0, 5, t)  # BS 1, local sector 2
-    assert val == shadow.xi_db[0, 1, 2]
+    # a candidate link is the covering sector of the candidate BS
+    bs = shadow.near[0, 1]
+    covering = t.covering_sector(bs, pl.xy[0])
+    assert shadow.toward_sector(0, covering) == shadow.xi_db[0, 1]
+    # another sector of the same BS gets its own draw, not the ranked value
+    other = bs * 3 + (covering + 1) % 3
+    d = distance_matrix(pl.xy[:1], t.bs_xy[bs:bs + 1])[0, 0]
+    want = derive_rng(shadow.seed, other).standard_normal(pl.n_mobiles)[0]
+    assert shadow.toward_sector(0, other) == want * sigma_of(d, NY)
+    assert shadow.toward_sector(0, other) != shadow.xi_db[0, 1]
 
 
 def test_draw_shadowing_table_stddev_tracks_distance():
-    rng = np.random.default_rng(123)
-    d = np.full((200000, 1), 0.05)
-    shadow = draw_shadowing_table(d, NY, rng)
-    assert np.std(shadow.xi_db) == pytest.approx(11.0503, abs=0.05)
+    # 200000 mobiles at one point: BS0 is their one candidate at 10 m,
+    # BS1 is read from its own column at 50 m
+    ext = square(1.0)
+    t = Topology(np.array([[0.5, 0.5], [0.55, 0.5]]), ext, ext)
+    xy = np.tile([0.5, 0.51], (200000, 1))
+    shadow = _table(t, xy, np.random.default_rng(123), k=1)
+    assert np.array_equal(shadow.near, np.zeros((200000, 1), dtype=int))
+    assert np.std(shadow.xi_db) == pytest.approx(float(sigma_of(0.01, NY)), rel=0.01)
+    rows = np.arange(200000)
+    far = shadow.toward_sector(rows, np.ones_like(rows))
+    assert np.std(far) == pytest.approx(11.0503, abs=0.05)
+    assert abs(np.corrcoef(far, shadow.xi_db[:, 0])[0, 1]) < 0.01
     with pytest.raises(ValueError):
-        draw_shadowing_table(d, NY, rng, per="link")
+        _table(t, xy[:2], np.random.default_rng(1), per="link")
 
 
-def _against_oracle(t, xy, dist, shadow, capacity, k, seed):
+def _scene(seed, n_bs=12, zeta=4, per="bs", k=12, density=150.0):
+    rng = np.random.default_rng(seed)
+    t = generate_topology("uniform-random", n_bs, 1.0, rng, sectors_per_bs=zeta)
+    pl = place_mobiles(t, density, 0.0, rng)
+    return t, pl.xy, _table(t, pl.xy, rng, k=k, per=per)
+
+
+@pytest.mark.parametrize("per", ["bs", "sector"])
+def test_one_link_one_shadowing_value(per):
+    t, xy, shadow = _scene(31, per=per, k=4)
+    assoc = associate(shadow, NY, 1000, np.random.default_rng(0))
+    m = len(xy)
+    rows = np.arange(m)
+    # the serving link (xi_ref, xi_ig) reads the value it was ranked by
+    slot = np.argmax(shadow.near == (assoc.serving // t.sectors_per_bs)[:, None],
+                     axis=1)
+    assert np.array_equal(shadow.toward_sector(rows, assoc.serving),
+                          shadow.xi_db[rows, slot])
+    # so does every other candidate link toward its covering sector (xi_ij)
+    cand_sec = t.covering_sector(shadow.near, xy[:, None, :])
+    every = np.broadcast_to(rows[:, None], cand_sec.shape)
+    assert np.array_equal(shadow.toward_sector(every, cand_sec), shadow.xi_db)
+    # all (mobile, sector) links: any read order, one value per link
+    i, s = np.divmod(np.arange(m * t.n_sectors), t.n_sectors)
+    at_once = shadow.toward_sector(i, s)
+    fresh = _scene(31, per=per, k=4)[2]
+    rev = np.random.default_rng(1).permutation(len(i))
+    one_by_one = np.array([fresh.toward_sector(i[n], s[n]) for n in rev])
+    assert np.array_equal(one_by_one, at_once[rev])
+    per_link = at_once.reshape(m, t.n_bs, t.sectors_per_bs)
+    if per == "bs":     # the sectors of one BS share the link's value
+        assert np.all(per_link == per_link[:, :, :1])
+    else:               # and differ with per-sector shadowing
+        assert len(np.unique(per_link)) == per_link.size
+
+
+def _against_oracle(shadow, capacity, seed):
     """associate vs the sequential oracle from equal rng states; the path taken."""
     rng_new = np.random.default_rng(seed)
     rng_old = np.random.default_rng(seed)
-    got = associate(t, xy, dist, NY, shadow, capacity, rng_new, k_nearest=k)
-    want = associate_sequential(t, xy, dist, NY, shadow, capacity, rng_old,
-                                k_nearest=k)
+    got = associate(shadow, NY, capacity, rng_new)
+    want = associate_sequential(shadow, NY, capacity, rng_old)
     for a, b in zip((got.serving, got.loads, got.denied), want):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
@@ -156,16 +200,12 @@ def _against_oracle(t, xy, dist, shadow, capacity, k, seed):
 def test_associate_matches_sequential_oracle():
     paths = set()
     for scene in range(32):
-        rng = np.random.default_rng(500 + scene)
         capacity = (1, 2, 3, 1000)[scene % 4]
         per = ("bs", "sector")[scene // 4 % 2]
         k = (1, 4, 12, 40)[scene // 8]      # 12 BSs: k >= C in the last two
         zeta = (1, 3, 4)[scene % 3]
-        t = generate_topology("uniform-random", 12, 1.0, rng, sectors_per_bs=zeta)
-        pl = place_mobiles(t, 150.0, 0.0, rng)
-        dist = _dist(pl.xy, t.bs_xy)
-        shadow = draw_shadowing_table(dist, NY, rng, per=per, sectors_per_bs=zeta)
-        sequential = _against_oracle(t, pl.xy, dist, shadow, capacity, k, scene)
+        t, xy, shadow = _scene(500 + scene, zeta=zeta, per=per, k=k)
+        sequential = _against_oracle(shadow, capacity, scene)
         if capacity == 1:
             assert sequential
         if capacity == 1000:
@@ -174,18 +214,18 @@ def test_associate_matches_sequential_oracle():
     assert paths == {False, True}
 
 
-def test_associate_ties_take_the_sequential_path():
+def test_associate_ties_give_the_oracle_answer_on_either_path():
     # (2, 2) and (1, 2) sit at equal distance from four BSs of a 4x4 grid
     ext = square(4.0)
     t = generate_topology("grid", 16, ext, sectors_per_bs=3)
     rng = np.random.default_rng(8)
     xy = np.vstack([[[2.0, 2.0], [1.0, 2.0]], place_mobiles(t, 20.0, 0.0, rng).xy])
-    dist = _dist(xy, t.bs_xy)
+    dist = distance_matrix(xy, t.bs_xy)
     assert dist[0, 5] == dist[0, 6] == dist[0, 9] == dist[0, 10]
-    shadow = draw_shadowing_table(dist, NY, rng)
-    # k = 2 cuts through the four: a tie at the k-th distance
-    assert _against_oracle(t, xy, dist, shadow, 1000, 2, 1)
-    # k = 4 takes all four, and distinct shadowing ranks them
-    assert not _against_oracle(t, xy, dist, shadow, 1000, 4, 2)
-    # without shadowing the four tie at the top rank
-    assert _against_oracle(t, xy, dist, _zero_shadow(len(xy), 16), 1000, 4, 3)
+    for capacity, sequential in ((1000, False), (1, True)):
+        # k = 2 cuts through the four: a tie at the k-th distance
+        assert _against_oracle(_table(t, xy, rng, k=2), capacity, 1) == sequential
+        # k = 4 takes all four, and distinct shadowing ranks them
+        assert _against_oracle(_table(t, xy, rng, k=4), capacity, 2) == sequential
+        # without shadowing the four tie at the top rank
+        assert _against_oracle(_table(t, xy, k=4, xi=0.0), capacity, 3) == sequential

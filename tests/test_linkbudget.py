@@ -9,7 +9,7 @@ from fhuplink.linkbudget import (HopPlan, InterferenceProfile,
                                  power_control_ratio, reference_link_profile,
                                  spectral_factor, timing_offset,
                                  truncate_strongest)
-from fhuplink.propagation import SPEED_OF_LIGHT_KM_S, preset_params
+from fhuplink.propagation import SPEED_OF_LIGHT_KM_S, path_loss, preset_params
 from fhuplink.topology import generate_topology, place_mobiles
 
 NY = preset_params("newyork")
@@ -192,10 +192,10 @@ def _small_scene(zeta=4, seed=3):
     rng = np.random.default_rng(seed)
     t = generate_topology("uniform-random", 12, 1.0, rng, sectors_per_bs=zeta)
     pl = place_mobiles(t, 300.0, 0.002, rng)
-    dist = np.linalg.norm(pl.xy[:, None, :] - t.bs_xy[None, :, :], axis=2)
-    shadow = draw_shadowing_table(dist, NY, rng)
+    near, dist = t.nearest_bs(pl.xy, 12)
+    shadow = draw_shadowing_table(t, pl.xy, near, dist, NY, rng)
     hop = HopPlan(hopset=100, ref_block=10, block=10)
-    assoc = associate(t, pl.xy, dist, NY, shadow, hop.sector_capacity, rng)
+    assoc = associate(shadow, NY, hop.sector_capacity, rng)
     bp = BeamParams(zeta=zeta)
     served = np.flatnonzero(assoc.served_mask)
     ref = int(served[0])
@@ -220,6 +220,10 @@ def test_reference_link_profile_invariants():
     assert info["d_r"] == pytest.approx(
         np.linalg.norm(pl.xy[ref] - t.sector_position(j)))
     assert info["serving_sector"] == j
+    # the reference link's shadowing is the value association ranked it by
+    slot = list(shadow.near[ref]).index(j // t.sectors_per_bs)
+    assert prof.gamma0 == gamma0(1e7, shadow.xi_db[ref, slot],
+                                 path_loss(info["d_r"], NY))
 
 
 def test_reference_link_profile_typical_override():
@@ -231,5 +235,4 @@ def test_reference_link_profile_typical_override():
         d_r=0.05, xi_ref_db=0.0)
     assert info["d_r"] == 0.05
     # gamma0 = (P/N) * f(d_r) exactly when the shadowing is zeroed
-    from fhuplink.propagation import path_loss
     assert prof.gamma0 == pytest.approx(1e7 * path_loss(0.05, NY), rel=1e-12)

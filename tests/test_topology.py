@@ -3,9 +3,10 @@ import pytest
 from scipy import stats
 
 from fhuplink.topology import (MobilePlacement, Rect, Topology, central_zone,
-                               generate_topology, load_topology,
-                               pick_reference_mobile, place_mobiles,
-                               save_coordinates, scale_topology, square)
+                               distance_matrix, generate_topology,
+                               load_topology, pick_reference_mobile,
+                               place_mobiles, save_coordinates, scale_topology,
+                               square)
 
 
 def test_rect_basics():
@@ -128,6 +129,78 @@ def test_covering_sector_tiles_plane():
         start = t.wedge_start(sec)
         off = np.mod(theta - start, 2 * np.pi)
         assert np.all(off < 2 * np.pi / 6 + 1e-12)
+
+
+def _brute_nearest(t, xy, k):
+    """k nearest BSs by brute force: all distances, (distance, index) order."""
+    d = distance_matrix(xy, t.bs_xy)
+    order = np.lexsort((np.broadcast_to(np.arange(t.n_bs), d.shape), d), axis=1)
+    order = order[:, :min(k, t.n_bs)]
+    return order, np.take_along_axis(d, order, axis=1)
+
+
+def _edge_points(t, rng, n=400):
+    """Random points, plus points on the extent's edges and corners and on
+    the edges and corners of the grid cells nearest_bs searches
+    (ceil(6 sqrt(C)) per side)."""
+    ext = t.extent
+    cells = int(np.ceil(6.0 * np.sqrt(t.n_bs)))
+    edges = np.r_[0.0, 1.0, np.arange(1, cells) / cells]
+    frac = np.vstack([np.column_stack([edges, rng.uniform(size=len(edges))]),
+                      np.column_stack([rng.uniform(size=len(edges)), edges]),
+                      np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2),
+                      rng.uniform(size=(n, 2))])
+    lo = np.array([ext.xmin, ext.ymin])
+    pts = lo + frac * [ext.width, ext.height]
+    return np.clip(pts, lo, [ext.xmax, ext.ymax])
+
+
+def _check_nearest(t, xy, k):
+    near, dist = t.nearest_bs(xy, k)
+    want_near, want_dist = _brute_nearest(t, xy, k)
+    assert near.shape == (len(xy), min(k, t.n_bs))
+    assert np.array_equal(near, want_near)
+    assert np.array_equal(dist, want_dist)
+
+
+def test_nearest_bs_matches_brute_force():
+    rng = np.random.default_rng(21)
+    uniform = generate_topology("uniform-random", 132, 2.0, rng)
+    grid = generate_topology("grid", 16, 4.0)     # exact distance ties
+    for t in (uniform, grid):
+        xy = _edge_points(t, rng)
+        for k in (1, 2, 4, 12, t.n_bs, t.n_bs + 5):
+            _check_nearest(t, xy, k)
+    # grid points between BSs sit at equal distance from two or four BSs
+    xy = np.array([[2.0, 2.0], [1.0, 2.0], [2.0, 1.5], [0.5, 2.0]])
+    for k in (1, 2, 3, 4, 5):
+        _check_nearest(grid, xy, k)
+    with pytest.raises(ValueError):
+        uniform.nearest_bs(xy, 0)
+    with pytest.raises(ValueError):
+        uniform.nearest_bs([[2.5, 1.0]], 3)
+
+
+def test_nearest_bs_single_bs_file_extent_and_scaling(tmp_path):
+    one = Topology(np.array([[0.3, 0.7]]), square(1.0), square(1.0))
+    near, dist = one.nearest_bs([[0.0, 0.0], [0.3, 0.7], [1.0, 1.0]], 12)
+    assert np.array_equal(near, [[0], [0], [0]])
+    assert dist[1, 0] == 0.0
+
+    # a coordinate file's extent is the bounding square: BSs on its edges
+    path = tmp_path / "bs.txt"
+    rng = np.random.default_rng(5)
+    save_coordinates(path, rng.uniform(-1.0, 3.0, size=(40, 2)))
+    t = load_topology(path)
+    xy = np.vstack([_edge_points(t, rng), t.bs_xy])
+    for k in (1, 10, 40):
+        _check_nearest(t, xy, k)
+
+    # a scaled topology builds its own grid rather than reuse a stale one
+    t.nearest_bs(xy, 10)
+    for factor in (0.25, 3.0):
+        scaled = scale_topology(t, factor)
+        _check_nearest(scaled, _edge_points(scaled, rng), 10)
 
 
 def test_place_mobiles_count_and_exclusion():
