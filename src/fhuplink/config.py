@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,9 @@ class RunConfig:
     threads: int = 1
     cm_ratios: tuple = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0)
 
+    def __post_init__(self):
+        validate_config(self)
+
     # --- derived views -------------------------------------------------
     @property
     def beta_linear(self) -> float:
@@ -96,25 +100,26 @@ class RunConfig:
     def p_over_n_linear(self) -> float:
         return float(db_to_linear(self.p_over_n_db))
 
+    @cached_property
     def propagation_params(self) -> PropagationParams:
         return PropagationParams(self.alpha_min, self.alpha_max,
                                  self.sigma_min_db, self.sigma_max_db,
                                  self.m_min, self.m_max,
                                  self.mu_per_km, self.d0_km)
 
+    @cached_property
     def beam_params(self) -> BeamParams:
         return BeamParams(self.zeta, self.sidelobe_bs,
                           self.mobile_beamwidth_rad, self.sidelobe_mobile)
 
+    @cached_property
     def hop_plan(self) -> HopPlan:
         return HopPlan(self.hopset_channels, self.ref_block_channels,
                        self.sector_block_channels, self.slot_ms,
                        self.activity_prob)
 
     def replace(self, **kw) -> "RunConfig":
-        cfg = dataclasses.replace(self, **kw)
-        validate_config(cfg)
-        return cfg
+        return dataclasses.replace(self, **kw)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -254,9 +259,7 @@ def parse_config_text(text, source="<config>") -> RunConfig:
         value = _cast(key, text_v, line)
         _check_key(key, value, line)
         kwargs[key] = value
-    cfg = RunConfig(**kwargs)
-    validate_config(cfg)
-    return cfg
+    return RunConfig(**kwargs)
 
 
 def parse_config(path) -> RunConfig:
@@ -266,13 +269,15 @@ def parse_config(path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig):
-    """Re-check every cross-field invariant; raises ConfigError."""
+    """Check every key and cross-field invariant; raises ConfigError.
+
+    RunConfig runs it on construction, which also builds (and so checks)
+    the cached parameter objects every trial reuses.
+    """
     for key in _FIELDS:
         _check_key(key, getattr(cfg, key), None)
     try:
-        cfg.propagation_params()
-        cfg.beam_params()
-        cfg.hop_plan()
+        cfg.propagation_params, cfg.beam_params, cfg.hop_plan
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg.topology == "file" and not cfg.topology_file:

@@ -32,12 +32,9 @@ def code_rate(beta_linear, shannon_loss=0.794) -> float:
     """Code rate in bpcu supported by an SINR threshold.
 
     shannon_loss discounts the Shannon bound for a practical modem; the
-    default corresponds to a 1 dB implementation loss.
+    default corresponds to a 1 dB implementation loss.  Domain:
+    beta_linear > 0, 0 < shannon_loss <= 1.
     """
-    if beta_linear <= 0:
-        raise ValueError("SINR threshold must be positive")
-    if not (0 < shannon_loss <= 1):
-        raise ValueError("shannon_loss must be in (0, 1]")
     return math.log2(1.0 + shannon_loss * beta_linear)
 
 
@@ -74,12 +71,12 @@ TRIAL_DTYPE = np.dtype([
 
 def realize_network(t: Topology, cfg: RunConfig, rng: np.random.Generator):
     """Draw one network realization: placement, shadowing, association."""
-    prop = cfg.propagation_params()
+    prop = cfg.propagation_params
     placement = place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, rng)
     near, dist = t.nearest_bs(placement.xy, cfg.candidate_bs)
     shadow = draw_shadowing_table(t, placement.xy, near, dist, prop, rng,
                                   cfg.shadowing_per)
-    assoc = associate(shadow, prop, cfg.hop_plan().sector_capacity, rng)
+    assoc = associate(shadow, prop, cfg.hop_plan.sector_capacity, rng)
     return placement, shadow, assoc
 
 
@@ -93,7 +90,7 @@ def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
     its shadowing is then redrawn at that length so the whole link model
     is consistent.
     """
-    prop = cfg.propagation_params()
+    prop = cfg.propagation_params
     for _ in range(100):
         placement, shadow, assoc = realize_network(t, cfg, rng)
         ref = pick_reference_mobile(placement, t, rng,
@@ -106,7 +103,7 @@ def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
     xi_ref = (None if d_r_override is None
               else float(sample_shadowing(d_r_override, prop, rng)))
     profile, info = reference_link_profile(
-        t, prop, cfg.beam_params(), cfg.hop_plan(), placement.xy, shadow,
+        t, prop, cfg.beam_params, cfg.hop_plan, placement.xy, shadow,
         assoc, ref, rng, delta=cfg.delta, beta=cfg.beta_linear,
         p_over_n=cfg.p_over_n_linear, k_strongest=cfg.k_strongest,
         d_r=d_r_override, xi_ref_db=xi_ref)
@@ -299,9 +296,6 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
         raise ValueError("n_links must be >= 1")
     seed = cfg.seed if seed is None else int(seed)
     rng = derive_rng(seed, DOMAIN_LINKS)
-    prop = cfg.propagation_params()
-    bp = cfg.beam_params()
-    hop = cfg.hop_plan()
     placement, shadow, assoc = realize_network(t, cfg, rng)
     served = np.flatnonzero(assoc.served_mask)
     if len(served) == 0:
@@ -312,7 +306,8 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
     profiles = {}
     for idx in served:
         profiles[idx], _ = reference_link_profile(
-            t, prop, bp, hop, placement.xy, shadow, assoc, int(idx), rng,
+            t, cfg.propagation_params, cfg.beam_params, cfg.hop_plan,
+            placement.xy, shadow, assoc, int(idx), rng,
             delta=cfg.delta, beta=cfg.beta_linear,
             p_over_n=cfg.p_over_n_linear, k_strongest=cfg.k_strongest)
 

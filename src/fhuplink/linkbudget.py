@@ -9,7 +9,7 @@ durations of the four asynchronous-overlap periods of a subframe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,7 @@ class HopPlan:
 
 
 def spectral_factor(l_j, l_l):
-    """Interference reduction from partial frequency-block overlap."""
-    if l_j <= 0 or l_l <= 0:
-        raise ValueError("block sizes must be positive")
+    """Interference reduction from partial block overlap; l_j, l_l >= 1."""
     return min(l_j / l_l, 1.0)
 
 
@@ -80,11 +78,10 @@ def fractional_durations(t, slot_ms):
     """Durations of the four overlap periods as fractions of the subframe.
 
     Periods 1 and 3 last t each, periods 2 and 4 last T - t each, out of a
-    subframe of 2T, so the four fractions always sum to one.
+    subframe of 2T, so the four fractions always sum to one.  Domain:
+    0 <= t < slot_ms, the range timing_offset returns.
     """
     t = np.asarray(t, dtype=float)
-    if np.any((t < 0) | (t >= slot_ms)):
-        raise ValueError("timing offset must lie in [0, slot_ms)")
     c_odd = t / (2.0 * slot_ms)
     c_even = (slot_ms - t) / (2.0 * slot_ms)
     return np.stack([c_odd, c_even, c_odd, c_even], axis=-1)
@@ -95,14 +92,9 @@ def collision_probability(n_g, l_g, l_j, hopset, activity):
 
     n_g and l_g are the load and block size of the interferer's serving
     sector.  Orthogonality within that sector occupies n_g * l_g channels,
-    which may not exceed the hopset.
+    which association's sector capacity keeps within the hopset.
     """
-    n_g = np.asarray(n_g)
-    occupied = n_g * l_g
-    if np.any(occupied > hopset):
-        raise ValueError("sector occupancy exceeds the hopset "
-                         "(capacity invariant violated)")
-    return np.maximum(occupied, l_j) * activity / hopset
+    return np.maximum(np.asarray(n_g) * l_g, l_j) * activity / hopset
 
 
 def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector: int,
@@ -134,9 +126,7 @@ def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector: int,
 
 
 def gamma0(p_over_n, xi_db, f_dr):
-    """No-fading SNR of the reference link at the sector receiver."""
-    if p_over_n <= 0:
-        raise ValueError("reference SNR must be positive")
+    """No-fading SNR of the reference link; p_over_n > 0, linear."""
     return p_over_n * 10.0 ** (xi_db / 10.0) * f_dr
 
 
@@ -201,15 +191,11 @@ def empty_profile(gamma0_value, m0, beta) -> InterferenceProfile:
                                np.empty((0, 4)), np.empty((0, 4)))
 
 
-def truncate_strongest(profile: InterferenceProfile, k: int) -> InterferenceProfile:
-    """Keep only the k interferers with the largest power ratios."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if profile.n_interferers <= k:
-        return profile
-    top = np.sort(np.argpartition(-profile.omega, k - 1)[:k])
-    return replace(profile, omega=profile.omega[top], m=profile.m[top],
-                   q=profile.q[top], c=profile.c[top])
+def truncate_strongest(omega, k: int):
+    """Indices of the k largest power ratios (k >= 1), in index order."""
+    if len(omega) <= k:
+        return np.arange(len(omega))
+    return np.sort(np.argpartition(-omega, k - 1)[:k])
 
 
 def power_control_ratio(xi_ij_db, xi_ig_db, xi_ref_db, f_ij, f_ig, f_dr,
@@ -220,10 +206,8 @@ def power_control_ratio(xi_ij_db, xi_ig_db, xi_ref_db, f_ij, f_ig, f_dr,
     Fractional power control with parameter delta partially inverts each
     interferer's own local-mean path loss and shadowing; the beam levels
     enter relative to the maximum pair gain, so the average antenna gains
-    cancel exactly.
+    cancel exactly.  Domain: 0 <= delta <= 1.
     """
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError("power-control parameter delta must be in [0, 1]")
     xi_net = xi_ij_db - delta * xi_ig_db + (delta - 1.0) * xi_ref_db
     return (10.0 ** (xi_net / 10.0) * f_ij * spec_factor
             * mobile_level * sector_level
@@ -288,12 +272,13 @@ def reference_link_profile(t: Topology, prop: PropagationParams,
     omega = power_control_ratio(
         xi_ij, xi_ig, xi_ref_db, f_ij, f_ig, f_dr, delta,
         spectral_factor(hop.ref_block, hop.block), mob_level, sec_level, bp)
+    # cut to the strongest K first: later columns are built for kept rows only
+    top = truncate_strongest(omega, k_strongest)
+    d_ij, g_sec = d_ij[top], g_sec[top]
 
     q1 = collision_probability(assoc.loads[g_sec], hop.block, hop.ref_block,
                                hop.hopset, hop.activity)
     q = np.repeat(np.asarray(q1)[:, None], 4, axis=1)
     c = fractional_durations(timing_offset(d_r, d_ij, hop.slot_ms), hop.slot_ms)
-    m_int = m_of(d_ij, prop)
-
-    profile = InterferenceProfile(g0, m0, beta, omega, m_int, q, c)
-    return truncate_strongest(profile, k_strongest), info
+    return (InterferenceProfile(g0, m0, beta, omega[top], m_of(d_ij, prop),
+                                q, c), info)

@@ -70,28 +70,18 @@ def preset_params(name, mu=20.0, d0=0.004):
     return PropagationParams(*values, mu, d0)
 
 
-def _checked_distance(d):
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distance must be non-negative")
-    return d
-
-
 def alpha_of(d, p: PropagationParams):
-    """Path-loss exponent at link length d (km)."""
-    d = _checked_distance(d)
+    """Path-loss exponent at link length d >= 0 km."""
     return p.alpha_min + (p.alpha_max - p.alpha_min) * np.tanh(p.mu * d)
 
 
 def sigma_of(d, p: PropagationParams):
-    """Shadowing standard deviation in dB at link length d (km)."""
-    d = _checked_distance(d)
+    """Shadowing standard deviation in dB at link length d >= 0 km."""
     return p.sigma_min + (p.sigma_max - p.sigma_min) * np.tanh(p.mu * d)
 
 
 def m_of(d, p: PropagationParams):
-    """Nakagami shape at link length d (km); decreases with distance."""
-    d = _checked_distance(d)
+    """Nakagami shape at link length d >= 0 km; decreases with distance."""
     return p.m_max - (p.m_max - p.m_min) * np.tanh(p.mu * d)
 
 
@@ -111,9 +101,8 @@ def path_loss(d, p: PropagationParams):
 
     The attenuation law is only meaningful beyond the reference distance;
     mobiles cannot get closer than the exclusion radius in normal runs, so
-    the clamp just guards synthetic geometries.
+    the clamp just guards synthetic geometries.  Domain: d >= 0 km.
     """
-    d = _checked_distance(d)
     dd = np.maximum(d, p.d0)
     return (dd / p.d0) ** (-alpha_of(dd, p))
 
@@ -121,10 +110,9 @@ def path_loss(d, p: PropagationParams):
 def sample_shadowing(d, p: PropagationParams, rng: np.random.Generator):
     """Draw shadowing factors in dB: zero-mean Gaussian with std sigma_of(d).
 
-    Vectorized over d; one draw per entry.
+    Vectorized over d >= 0 km; one draw per entry.
     """
-    d = _checked_distance(d)
-    return rng.normal(0.0, 1.0, size=d.shape) * sigma_of(d, p)
+    return rng.normal(0.0, 1.0, size=np.shape(d)) * sigma_of(d, p)
 
 
 def sample_power_gain(m, rng: np.random.Generator, size=None):

@@ -93,6 +93,28 @@ def test_validation_errors():
         parse_config_text("ref_zone_km = 5.0\n")  # larger than the extent
     with pytest.raises(ConfigError, match="trials"):
         parse_config_text("trials = 0\n")
+    with pytest.raises(ConfigError, match="k_strongest"):
+        parse_config_text("k_strongest = 0\n")
+    with pytest.raises(ConfigError, match=r"shannon_loss.*\(0, 1\]"):
+        parse_config_text("shannon_loss = 0\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dr_mode", "typcial"), ("psi_offsets", "randm"), ("shannon_loss", 0.0),
+    ("delta", 1.5), ("k_strongest", 0)])
+def test_direct_run_config_is_validated(key, value):
+    with pytest.raises(ConfigError) as direct:
+        RunConfig(**{key: value})
+    with pytest.raises(ConfigError) as from_file:
+        parse_config_text(f"{key} = {value}\n")
+    assert str(from_file.value) == f"{direct.value} (line 1)"
+
+
+def test_parameter_objects_are_built_once():
+    cfg = RunConfig()
+    assert cfg.hop_plan is cfg.hop_plan
+    assert cfg.propagation_params is cfg.propagation_params
+    assert cfg.replace(hopset_channels=200).hop_plan.sector_capacity == 20
 
 
 def test_parse_config_file(tmp_path):

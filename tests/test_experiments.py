@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from fhuplink.beams import BeamParams
 from fhuplink.config import ConfigError, RunConfig
 from fhuplink.experiments import (TRIAL_DTYPE, cm_ratio_of, code_rate,
                                   densification_sweep, per_link_rate_curves,
                                   run_campaign, run_trial, scale_to_cm, sweep)
+from fhuplink.linkbudget import HopPlan, InterferenceProfile
+from fhuplink.propagation import PropagationParams
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
 
 from oracles import noise_only_outage
@@ -25,10 +28,6 @@ def test_code_rate():
                                                         rel=1e-12)
     assert code_rate(1.0, 1.0) == 1.0
     assert code_rate(1e-12, 0.794) < 1e-11
-    with pytest.raises(ValueError):
-        code_rate(0.0)
-    with pytest.raises(ValueError):
-        code_rate(1.0, 0.0)
 
 
 def test_run_trial_deterministic():
@@ -39,6 +38,23 @@ def test_run_trial_deterministic():
     assert len(a) == len(TRIAL_DTYPE.names)
     c, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 1))
     assert c != a  # different trial index, different realization
+
+
+@pytest.mark.parametrize("d_r_override", [None, 0.05])
+def test_run_trial_checks_each_object_once(monkeypatch, d_r_override):
+    # the config's parameter objects were checked when SMALL was built;
+    # a trial reuses them and builds (and checks) its one profile once
+    t = _topo(SMALL)
+    built = {}
+    for cls in (InterferenceProfile, HopPlan, BeamParams, PropagationParams):
+        def counted(self, _init=cls.__post_init__, _name=cls.__name__):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    _, profile = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0),
+                           d_r_override)
+    assert profile.n_interferers > 0
+    assert built == {"InterferenceProfile": 1}
 
 
 def test_single_mobile_reduces_to_noise_only():
