@@ -130,6 +130,14 @@ def gamma0(p_over_n, xi_db, f_dr):
     return p_over_n * 10.0 ** (xi_db / 10.0) * f_dr
 
 
+def check_threshold(beta) -> float:
+    """beta as a float, if it is a positive and finite SINR threshold."""
+    beta = float(beta)
+    if not 0 < beta < np.inf:
+        raise ValueError("SINR threshold must be positive and finite")
+    return beta
+
+
 @dataclass(frozen=True, eq=False)
 class InterferenceProfile:
     """Everything the outage expressions need for one reference link.
@@ -162,8 +170,7 @@ class InterferenceProfile:
         if self.m0 != int(self.m0) or self.m0 < 1:
             raise ValueError("reference fading shape m0 must be an integer >= 1")
         object.__setattr__(self, "m0", int(self.m0))
-        if not 0 < self.beta < np.inf:
-            raise ValueError("SINR threshold must be positive and finite")
+        check_threshold(self.beta)
         if np.any(omega < 0):
             raise ValueError("interference ratios must be non-negative")
         if np.any(m < 0.5):

@@ -11,17 +11,19 @@ beta0 omega_i c_ik / m_i)), beta0 = beta n: the finite-network Nakagami
 closed form of Torrieri and Valenti (IEEE Trans. Commun., 2012) read
 through its generating function.  This module folds that tail from
 positive terms only, so small outages keep their relative accuracy, and
-provides a direct SINR-sampling estimator for validation.
+provides a direct SINR-sampling estimator for validation.  The sampler
+draws only what can still change a sample's outcome: the interference
+only grows, so a sample stops drawing once it is in outage, and a pair
+that does not collide draws no gain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .linkbudget import InterferenceProfile
+from .linkbudget import InterferenceProfile, check_threshold
 
 
 def _count_law(profile: InterferenceProfile, beta0, n):
@@ -91,10 +93,9 @@ def _count_law(profile: InterferenceProfile, beta0, n):
 
 def _outage(profile: InterferenceProfile, beta, diversity) -> float:
     """Outage for a desired-signal shape of diversity * m0."""
-    if beta is not None:
-        profile = replace(profile, beta=beta)   # checked like any profile
+    beta = profile.beta if beta is None else check_threshold(beta)
     n = diversity * profile.m0
-    return _count_law(profile, profile.beta * n, n)[1]
+    return _count_law(profile, beta * n, n)[1]
 
 
 def h_t_all(profile: InterferenceProfile, beta0, t_max):
@@ -127,31 +128,61 @@ def outage_no_hopping(profile: InterferenceProfile, beta=None) -> float:
     return _outage(profile, beta, 1)
 
 
+def _pack(a, keep):
+    """Move a[keep] to the front of a, in order; returns its length."""
+    kept = a[keep]
+    a[:len(kept)] = kept
+    return len(kept)
+
+
 def outage_monte_carlo(profile: InterferenceProfile, n_samples: int,
                        rng: np.random.Generator, beta=None, hopping=True):
     """Estimate the outage probability by sampling the average SINR.
 
     Every interferer-period pair contributes an independent Bernoulli
-    collision indicator and a unit-mean gamma gain.  Returns the estimate
-    and its binomial standard error.
+    collision indicator and a unit-mean gamma gain.  A sample is in
+    outage when gbar <= beta (z + I), and I only grows, so a sample
+    decided by noise alone or by the pairs visited so far draws nothing
+    more: the live pairs are visited strongest q omega c first, each
+    draws its indicator for the undecided samples and its gain for the
+    samples it hit.  Each indicator is the same function of independent
+    draws as when every sample draws for every pair.  Returns the
+    estimate and its binomial standard error.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    beta = profile.beta if beta is None else float(beta)
+    beta = profile.beta if beta is None else check_threshold(beta)
     shape = 2 * profile.m0 if hopping else profile.m0
     gbar = rng.gamma(shape, 1.0 / shape, n_samples)
-    interference = np.zeros(n_samples)
-    for i in range(profile.n_interferers):
-        for k in range(4):
-            w = profile.omega[i] * profile.c[i, k]
-            qik = profile.q[i, k]
-            if qik <= 0 or w <= 0:
-                continue
-            hit = rng.random(n_samples) < qik
-            gain = rng.gamma(profile.m[i], 1.0 / profile.m[i], n_samples)
-            interference += hit * (w * gain)
-    outage = gbar <= beta * (profile.z + interference)
-    eps_hat = float(np.mean(outage))
+    z = profile.z
+    # the undecided samples are packed at the front of gbar and
+    # interference, in place, so no long-lived array is reallocated
+    left = _pack(gbar, gbar > beta * z)
+    interference = np.zeros(left)
+    w = profile.omega[:, None] * profile.c
+    live = (profile.q > 0) & (w > 0)
+    m = np.broadcast_to(profile.m[:, None], live.shape)[live]
+    q, w = profile.q[live], w[live]
+    for j in np.argsort(-(q * w), kind="stable"):
+        if not left:
+            break
+        g, total = gbar[:left], interference[:left]
+        hit = rng.random(left) < q[j]
+        # in place, one temporary at a time: each step rounds as
+        # interference + w gain and beta (z + interference) would
+        grown = rng.gamma(m[j], 1.0 / m[j], np.count_nonzero(hit))
+        grown *= w[j]
+        grown += total[hit]
+        total[hit] = grown
+        grown += z
+        grown *= beta
+        out = g[hit] <= grown
+        if out.any():
+            hit[hit] = out                  # the samples just decided
+            keep = np.logical_not(hit, out=hit)
+            _pack(total, keep)
+            left = _pack(g, keep)
+    eps_hat = (n_samples - left) / n_samples
     stderr = math.sqrt(eps_hat * (1.0 - eps_hat) / n_samples)
     return eps_hat, stderr
 

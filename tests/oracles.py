@@ -115,6 +115,36 @@ def single_pair_outage_quadrature(gamma0, m0, beta, omega, m, q, c):
     return (1.0 - q) * desired_cdf(beta * z) + q * val
 
 
+def plain_outage_monte_carlo(profile, n_samples, rng, beta=None,
+                             hopping=True):
+    """Outage estimate with every sample drawing for every pair.
+
+    Each interferer-period pair that can collide draws a Bernoulli
+    collision indicator and a unit-mean gamma gain for all n_samples
+    samples, in pair index order, and the outage indicator is read once
+    at the end.  Returns the estimate and its binomial standard error.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    beta = profile.beta if beta is None else float(beta)
+    shape = 2 * profile.m0 if hopping else profile.m0
+    gbar = rng.gamma(shape, 1.0 / shape, n_samples)
+    interference = np.zeros(n_samples)
+    for i in range(profile.n_interferers):
+        for k in range(4):
+            w = profile.omega[i] * profile.c[i, k]
+            qik = profile.q[i, k]
+            if qik <= 0 or w <= 0:
+                continue
+            hit = rng.random(n_samples) < qik
+            gain = rng.gamma(profile.m[i], 1.0 / profile.m[i], n_samples)
+            interference += hit * (w * gain)
+    outage = gbar <= beta * (profile.z + interference)
+    eps_hat = float(np.mean(outage))
+    stderr = math.sqrt(eps_hat * (1.0 - eps_hat) / n_samples)
+    return eps_hat, stderr
+
+
 def associate_sequential(shadow, prop, capacity, rng):
     """Association by the plain sequential admission pass.
 

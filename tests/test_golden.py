@@ -44,7 +44,7 @@ CASES = {
                   "--beta-db", "0,3"],
                  "ceb21f384fbe8c8ef70d28d4776e513243feb4bc904a797e05cd56568e884883"),
     "validate": (["validate", "--profiles", "4", "--samples", "2000"],
-                 "5a6341b80a24b688934a29866e5eab56e1071c8d932ab397448d0fd3d5bb17dc"),
+                 "fd8dc632952dd670c3bd951e070d9c11b71abdfbeabcdd5df0cf5672a83e704e"),
     "campaign_saturated": (
         ["campaign"],
         "191594e1f03a9c81e33405c44a83d71649ccf1d07b1f80886b184f2889f25fcd",

@@ -9,7 +9,8 @@ from fhuplink.linkbudget import InterferenceProfile, empty_profile, fractional_d
 from fhuplink.outage import (h_t_all, outage_closed_form, outage_monte_carlo,
                              outage_no_hopping, random_profile, run_validation)
 from oracles import (g_coeff, h_t_enumeration, noise_only_outage,
-                     outage_g_series_mpmath, single_pair_outage_quadrature)
+                     outage_g_series_mpmath, plain_outage_monte_carlo,
+                     single_pair_outage_quadrature)
 
 
 def _profile(gamma0, m0, beta, omega, m, q, c):
@@ -119,11 +120,20 @@ def test_limits():
     assert outage_closed_form(empty_profile(1e-12, 2, 2.0)) == 1.0
     # e^-(beta0 z) underflows to 0 and no (beta0 z)^k ever forms
     assert outage_closed_form(empty_profile(1e-300, 2, 2.0)) == 1.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_beta_override_is_checked(bad):
     prof = empty_profile(10.0, 1, 2.0)
-    for bad in (0.0, -1.0, np.nan, np.inf):
-        for closed_form in (outage_closed_form, outage_no_hopping):
-            with pytest.raises(ValueError):
-                closed_form(prof, beta=bad)
+    msg = "SINR threshold must be positive and finite"
+    for closed_form in (outage_closed_form, outage_no_hopping):
+        with pytest.raises(ValueError, match=msg):
+            closed_form(prof, beta=bad)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=msg):
+        outage_monte_carlo(prof, 100, rng, beta=bad)
+    assert rng.bit_generator.state == before
 
 
 def _relative_error(got, want):
@@ -286,11 +296,15 @@ def test_variants_converge_for_mild_fading():
     assert hop < 1e-4 and no_hop < 1e-4 and abs(hop - no_hop) < 1e-4
 
 
+def _streams(seed):
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(2)]
+
+
 def test_monte_carlo_matches_closed_form():
     # profiles and samples on separate streams, so a change in how the
     # sampler draws cannot re-draw the profiles that follow
-    profile_rng, sample_rng = (np.random.default_rng(s) for s in
-                               np.random.SeedSequence(31).spawn(2))
+    profile_rng, sample_rng = _streams(31)
     for _ in range(15):
         prof = random_profile(profile_rng, beta=10 ** 0.3, max_interferers=10)
         eps_cf = outage_closed_form(prof)
@@ -306,6 +320,50 @@ def test_monte_carlo_no_hopping_oracle():
     eps_mc, se = outage_monte_carlo(prof, 40000, rng, hopping=False)
     se_cf = np.sqrt(eps_cf * (1 - eps_cf) / 40000)
     assert abs(eps_cf - eps_mc) <= 4 * max(se, se_cf) + 1e-9
+
+
+def test_monte_carlo_agrees_with_plain_sampler():
+    # (profile, beta override, hopping); per side the larger of the
+    # plug-in error and the one the closed form implies, as in validation
+    n = 20000
+    rand = random_profile(np.random.default_rng(41), beta=10 ** 0.3,
+                          max_interferers=10)
+    c = fractional_durations(np.linspace(0.05, 0.45, 6), 0.5)
+    always = _profile(200.0, 1, 2.0, np.geomspace(0.01, 0.1, 6),
+                      np.full(6, 1.5), np.ones((6, 4)), c)
+    cases = [(rand, None, True), (rand, None, False), (rand, 0.2, True),
+             (always, None, True), (always, None, False),
+             (empty_profile(10.0, 1, 2.0), None, True)]
+    for k, (prof, beta, hopping) in enumerate(cases):
+        closed_form = outage_closed_form if hopping else outage_no_hopping
+        eps_cf = closed_form(prof, beta=beta)
+        floor = np.sqrt(eps_cf * (1 - eps_cf) / n)
+        fast_rng, plain_rng = _streams(k)
+        eps_a, se_a = outage_monte_carlo(prof, n, fast_rng, beta, hopping)
+        eps_b, se_b = plain_outage_monte_carlo(prof, n, plain_rng, beta,
+                                               hopping)
+        se = np.hypot(max(se_a, floor), max(se_b, floor))
+        assert abs(eps_a - eps_b) <= 4 * se + 1e-9, (k, eps_a, eps_b)
+
+
+def test_monte_carlo_draws_nothing_for_decided_samples():
+    c = fractional_durations(np.full(3, 0.2), 0.5)
+    # beta z = 2e300 exceeds every gbar: all samples are decided by noise
+    # alone, and no pair draws anything
+    hopeless = _profile(1e-300, 2, 2.0, np.ones(3), np.ones(3),
+                        np.full((3, 4), 0.5), c)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    assert outage_monte_carlo(hopeless, 64, rng) == (1.0, 0.0)
+    ref.gamma(4, 1.0 / 4, 64)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # no pair can collide: the noise-only fraction of the same gbar draws
+    silent = _profile(2.0, 1, 2.0, np.ones(3), np.ones(3), np.zeros((3, 4)), c)
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    eps, _ = outage_monte_carlo(silent, 1000, rng)
+    gbar = ref.gamma(2, 1.0 / 2, 1000)
+    assert eps == np.count_nonzero(gbar <= 2.0 * silent.z) / 1000
+    assert 0 < eps < 1
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_run_validation_small():
