@@ -17,8 +17,8 @@ from .linkbudget import (HopPlan, InterferenceProfile, build_interferer_sets,
                          collision_probability, fractional_durations, gamma0,
                          reference_link_profile, spectral_factor,
                          timing_offset, truncate_strongest)
-from .outage import (outage_closed_form, outage_monte_carlo, outage_no_hopping,
-                     random_profile, run_validation)
+from .outage import (outage_batch, outage_closed_form, outage_monte_carlo,
+                     outage_no_hopping, random_profile, run_validation)
 from .propagation import (PRESETS, PropagationParams, alpha_of, m_of, path_loss,
                           preset_params, round_integer_m, sample_power_gain,
                           sample_shadowing, sigma_of)

@@ -1,12 +1,14 @@
 """Monte Carlo campaigns over network realizations and parameter sweeps.
 
 A trial freezes one network realization (mobile drop, shadowing,
-association), evaluates the reference link's conditional outage in closed
-form, and the campaign averages trials into outage, throughput, and area
-spectral efficiency.  Trials are embarrassingly parallel: each derives
-its own RNG from (master seed, trial index) and results are reduced in
-index order, so campaigns are reproducible bit-for-bit regardless of the
-worker count.
+association) and builds the reference link's interference profile; the
+conditional outages of a block of trials are then evaluated in closed
+form in one batched call, and the campaign averages trials into outage,
+throughput, and area spectral efficiency.  Trials are embarrassingly
+parallel: each derives its own RNG from (master seed, trial index), a
+trial's outages do not depend on which trials share its block, and
+results are reduced in index order, so campaigns are reproducible
+bit-for-bit regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -21,11 +23,15 @@ import numpy as np
 from .association import associate, draw_shadowing_table
 from .config import RunConfig, build_topology, set_key
 from .linkbudget import reference_link_profile
-from .outage import outage_closed_form, outage_no_hopping
+from .outage import outage_batch
 from .propagation import sample_shadowing
 from .seeding import DOMAIN_LINKS, DOMAIN_TRIAL, derive_rng
 from .topology import (Topology, pick_reference_mobile, place_mobiles,
                        scale_topology)
+
+
+# trials whose profiles are held at once and evaluated in one call
+TRIAL_BLOCK = 64
 
 
 def code_rate(beta_linear, shannon_loss=0.794) -> float:
@@ -84,11 +90,11 @@ def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
               d_r_override=None):
     """One simulation trial; returns (row, InterferenceProfile).
 
-    row is a tuple of the TRIAL_DTYPE fields in order.  Fully
-    deterministic given the rng state.  d_r_override switches the
-    reference link to the typical length used in densification studies;
-    its shadowing is then redrawn at that length so the whole link model
-    is consistent.
+    row is a tuple of the TRIAL_DTYPE fields after the two outages, in
+    order; run_trials evaluates the outages.  Fully deterministic given
+    the rng state.  d_r_override switches the reference link to the
+    typical length used in densification studies; its shadowing is then
+    redrawn at that length so the whole link model is consistent.
     """
     prop = cfg.propagation_params
     for _ in range(100):
@@ -107,10 +113,29 @@ def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
         assoc, ref, rng, delta=cfg.delta, beta=cfg.beta_linear,
         p_over_n=cfg.p_over_n_linear, k_strongest=cfg.k_strongest,
         d_r=d_r_override, xi_ref_db=xi_ref)
-    row = (outage_closed_form(profile), outage_no_hopping(profile),
-           info["d_r"], info["serving_sector"], profile.n_interferers,
+    row = (info["d_r"], info["serving_sector"], profile.n_interferers,
            len(assoc.denied))
     return row, profile
+
+
+def run_trials(t: Topology, cfg: RunConfig, seed, lo, hi, d_r_override=None):
+    """TRIAL_DTYPE records of trials lo .. hi - 1.
+
+    The trials run in blocks of TRIAL_BLOCK; the hop and no-hop outages
+    of a block are one outage_batch call.
+    """
+    records = np.empty(hi - lo, dtype=TRIAL_DTYPE)
+    for start in range(lo, hi, TRIAL_BLOCK):
+        block = records[start - lo:min(start + TRIAL_BLOCK, hi) - lo]
+        profiles = []
+        for off in range(len(block)):
+            row, profile = run_trial(
+                t, cfg, derive_rng(seed, DOMAIN_TRIAL, start + off),
+                d_r_override)
+            block[off] = (np.nan, np.nan, *row)
+            profiles.append(profile)
+        block["epsilon"], block["epsilon_no_hop"] = outage_batch(profiles)
+    return records
 
 
 # worker-process state for parallel campaigns
@@ -124,8 +149,7 @@ def _init_worker(t, cfg, seed, d_r_override):
 def _run_chunk(bounds):
     t, cfg, seed, d_r_override = _WORKER["args"]
     lo, hi = bounds
-    return lo, [run_trial(t, cfg, derive_rng(seed, DOMAIN_TRIAL, i),
-                          d_r_override)[0] for i in range(lo, hi)]
+    return lo, run_trials(t, cfg, seed, lo, hi, d_r_override)
 
 
 def run_campaign(t: Topology, cfg: RunConfig, n_trials=None, seed=None,
@@ -142,20 +166,17 @@ def run_campaign(t: Topology, cfg: RunConfig, n_trials=None, seed=None,
     seed = cfg.seed if seed is None else int(seed)
     threads = cfg.threads if threads is None else int(threads)
 
-    records = np.empty(n, dtype=TRIAL_DTYPE)
     if threads <= 1 or n == 1:
-        for i in range(n):
-            records[i], _ = run_trial(t, cfg, derive_rng(seed, DOMAIN_TRIAL, i),
-                                      d_r_override)
+        records = run_trials(t, cfg, seed, 0, n, d_r_override)
     else:
+        records = np.empty(n, dtype=TRIAL_DTYPE)
         chunk = max(1, -(-n // (threads * 8)))
         bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=threads, initializer=_init_worker,
                 initargs=(t, cfg, seed, d_r_override)) as pool:
             for lo, rows in pool.map(_run_chunk, bounds):
-                for off, row in enumerate(rows):
-                    records[lo + off] = row
+                records[lo:lo + len(rows)] = rows
 
     return _stats_from_records(records, cfg), records
 
@@ -303,20 +324,18 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
     n_links = min(int(n_links), len(served))
     chosen = np.sort(rng.choice(served, size=n_links, replace=False))
 
-    profiles = {}
-    for idx in served:
-        profiles[idx], _ = reference_link_profile(
-            t, cfg.propagation_params, cfg.beam_params, cfg.hop_plan,
-            placement.xy, shadow, assoc, int(idx), rng,
-            delta=cfg.delta, beta=cfg.beta_linear,
-            p_over_n=cfg.p_over_n_linear, k_strongest=cfg.k_strongest)
+    profiles = [reference_link_profile(
+        t, cfg.propagation_params, cfg.beam_params, cfg.hop_plan,
+        placement.xy, shadow, assoc, int(idx), rng,
+        delta=cfg.delta, beta=cfg.beta_linear,
+        p_over_n=cfg.p_over_n_linear, k_strongest=cfg.k_strongest)[0]
+        for idx in served]
 
+    betas = [float(10.0 ** (beta_db / 10.0)) for beta_db in beta_db_grid]
+    eps = outage_batch(profiles, [2] * len(betas), betas)
     rows = []
-    for beta_db in beta_db_grid:
-        beta = float(10.0 ** (beta_db / 10.0))
+    for beta_db, beta, eps_all in zip(beta_db_grid, betas, eps):
         rate = code_rate(beta, cfg.shannon_loss)
-        eps_all = np.array([outage_closed_form(profiles[idx], beta=beta)
-                            for idx in served])
         for rank, idx in enumerate(chosen, start=1):
             rows.append({"link": f"link{rank}", "mobile_index": int(idx),
                          "beta_db": float(beta_db), "code_rate_bpcu": rate,

@@ -10,8 +10,9 @@ K ~ Poisson(beta0 z) and N_ik = Bernoulli(q_ik) NegBin(m_i, 1 / (1 +
 beta0 omega_i c_ik / m_i)), beta0 = beta n: the finite-network Nakagami
 closed form of Torrieri and Valenti (IEEE Trans. Commun., 2012) read
 through its generating function.  This module folds that tail from
-positive terms only, so small outages keep their relative accuracy, and
-provides a direct SINR-sampling estimator for validation.  The sampler
+positive terms only, so small outages keep their relative accuracy, for
+many profiles under several (diversity, threshold) settings in one call,
+and provides a direct SINR-sampling estimator for validation.  The sampler
 draws only what can still change a sample's outcome: the interference
 only grows, so a sample stops drawing once it is in outage, and a pair
 that does not collide draws no gain.
@@ -26,76 +27,178 @@ import numpy as np
 from .linkbudget import InterferenceProfile, check_threshold
 
 
-def _count_law(profile: InterferenceProfile, beta0, n):
-    """Pmf of the interference count and tail of the total count.
+# term rows per evaluator call, so each temporary holds at most
+# _MAX_TERMS * n doubles; a wider profile gets a call of its own
+_MAX_TERMS = 2 ** 14
+_DEEP_BLOCK = 8             # pmf terms per step of a deep tail's sum
 
-    Returns (pmf, tail) with pmf[k] = P(sum N_ik = k) for k < n and
-    tail = P(K + sum N_ik >= n).  Each term is one row of the (a, b, 0)
-    recursion pmf_{k+1} = pmf_k (alpha + rho k) / (k + 1): rho = 0 for K
-    and rho = 1 - p for a negative binomial.  Pairs that cannot collide
-    (q = 0 or omega * c = 0) are skipped, which leaves the result
-    bit-identical.  The fold P(A + B >= n) = P(A >= n) + sum_{k<n}
-    P(A = k) P(B >= n - k) runs over all terms at once, K last, so its
-    pmf never enters a prefix.
+
+def _live_pairs(profile: InterferenceProfile):
+    """(q, omega c, m) of the pairs that can collide, interferer-major.
+
+    A pair with q = 0 or omega c = 0 never adds interference.
     """
     omega_c = profile.omega[:, None] * profile.c
     live = (profile.q > 0) & (omega_c > 0)
     m = np.broadcast_to(profile.m[:, None], live.shape)[live]
-    a = beta0 * omega_c[live] / m
-    lam = beta0 * profile.z
-    q = np.append(profile.q[live], 1.0)
-    rho = np.append(a / (1.0 + a), 0.0)
-    alpha = np.append(m * rho[:-1], lam)
-    log_p0 = np.append(-m * np.log1p(a), -lam)
+    return profile.q[live], omega_c[live], m
 
-    k = np.arange(n - 1)
-    steps = np.empty((len(q), n))           # pmf_0, then pmf_{k+1} / pmf_k
-    steps[:, 0] = np.exp(log_p0)
-    steps[:, 1:] = (alpha[:, None] + rho[:, None] * k) / (k + 1)
-    pmf = np.cumprod(steps, axis=1)
+
+def _padded(pairs):
+    """Live pairs of each row as (q, omega c, m) columns, each (P, B).
+
+    Rows narrower than the widest are padded with q = 0 pairs.
+    """
+    lens = np.array([len(q) for q, _, _ in pairs])
+    shape = (int(lens.max(initial=0)), len(pairs))
+    cols = np.zeros(shape), np.zeros(shape), np.ones(shape)
+    col = np.repeat(np.arange(len(pairs)), lens)
+    row = np.arange(len(col)) - np.repeat(np.cumsum(lens) - lens, lens)
+    for k, dst in enumerate(cols):
+        dst[row, col] = np.concatenate([p[k] for p in pairs])
+    return cols
+
+
+def _beyond(alpha, rho, term, j):
+    """Sum of pmf_{j+1}, pmf_{j+2}, ... of each row, given pmf_j = term.
+
+    Each row adds _DEEP_BLOCK terms at a time and stops once a geometric
+    bound on its rest is below 1e-17 of its own sum, so its value does
+    not depend on the other rows.
+    """
+    total = np.zeros(len(term))
+    todo = np.arange(len(term))
+    ks = np.arange(_DEEP_BLOCK)[:, None]
+    while todo.size:
+        kk = j + ks
+        # in place, so a step holds a single (block, row) array
+        terms = rho * kk
+        terms += alpha
+        terms /= kk + 1
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        terms *= term
+        s = terms[0].copy()
+        for t in terms[1:]:                 # in order, whatever the rows
+            s += t
+        s += total[todo]
+        total[todo] = s
+        term, j = terms[-1], j + _DEEP_BLOCK
+        # later ratios stay below r, so the rest is below term r/(1-r)
+        r = np.maximum((alpha + rho * j) / (j + 1), rho)
+        going = (r >= 1) | (term * r > 1e-17 * (1 - r) * s)
+        if not going.all():
+            todo, alpha, rho, term = (todo[going], alpha[going], rho[going],
+                                      term[going])
+    return total
+
+
+def _count_laws(pairs, z, beta0, n):
+    """Pmfs of the interference counts and tails of the total counts.
+
+    Row b has the live pairs pairs[b], noise term z[b] and beta0[b]; all
+    rows share n.  Returns (pmf, tail) with pmf[b, k] = P(sum N_ik = k)
+    for k < n and tail[b] = P(K + sum N_ik >= n).  Each term is one row of
+    the (a, b, 0) recursion pmf_{k+1} = pmf_k (alpha + rho k) / (k + 1):
+    rho = 0 for K and rho = 1 - p for a negative binomial.  Arrays are
+    (degree, term, row); a row's terms are its pairs, then q = 0 padding,
+    then K.  The fold P(A + B >= n) = P(A >= n) + sum_{k<n} P(A = k)
+    P(B >= n - k) runs over all terms at once, K last, so its pmf never
+    enters a prefix.  Padding pairs are exact no-ops (P(N = 0) = 1, ratio
+    0) and every sum runs in a fixed order along its axis, so a row's
+    bits do not depend on which rows share the call.
+    """
+    q, w, m = _padded(pairs)
+    a = beta0 * w / m
+    lam = beta0 * z
+    rho = a / (1.0 + a)
+    alpha = np.vstack([m * rho, lam])
+    log_p0 = np.vstack([-m * np.log1p(a), -lam])
+    q = np.vstack([q, np.ones_like(lam)])
+    rho = np.vstack([rho, np.zeros_like(lam)])
+
+    k = np.arange(n - 1)[:, None, None]
+    pmf = np.empty((n,) + q.shape)          # pmf_0, then pmf_{k+1} / pmf_k
+    pmf[0] = np.exp(log_p0)
+    pmf[1:] = (alpha + rho * k) / (k + 1)
+    np.multiply.accumulate(pmf, axis=0, out=pmf)
     first = -np.expm1(log_p0)               # P(X >= 1)
-    head = np.zeros_like(pmf)               # sum of pmf_1 .. pmf_{r-1}
-    head[:, 1:] = np.cumsum(pmf[:, 1:], axis=1)
-    tails = first[:, None] - head           # tails[:, r-1] = P(X >= r)
-    deep = np.flatnonzero(head[:, -1] > 0.5 * first)
+    tails = np.zeros_like(pmf)              # sum of pmf_1 .. pmf_{r-1}
+    np.cumsum(pmf[1:], axis=0, out=tails[1:])
+    deep = np.flatnonzero(tails[-1] > 0.5 * first)
+    np.subtract(first, tails, out=tails)    # tails[r-1] = P(X >= r)
     if deep.size:
         # there the subtraction would cancel: sum the pmf beyond n - 1
-        al, rh = alpha[deep, None], rho[deep, None]
-        term, beyond, j = pmf[deep, -1], 0.0, n - 1
-        while True:
-            ks = j + np.arange(32)
-            terms = term[:, None] * np.cumprod((al + rh * ks) / (ks + 1),
-                                               axis=1)
-            beyond = beyond + terms.sum(axis=1)
-            term, j = terms[:, -1], j + 32
-            # later ratios stay below r, so the rest is below term r/(1-r)
-            r = np.maximum((al[:, 0] + rh[:, 0] * j) / (j + 1), rh[:, 0])
-            if np.all((r < 1) & (term * r <= 1e-17 * (1 - r) * beyond)):
-                break
-        tails[deep] = beyond[:, None]
-        tails[deep, :-1] += np.cumsum(pmf[deep, :0:-1], axis=1)[:, ::-1]
+        flat, pmf_d = tails.reshape(n, -1), pmf.reshape(n, -1)[:, deep]
+        flat[:, deep] = _beyond(alpha.ravel()[deep], rho.ravel()[deep],
+                                pmf_d[-1], n - 1)
+        flat[:-1, deep] += np.cumsum(pmf_d[:0:-1], axis=0)[::-1]
 
     # prefix pmfs of the pair sums A_j, from one cumsum per degree on the
     # pmf ratios to P(A_j = 0); past a P(N = 0) that underflows, every
     # prefix is 0 whatever the ratio
-    qp = q[:-1, None]
-    none = (1.0 - qp) + qp * pmf[:-1, :1]
-    ratio = np.divide(qp * pmf[:-1, 1:], none, out=np.zeros((len(qp), n - 1)),
-                      where=none > 0)
-    g = np.zeros((len(q), n))
-    g[:, 0] = 1.0
+    qp = q[:-1]
+    none = (1.0 - qp) + qp * pmf[0, :-1]
+    ratio = np.divide(qp * pmf[1:, :-1], none,
+                      out=np.zeros((n - 1,) + none.shape), where=none > 0)
+    g = np.zeros_like(pmf)
+    g[0] = 1.0
     for d in range(1, n):
-        g[1:, d] = np.cumsum((g[:-1, d - 1::-1] * ratio[:, :d]).sum(axis=1))
-    prefix = np.cumprod(np.append(1.0, none))[:, None] * g
-    tail = np.sum(prefix * (q[:, None] * tails)[:, ::-1])
-    return prefix[-1], min(float(tail), 1.0)
+        acc = g[d - 1, :-1] * ratio[0]
+        for e in range(1, d):
+            acc += g[d - 1 - e, :-1] * ratio[e]
+        g[d, 1:] = np.cumsum(acc, axis=0)
+    g *= np.cumprod(np.vstack([np.ones_like(lam), none]), axis=0)
+    prefix = g[:, -1].T.copy()              # g is now P(A_j = k)
+    tails *= q
+    g *= tails[::-1]                        # term j's share, by degree
+    for d in range(1, n):
+        g[0] += g[d]
+    tail = np.cumsum(g[0], axis=0)[-1]
+    return prefix, np.minimum(tail, 1.0)
 
 
-def _outage(profile: InterferenceProfile, beta, diversity) -> float:
-    """Outage for a desired-signal shape of diversity * m0."""
-    beta = profile.beta if beta is None else check_threshold(beta)
-    n = diversity * profile.m0
-    return _count_law(profile, beta * n, n)[1]
+def _chunks(rows, widths):
+    """Split rows, in order, into calls of at most _MAX_TERMS term rows."""
+    chunk, widest = [], 0
+    for r in rows:
+        if chunk and (len(chunk) + 1) * max(widest, widths[r]) > _MAX_TERMS:
+            yield chunk
+            chunk, widest = [], 0
+        chunk.append(r)
+        widest = max(widest, widths[r])
+    if chunk:
+        yield chunk
+
+
+def outage_batch(profiles, diversity=(2, 1), beta=None) -> np.ndarray:
+    """Outage of every profile under every setting, shaped (settings, profiles).
+
+    Setting s has the desired-signal diversity diversity[s], 2 with
+    hopping (shape 2*m0) and 1 without (shape m0), and the threshold
+    beta[s]; beta None takes each profile's own threshold.  The rows are
+    grouped by n = diversity * m0 and each group is evaluated in as few
+    calls as _MAX_TERMS allows; a row's value is bit-identical whichever
+    rows share its call.
+    """
+    m0 = np.array([p.m0 for p in profiles], dtype=int)
+    n = np.array(diversity, dtype=int)[:, None] * m0
+    if beta is None:
+        beta = np.array([p.beta for p in profiles])
+    else:
+        beta = np.array([[check_threshold(b)]
+                         for _, b in zip(diversity, beta, strict=True)])
+    beta = np.broadcast_to(beta, n.shape).ravel()
+    z = np.array([p.z for p in profiles])
+    pairs = [_live_pairs(p) for p in profiles]
+    col = np.tile(np.arange(len(profiles)), len(n))     # row -> profile
+    widths = np.array([len(q) + 1 for q, _, _ in pairs], dtype=int)[col]
+    eps = np.empty(n.size)
+    for n_g in np.unique(n):
+        for rows in _chunks(np.flatnonzero(n == n_g), widths):
+            c = col[rows]
+            eps[rows] = _count_laws([pairs[i] for i in c], z[c],
+                                    beta[rows] * n_g, int(n_g))[1]
+    return eps.reshape(n.shape)
 
 
 def h_t_all(profile: InterferenceProfile, beta0, t_max):
@@ -106,7 +209,9 @@ def h_t_all(profile: InterferenceProfile, beta0, t_max):
     probability that the pairs' counts sum to t.  beta0 must be positive.
     """
     t = np.arange(t_max + 1)
-    return _count_law(profile, beta0, t_max + 1)[0] / beta0 ** t
+    pmf, _ = _count_laws([_live_pairs(profile)], np.array([profile.z]),
+                         np.array([float(beta0)]), t_max + 1)
+    return pmf[0] / beta0 ** t
 
 
 def outage_closed_form(profile: InterferenceProfile, beta=None) -> float:
@@ -115,7 +220,8 @@ def outage_closed_form(profile: InterferenceProfile, beta=None) -> float:
     The two independently faded slots double the effective fading shape of
     the desired signal to 2*m0.  beta overrides the profile's threshold.
     """
-    return _outage(profile, beta, 2)
+    beta = None if beta is None else [beta]
+    return float(outage_batch([profile], [2], beta)[0, 0])
 
 
 def outage_no_hopping(profile: InterferenceProfile, beta=None) -> float:
@@ -125,7 +231,8 @@ def outage_no_hopping(profile: InterferenceProfile, beta=None) -> float:
     single unit-mean gamma of shape m0.  The interference model keeps its
     per-period structure.
     """
-    return _outage(profile, beta, 1)
+    beta = None if beta is None else [beta]
+    return float(outage_batch([profile], [1], beta)[0, 0])
 
 
 def _pack(a, keep):
@@ -159,10 +266,7 @@ def outage_monte_carlo(profile: InterferenceProfile, n_samples: int,
     # interference, in place, so no long-lived array is reallocated
     left = _pack(gbar, gbar > beta * z)
     interference = np.zeros(left)
-    w = profile.omega[:, None] * profile.c
-    live = (profile.q > 0) & (w > 0)
-    m = np.broadcast_to(profile.m[:, None], live.shape)[live]
-    q, w = profile.q[live], w[live]
+    q, w, m = _live_pairs(profile)
     for j in np.argsort(-(q * w), kind="stable"):
         if not left:
             break

@@ -3,9 +3,10 @@ import pytest
 
 from fhuplink.beams import BeamParams
 from fhuplink.config import ConfigError, RunConfig
-from fhuplink.experiments import (TRIAL_DTYPE, cm_ratio_of, code_rate,
-                                  densification_sweep, per_link_rate_curves,
-                                  run_campaign, run_trial, scale_to_cm, sweep)
+from fhuplink.experiments import (TRIAL_BLOCK, TRIAL_DTYPE, cm_ratio_of,
+                                  code_rate, densification_sweep,
+                                  per_link_rate_curves, run_campaign,
+                                  run_trial, scale_to_cm, sweep)
 from fhuplink.linkbudget import HopPlan, InterferenceProfile
 from fhuplink.propagation import PropagationParams
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
@@ -35,7 +36,7 @@ def test_run_trial_deterministic():
     a, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0))
     b, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0))
     assert a == b
-    assert len(a) == len(TRIAL_DTYPE.names)
+    assert len(a) == len(TRIAL_DTYPE.names) - 2     # all but the outages
     c, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 1))
     assert c != a  # different trial index, different realization
 
@@ -63,8 +64,8 @@ def test_single_mobile_reduces_to_noise_only():
     cfg = RunConfig(bs_count=4, extent_km=0.1, density_per_km2=100.0,
                     r_ex_km=0.0, ref_zone_km=0.0, trials=1, seed=9)
     t = _topo(cfg, 9)
-    row, profile = run_trial(t, cfg, derive_rng(9, DOMAIN_TRIAL, 0))
-    result = dict(zip(TRIAL_DTYPE.names, row))
+    _, profile = run_trial(t, cfg, derive_rng(9, DOMAIN_TRIAL, 0))
+    _, (result,) = run_campaign(t, cfg)
     assert profile.n_interferers == 0
     assert result["n_interferers"] == 0
     want = noise_only_outage(profile.gamma0, profile.m0, cfg.beta_linear)
@@ -99,6 +100,16 @@ def test_campaign_thread_invariance():
     s2, r2 = run_campaign(t, SMALL, n_trials=8, threads=2)
     assert np.array_equal(r1, r2)
     assert s1 == s2
+
+
+def test_block_size_does_not_change_a_record():
+    # 10 trials are one block; the first 10 of 70 share a block with 54
+    # other trials, so a record must not depend on its block partners
+    t = _topo(SMALL)
+    _, short = run_campaign(t, SMALL, n_trials=10, threads=1)
+    _, long = run_campaign(t, SMALL, n_trials=70, threads=1)
+    assert 10 < TRIAL_BLOCK < 70
+    assert short.tobytes() == long[:10].tobytes()
 
 
 def test_campaign_seed_sensitivity():

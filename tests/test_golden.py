@@ -26,32 +26,32 @@ SATURATED = "zeta = 1\nref_block_channels = 50\nsector_block_channels = 50\n"
 
 CASES = {
     "campaign": (["campaign"],
-                 "3f990e15856517048f034c64ae8fa31c2ef70a45d1060c8f527488331b93c5ce"),
+                 "b5e2b9a3e9020bc1afc1bb7dea91e071def9ee897f4a64c66e54aff498524ecb"),
     "campaign_cm": (["campaign", "--cm", "0.3"],
-                    "f5a19a5ca1a4391c10764be0d1e8e1ab8797e50c1ffeca79a7bdc682261a41b1"),
+                    "1446b394fa157ffc93e7fc77521a4810b28dfe3efca15ec6e2d6f3e6c66d13d3"),
     "densify": (["densify", "--ratios", "0.35,1"],
-                "833197282c848113a772d53b1d368b36774e030a5f6c5ac02ac82001c2cd31c4"),
+                "8d3116613a3afaafbd425081a196d1a46062786cc531e3ce2cbcb9a945b6726e"),
     "sweep_delta": (["sweep", "--axis", "delta", "--values", "0,0.5",
                      "--ratios", "1", "--trials", "3"],
-                    "fb5281c8396d132743ad203de3c33dbeab1b30fbfafd70f85d540b4715aadbca"),
+                    "800ef65c52e6a79ac5adea0fe057be8e0365105bf754b43e9d0b918ffc52a9d1"),
     "sweep_zeta": (["sweep", "--axis", "zeta", "--values", "8,24",
                     "--ratios", "1", "--trials", "3"],
-                   "09d816002dcb7175179d732748e920af2739dab734b7d4cea9e7287e1a7a3ba3"),
+                   "106383d74e74186a1c80a90703dc89eaf007cac3aebe49b68d865c2db6189624"),
     "sweep_preset": (["sweep", "--axis", "preset", "--values",
                       "newyork,austin", "--ratios", "1", "--trials", "3"],
-                     "f6d7fee4c70baa071e5bf068e5e5253bdc6110f793fcf607a311fc5fad98fd95"),
+                     "fab254b30ff77dfe63018b76cebde6d5abdb19744714b15cf42963df0c3d246d"),
     "links_cm": (["links", "--cm", "0.3", "--links", "3",
                   "--beta-db", "0,3"],
-                 "ceb21f384fbe8c8ef70d28d4776e513243feb4bc904a797e05cd56568e884883"),
+                 "fa92c00468e04de7aa146bd9ab175fcd9726cebb49ab7ad7944cb932f08ae391"),
     "validate": (["validate", "--profiles", "4", "--samples", "2000"],
-                 "fd8dc632952dd670c3bd951e070d9c11b71abdfbeabcdd5df0cf5672a83e704e"),
+                 "84c96998ac7e13dd56f65c73566a2b3cbc443a138d1fcbdafb635c7a6c00e1d7"),
     "campaign_saturated": (
         ["campaign"],
-        "191594e1f03a9c81e33405c44a83d71649ccf1d07b1f80886b184f2889f25fcd",
+        "2751338c243ba635dad528a5cb1dd40d9948b803122ffd1d27b33a9e18b49b3f",
         SATURATED),
     "campaign_sector_shadowing": (
         ["campaign"],
-        "81d2eb9671bca57fcc930fd0139dd1c316b60ea5cc458a95fef8dc23042166c3",
+        "570474fff7b72c214ff7ace8c20d9d8d8d143d1d97378fcd9f1cfb8dc6aabbb1",
         "shadowing_per = sector\n"),
 }
 

@@ -6,8 +6,9 @@ from scipy import special
 from fhuplink.config import RunConfig, build_topology
 from fhuplink.experiments import run_trial, scale_to_cm
 from fhuplink.linkbudget import InterferenceProfile, empty_profile, fractional_durations
-from fhuplink.outage import (h_t_all, outage_closed_form, outage_monte_carlo,
-                             outage_no_hopping, random_profile, run_validation)
+from fhuplink.outage import (h_t_all, outage_batch, outage_closed_form,
+                             outage_monte_carlo, outage_no_hopping,
+                             random_profile, run_validation)
 from oracles import (g_coeff, h_t_enumeration, noise_only_outage,
                      outage_g_series_mpmath, plain_outage_monte_carlo,
                      single_pair_outage_quadrature)
@@ -213,6 +214,40 @@ def test_silent_interferer_is_bit_identical():
         np.vstack([base.c, np.full(4, 0.25)]))
     assert outage_closed_form(prof_q0) == eps0
     assert outage_closed_form(prof_w0) == eps0
+
+
+def test_batch_partners_do_not_change_a_row():
+    rng = np.random.default_rng(5)
+    profiles = [random_profile(rng, beta=10 ** 0.3) for _ in range(6)]
+    assert {p.m0 for p in profiles} == {1, 2}       # n = 1, 2 and 4
+    profiles.append(empty_profile(30.0, 2, 2.0))
+    # dead pairs: q = 0 in some periods of one interferer, c = 0 in some
+    # periods of another
+    profiles.append(_profile(
+        50.0, 1, 2.0, [0.3, 0.2, 0.0], [1.0, 1.5, 1.0],
+        [[0.0, 0.5, 0.0, 0.4], [0.3, 0.3, 0.3, 0.3], [0.5, 0.5, 0.5, 0.5]],
+        [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.6, 0.4], [0.25] * 4]))
+    # a deep tail with pmf ratios near 1/2 (m = 0.5, a = 1 with hopping):
+    # its forward sum needs several blocks, where the weak pairs of the
+    # random profiles stop after one
+    profiles.append(_profile(20.0, 1, 2.0, [0.125], [0.5], [[1.0, 0, 0, 0]],
+                             [[1.0, 0, 0, 0]]))
+    alone = np.array([[outage_batch([p], [d])[0, 0] for p in profiles]
+                      for d in (2, 1)])
+    together = outage_batch(profiles)
+    shuffled = outage_batch(profiles[::-1] + profiles[:3], [1, 2])
+    assert together.tobytes() == alone.tobytes()
+    k = len(profiles)
+    assert shuffled[:, :k][:, ::-1].tobytes() == alone[::-1].tobytes()
+    assert shuffled[:, k:].tobytes() == alone[::-1, :3].tobytes()
+    for p, hop, no_hop in zip(profiles, *alone):
+        assert outage_closed_form(p) == hop
+        assert outage_no_hopping(p) == no_hop
+    # a threshold per setting, as the links command evaluates a beta grid
+    betas = [0.5, 2.0, 8.0]
+    grid = outage_batch(profiles, [2, 2, 2], betas)
+    assert grid.tolist() == [[outage_closed_form(p, beta=b) for p in profiles]
+                             for b in betas]
 
 
 def test_single_pair_against_quadrature():
