@@ -53,6 +53,17 @@ CASES = {
         ["campaign"],
         "570474fff7b72c214ff7ace8c20d9d8d8d143d1d97378fcd9f1cfb8dc6aabbb1",
         "shadowing_per = sector\n"),
+    # the one case whose sector wedges do not start at angle 0
+    "campaign_random_offsets": (
+        ["campaign"],
+        "cf71ed62fe4a48a8b5df9d79e8254912d4cb61e31a2375b3498a41f3919bbffa",
+        "psi_offsets = random\n"),
+    "sweep_beta_db": (["sweep", "--axis", "beta_db", "--values", "0,6",
+                       "--ratios", "1", "--trials", "3"],
+                      "a03cbf833ccacfe8e0ed4abb162cea0a1eeb783fca8a10c2e3ad6b4225a4ffae"),
+    "sweep_p_over_n_db": (["sweep", "--axis", "p_over_n_db", "--values",
+                           "40,70", "--ratios", "0.35", "--trials", "3"],
+                          "fb15130c88e63c39cf60f266af32f8454abc376242e40c4b53e388f17c80c8e6"),
 }
 
 
@@ -72,7 +83,7 @@ def test_golden_csv_hash(name, tmp_path, monkeypatch, capsys):
 
 
 def test_hashes_do_not_depend_on_the_blas_kernel():
-    # the ten cases again in a fresh process whose OpenBLAS uses a kernel
+    # every case again in a fresh process whose OpenBLAS uses a kernel
     # without FMA, which rounds a matrix product unlike the default one
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
