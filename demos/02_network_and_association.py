@@ -8,7 +8,7 @@ a sector can hold; the overflow falls to the next-best candidate.
 
 import numpy as np
 
-from fhuplink import BeamParams, RunConfig, build_topology, max_pair_gain
+from fhuplink import RunConfig, build_topology, max_pair_gain
 from fhuplink.experiments import realize_network
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
 from fhuplink.topology import distance
@@ -27,7 +27,7 @@ def main():
 
     print(f"\nmobiles: {m} (density {cfg.density_per_km2}/km^2, "
           f"exclusion {cfg.r_ex_km*1000:.0f} m)")
-    print(f"sector capacity: {cfg.hopset_channels // cfg.sector_block_channels} "
+    print(f"sector capacity: {cfg.hop_plan.sector_capacity} "
           f"mobiles; denied: {len(assoc.denied)}")
     loads = assoc.loads[assoc.loads > 0]
     print(f"loaded sectors: {len(loads)}; max load {loads.max()}; "
@@ -43,8 +43,7 @@ def main():
     print(f"serving-link length: median {np.median(d_serving)*1000:.0f} m, "
           f"90th pct {np.percentile(d_serving, 90)*1000:.0f} m")
 
-    bp = BeamParams(zeta=cfg.zeta, b=cfg.sidelobe_bs,
-                    theta=cfg.mobile_beamwidth_rad, a=cfg.sidelobe_mobile)
+    bp = cfg.beam_params
     print(f"\nbeam levels: sector mainlobe {bp.sector_mainlobe_level:.2f}, "
           f"mobile mainlobe {bp.mobile_mainlobe_level:.2f}")
     print(f"maximum antenna-pair gain: {10*np.log10(max_pair_gain(bp)):.1f} dB")

@@ -7,7 +7,7 @@ spectral efficiency.
 """
 
 from .association import Association, ShadowingTable, associate, draw_shadowing_table
-from .beams import BeamParams, max_pair_gain, mobile_gain_toward, sector_gain
+from .beams import BeamParams, max_pair_gain, mobile_gain_toward
 from .config import (ConfigError, RunConfig, build_topology, config_sha256,
                      parse_config, parse_config_text, serialize)
 from .experiments import (OutageStats, cm_ratio_of, code_rate,

@@ -86,7 +86,7 @@ class Association:
         return self.serving >= 0
 
 
-def associate(shadow: ShadowingTable, prop: PropagationParams, capacity: int,
+def associate(shadow: ShadowingTable, capacity: int,
               rng: np.random.Generator) -> Association:
     """Assign mobiles to sectors by maximum shadowed local-mean power.
 
@@ -105,7 +105,7 @@ def associate(shadow: ShadowingTable, prop: PropagationParams, capacity: int,
     order = rng.permutation(m)
     rows = np.arange(m)[:, None]
     xy = shadow.mobile_xy[:, None, :]
-    rank = shadow.xi_db + 10.0 * np.log10(path_loss(shadow.dist, prop))
+    rank = shadow.xi_db + 10.0 * np.log10(path_loss(shadow.dist, shadow.prop))
     best = rank.argmax(axis=1)[:, None]
     serving = t.covering_sector(shadow.near[rows, best], xy)[:, 0]
     loads = np.bincount(serving, minlength=t.n_sectors)

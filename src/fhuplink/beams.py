@@ -2,8 +2,9 @@
 
 Both patterns are flat-topped: one constant gain over the mainlobe and a
 lower constant gain over sidelobes and backlobes.  A sector mainlobe is an
-angular wedge of width 2*pi/zeta at the BS; a mobile's beam has width
-Theta and always points at its serving BS.  Levels are relative to each
+angular wedge of width 2*pi/zeta at the BS (Topology.covering_sector
+says which wedge covers a point); a mobile's beam has width Theta and
+always points at its serving BS.  Levels are relative to each
 pattern's average gain, which would scale the absolute levels but cancels
 in every interference-to-signal ratio, so it is not modelled.
 """
@@ -60,22 +61,6 @@ class BeamParams:
     @property
     def mobile_sidelobe_level(self) -> float:
         return self.a
-
-
-def in_sector_wedge(theta, wedge_start, zeta):
-    """True where arrival angle theta falls in [wedge_start, wedge_start + 2*pi/zeta).
-
-    Membership is computed modulo 2*pi; the lower edge is inclusive and the
-    upper edge exclusive so that the zeta wedges of one BS tile the circle.
-    """
-    rel = np.mod(np.asarray(theta, dtype=float) - wedge_start, TWO_PI)
-    return rel < TWO_PI / zeta
-
-
-def sector_gain(theta, wedge_start, bp: BeamParams):
-    """Sector-beam level toward arrival angle theta at the BS."""
-    inside = in_sector_wedge(theta, wedge_start, bp.zeta)
-    return np.where(inside, bp.sector_mainlobe_level, bp.sector_sidelobe_level)
 
 
 def mobile_mainlobe_mask(mobile_xy, target_xy, serving_xy, theta):

@@ -124,11 +124,9 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
-_INT_KEYS = {"bs_count", "candidate_bs", "zeta", "hopset_channels",
-             "ref_block_channels", "sector_block_channels", "k_strongest",
-             "trials", "seed", "threads"}
-_STR_KEYS = {"preset", "topology", "topology_file", "psi_offsets",
-             "shadowing_per", "dr_mode"}
+# each key's type is its RunConfig annotation (a string, see __future__)
+_INT_KEYS = {k for k, f in _FIELDS.items() if f.type == "int"}
+_STR_KEYS = {k for k, f in _FIELDS.items() if f.type == "str"}
 
 _CHOICES = {
     "preset": set(PRESETS),
@@ -152,9 +150,7 @@ _POSITIVE = {"mu_per_km", "d0_km", "density_per_km2", "slot_ms", "dr0_km",
              "alpha_min", "alpha_max", "sigma_min_db", "sigma_max_db",
              "m_min", "m_max"}
 _NONNEG = {"r_ex_km", "extent_km", "seed", "beta_db"}
-_MIN_ONE = {"bs_count", "candidate_bs", "zeta", "hopset_channels",
-            "ref_block_channels", "sector_block_channels", "k_strongest",
-            "trials", "threads"}
+_MIN_ONE = _INT_KEYS - {"seed"}
 
 _LINE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*[:=]\s*(.*?)\s*$")
 

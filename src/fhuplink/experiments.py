@@ -24,7 +24,6 @@ from .association import associate, draw_shadowing_table
 from .config import RunConfig, build_topology, set_key
 from .linkbudget import reference_link_profile
 from .outage import outage_batch
-from .propagation import sample_shadowing
 from .seeding import DOMAIN_LINKS, DOMAIN_TRIAL, derive_rng
 from .topology import (Topology, pick_reference_mobile, place_mobiles,
                        scale_topology)
@@ -82,7 +81,7 @@ def realize_network(t: Topology, cfg: RunConfig, rng: np.random.Generator):
     near, dist = t.nearest_bs(placement.xy, cfg.candidate_bs)
     shadow = draw_shadowing_table(t, placement.xy, near, dist, prop, rng,
                                   cfg.shadowing_per)
-    assoc = associate(shadow, prop, cfg.hop_plan.sector_capacity, rng)
+    assoc = associate(shadow, cfg.hop_plan.sector_capacity, rng)
     return placement, shadow, assoc
 
 
@@ -93,10 +92,8 @@ def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
     row is a tuple of the TRIAL_DTYPE fields after the two outages, in
     order; run_trials evaluates the outages.  Fully deterministic given
     the rng state.  d_r_override switches the reference link to the
-    typical length used in densification studies; its shadowing is then
-    redrawn at that length so the whole link model is consistent.
+    typical length used in densification studies.
     """
-    prop = cfg.propagation_params
     for _ in range(100):
         placement, shadow, assoc = realize_network(t, cfg, rng)
         ref = pick_reference_mobile(placement, t, rng,
@@ -106,13 +103,8 @@ def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
     else:
         raise RuntimeError("no served mobile fell inside the reference zone; "
                            "check density and reference-zone size")
-    xi_ref = (None if d_r_override is None
-              else float(sample_shadowing(d_r_override, prop, rng)))
-    profile, info = reference_link_profile(
-        t, prop, cfg.beam_params, cfg.hop_plan, placement.xy, shadow,
-        assoc, ref, rng, delta=cfg.delta, beta=cfg.beta_linear,
-        p_over_n=cfg.p_over_n_linear, k_strongest=cfg.k_strongest,
-        d_r=d_r_override, xi_ref_db=xi_ref)
+    profile, info = reference_link_profile(t, cfg, placement.xy, shadow,
+                                           assoc, ref, rng, d_r_override)
     row = (info["d_r"], info["serving_sector"], profile.n_interferers,
            len(assoc.denied))
     return row, profile
@@ -324,12 +316,8 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
     n_links = min(int(n_links), len(served))
     chosen = np.sort(rng.choice(served, size=n_links, replace=False))
 
-    profiles = [reference_link_profile(
-        t, cfg.propagation_params, cfg.beam_params, cfg.hop_plan,
-        placement.xy, shadow, assoc, int(idx), rng,
-        delta=cfg.delta, beta=cfg.beta_linear,
-        p_over_n=cfg.p_over_n_linear, k_strongest=cfg.k_strongest)[0]
-        for idx in served]
+    profiles = [reference_link_profile(t, cfg, placement.xy, shadow, assoc,
+                                       int(idx), rng)[0] for idx in served]
 
     betas = [float(10.0 ** (beta_db / 10.0)) for beta_db in beta_db_grid]
     eps = outage_batch(profiles, [2] * len(betas), betas)

@@ -16,8 +16,8 @@ import numpy as np
 from . import beams as bm
 from .association import Association, ShadowingTable
 from .beams import BeamParams
-from .propagation import (SPEED_OF_LIGHT_KM_S, PropagationParams, m_of,
-                          path_loss, round_integer_m)
+from .propagation import (SPEED_OF_LIGHT_KM_S, m_of, path_loss,
+                          round_integer_m, sample_shadowing)
 from .topology import Topology, distance
 
 
@@ -221,47 +221,42 @@ def power_control_ratio(xi_ij_db, xi_ig_db, xi_ref_db, f_ij, f_ig, f_dr,
             / (f_dr ** (1.0 - delta) * f_ig ** delta * bm.max_pair_gain(bp)))
 
 
-def reference_link_profile(t: Topology, prop: PropagationParams,
-                           bp: BeamParams, hop: HopPlan, mobile_xy,
+def reference_link_profile(t: Topology, cfg, mobile_xy,
                            shadow: ShadowingTable, assoc: Association,
-                           ref_idx: int, rng: np.random.Generator, *,
-                           delta: float, beta: float, p_over_n: float,
-                           k_strongest: int = 30,
-                           d_r: float | None = None,
-                           xi_ref_db: float | None = None):
+                           ref_idx: int, rng: np.random.Generator,
+                           d_r: float | None = None):
     """Assemble the InterferenceProfile of the reference uplink.
 
-    By default the reference link length and shadowing come from the
-    realized geometry; d_r (with a matching xi_ref_db) overrides them for
-    typical-link densification studies.  Returns (profile, info) where
-    info records the link length and the pre-truncation interferer count.
+    cfg is the RunConfig whose propagation, beam, hopping and link-budget
+    values apply.  By default the reference link length and shadowing come
+    from the realized geometry; a typical length d_r, as in densification
+    studies, replaces the length and draws the link's shadowing at it from
+    rng, so the whole link model is consistent.  Returns (profile, info)
+    where info records the link length, the serving sector and the
+    pre-truncation interferer count.
     """
+    prop, bp, hop = cfg.propagation_params, cfg.beam_params, cfg.hop_plan
     j = int(assoc.serving[ref_idx])
     if j < 0:
         raise ValueError("reference mobile is not served")
     mobile_xy = np.asarray(mobile_xy, dtype=float)
     pos_j = t.sector_position(j)
-    d_real = float(distance(mobile_xy[ref_idx], pos_j))
-    d_r = d_real if d_r is None else d_r
+    typical = d_r is not None
+    if not typical:
+        d_r = float(distance(mobile_xy[ref_idx], pos_j))
     if d_r <= 0:
         raise ValueError("reference link length must be positive")
-    if xi_ref_db is None:
-        xi_ref_db = float(shadow.toward_sector(ref_idx, j))
+    xi_ref_db = float(sample_shadowing(d_r, prop, rng) if typical
+                      else shadow.toward_sector(ref_idx, j))
 
     f_dr = path_loss(d_r, prop)
-    g0 = gamma0(p_over_n, xi_ref_db, f_dr)
+    g0 = gamma0(cfg.p_over_n_linear, xi_ref_db, f_dr)
     m0 = round_integer_m(d_r, prop)
 
     idx = build_interferer_sets(assoc, hop, j, rng)
-    info = {"d_r": d_r, "d_real": d_real, "serving_sector": j,
-            "n_potential": len(idx)}
-    if len(idx) == 0:
-        return empty_profile(g0, m0, beta), info
+    info = {"d_r": d_r, "serving_sector": j, "n_potential": len(idx)}
 
-    rel_j = mobile_xy[idx] - pos_j
     d_ij = distance(mobile_xy[idx], pos_j)
-    if np.any(d_ij == 0):
-        raise ValueError("interfering mobile collocated with the reference BS")
     f_ij = path_loss(d_ij, prop)
     xi_ij = shadow.toward_sector(idx, j)
 
@@ -273,19 +268,20 @@ def reference_link_profile(t: Topology, prop: PropagationParams,
 
     # mobile beams point at their serving BS; sector j's wedge is fixed
     mob_level = bm.mobile_gain_toward(mobile_xy[idx], pos_j, pos_g, bp)
-    theta_ij = np.mod(np.arctan2(rel_j[:, 1], rel_j[:, 0]), 2.0 * np.pi)
-    sec_level = bm.sector_gain(theta_ij, t.wedge_start(j), bp)
+    in_wedge = t.covering_sector(j // t.sectors_per_bs, mobile_xy[idx]) == j
+    sec_level = np.where(in_wedge, bp.sector_mainlobe_level,
+                         bp.sector_sidelobe_level)
 
     omega = power_control_ratio(
-        xi_ij, xi_ig, xi_ref_db, f_ij, f_ig, f_dr, delta,
+        xi_ij, xi_ig, xi_ref_db, f_ij, f_ig, f_dr, cfg.delta,
         spectral_factor(hop.ref_block, hop.block), mob_level, sec_level, bp)
     # cut to the strongest K first: later columns are built for kept rows only
-    top = truncate_strongest(omega, k_strongest)
+    top = truncate_strongest(omega, cfg.k_strongest)
     d_ij, g_sec = d_ij[top], g_sec[top]
 
     q1 = collision_probability(assoc.loads[g_sec], hop.block, hop.ref_block,
                                hop.hopset, hop.activity)
     q = np.repeat(np.asarray(q1)[:, None], 4, axis=1)
     c = fractional_durations(timing_offset(d_r, d_ij, hop.slot_ms), hop.slot_ms)
-    return (InterferenceProfile(g0, m0, beta, omega[top], m_of(d_ij, prop),
-                                q, c), info)
+    return (InterferenceProfile(g0, m0, cfg.beta_linear, omega[top],
+                                m_of(d_ij, prop), q, c), info)

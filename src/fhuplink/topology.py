@@ -122,13 +122,6 @@ class Topology:
         """Sector receivers are collocated with their BS."""
         return self.bs_xy[np.asarray(sector) // self.sectors_per_bs]
 
-    def wedge_start(self, sector):
-        """Start angle of a sector's mainlobe wedge, in [0, 2*pi)."""
-        sector = np.asarray(sector)
-        local = sector % self.sectors_per_bs
-        return np.mod(self.sector_offsets[sector // self.sectors_per_bs]
-                      + local * (TWO_PI / self.sectors_per_bs), TWO_PI)
-
     def covering_sector(self, bs_idx, xy):
         """Global index of the sector of bs_idx whose mainlobe covers xy.
 

@@ -28,7 +28,7 @@ def test_no_shadowing_gives_nearest_bs():
     t = generate_topology("uniform-random", 9, 2.0, rng, sectors_per_bs=4)
     pl = place_mobiles(t, 50.0, 0.0, rng)
     shadow = _table(t, pl.xy, xi=0.0)
-    assoc = associate(shadow, NY, capacity=1000, rng=rng)
+    assoc = associate(shadow, capacity=1000, rng=rng)
     assert len(assoc.denied) == 0
     nearest = np.argmin(distance_matrix(pl.xy, t.bs_xy), axis=1)
     expected = t.covering_sector(nearest, pl.xy)
@@ -44,7 +44,7 @@ def test_loads_consistent_and_capacity_respected():
     pl = place_mobiles(t, 200.0, 0.0, rng)
     shadow = _table(t, pl.xy, rng)
     cap = 5
-    assoc = associate(shadow, NY, cap, rng)
+    assoc = associate(shadow, cap, rng)
     assert np.all(assoc.loads <= cap)
     served = assoc.serving[assoc.serving >= 0]
     counts = np.bincount(served, minlength=t.n_sectors)
@@ -59,7 +59,7 @@ def test_capacity_one_single_bs_denies_second():
     ext = square(2.0)
     t = Topology(np.array([[1.0, 1.0]]), ext, ext, sectors_per_bs=4)
     xy = np.array([[1.3, 1.1], [1.4, 1.2]])  # both in the first quadrant wedge
-    assoc = associate(_table(t, xy, xi=0.0), NY, capacity=1,
+    assoc = associate(_table(t, xy, xi=0.0), capacity=1,
                       rng=np.random.default_rng(0))
     assert sorted([assoc.serving[0], assoc.serving[1]])[0] == -1
     assert len(assoc.denied) == 1
@@ -72,7 +72,7 @@ def test_overflow_goes_to_next_candidate():
     ext = square(4.0)
     t = Topology(np.array([[1.0, 1.0], [3.0, 1.0]]), ext, ext, sectors_per_bs=1)
     xy = np.array([[1.1, 1.0], [1.2, 1.0]])
-    assoc = associate(_table(t, xy, xi=0.0), NY, capacity=1,
+    assoc = associate(_table(t, xy, xi=0.0), capacity=1,
                       rng=np.random.default_rng(3))
     assert sorted(assoc.serving.tolist()) == [0, 1]
     assert len(assoc.denied) == 0
@@ -84,7 +84,7 @@ def test_strong_shadowing_flips_to_far_bs():
     xy = np.array([[1.1, 1.0]])  # much closer to BS0
     # absurdly favorable shadowing toward the second candidate, BS1
     shadow = _table(t, xy, xi=[[0.0, 200.0]])
-    assoc = associate(shadow, NY, capacity=10, rng=np.random.default_rng(0))
+    assoc = associate(shadow, capacity=10, rng=np.random.default_rng(0))
     assert assoc.serving[0] == 1
 
 
@@ -93,8 +93,8 @@ def test_deterministic_given_seed():
     t = generate_topology("uniform-random", 8, 1.0, rng, sectors_per_bs=6)
     pl = place_mobiles(t, 150.0, 0.0, rng)
     shadow = _table(t, pl.xy, rng)
-    a = associate(shadow, NY, 3, np.random.default_rng(42))
-    b = associate(shadow, NY, 3, np.random.default_rng(42))
+    a = associate(shadow, 3, np.random.default_rng(42))
+    b = associate(shadow, 3, np.random.default_rng(42))
     assert np.array_equal(a.serving, b.serving)
     assert np.array_equal(a.loads, b.loads)
 
@@ -104,9 +104,9 @@ def test_candidate_restriction_k_nearest():
     t = generate_topology("uniform-random", 30, 2.0, rng, sectors_per_bs=1)
     pl = place_mobiles(t, 30.0, 0.0, rng)
     # without shadowing the nearest BS always wins, so k=1 and k=30 agree
-    a1 = associate(_table(t, pl.xy, k=1, xi=0.0), NY, 1000,
+    a1 = associate(_table(t, pl.xy, k=1, xi=0.0), 1000,
                    np.random.default_rng(0))
-    a30 = associate(_table(t, pl.xy, k=30, xi=0.0), NY, 1000,
+    a30 = associate(_table(t, pl.xy, k=30, xi=0.0), 1000,
                     np.random.default_rng(0))
     assert np.array_equal(a1.serving, a30.serving)
 
@@ -117,7 +117,7 @@ def test_sector_mode_shadowing():
     pl = place_mobiles(t, 100.0, 0.0, rng)
     shadow = _table(t, pl.xy, rng, per="sector")
     assert shadow.xi_db.shape == (pl.n_mobiles, 4)
-    assoc = associate(shadow, NY, 10, rng)
+    assoc = associate(shadow, 10, rng)
     assert np.all(assoc.loads <= 10)
     # a candidate link is the covering sector of the candidate BS
     bs = shadow.near[0, 1]
@@ -158,7 +158,7 @@ def _scene(seed, n_bs=12, zeta=4, per="bs", k=12, density=150.0):
 @pytest.mark.parametrize("per", ["bs", "sector"])
 def test_one_link_one_shadowing_value(per):
     t, xy, shadow = _scene(31, per=per, k=4)
-    assoc = associate(shadow, NY, 1000, np.random.default_rng(0))
+    assoc = associate(shadow, 1000, np.random.default_rng(0))
     m = len(xy)
     rows = np.arange(m)
     # the serving link (xi_ref, xi_ig) reads the value it was ranked by
@@ -188,8 +188,8 @@ def _against_oracle(shadow, capacity, seed):
     """associate vs the sequential oracle from equal rng states; the path taken."""
     rng_new = np.random.default_rng(seed)
     rng_old = np.random.default_rng(seed)
-    got = associate(shadow, NY, capacity, rng_new)
-    want = associate_sequential(shadow, NY, capacity, rng_old)
+    got = associate(shadow, capacity, rng_new)
+    want = associate_sequential(shadow, capacity, rng_old)
     for a, b in zip((got.serving, got.loads, got.denied), want):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)

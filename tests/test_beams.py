@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fhuplink.beams import (BeamParams, in_sector_wedge, max_pair_gain,
-                            mobile_gain_toward, mobile_mainlobe_mask,
-                            sector_gain)
+from fhuplink.beams import (BeamParams, max_pair_gain, mobile_gain_toward,
+                            mobile_mainlobe_mask)
+from fhuplink.topology import Topology, square
 
 DEFAULT = BeamParams()  # zeta=24, b=0.01, theta=0.1*pi, a=0.1
 
@@ -28,22 +28,20 @@ def test_levels():
     assert DEFAULT.mobile_sidelobe_level == 0.1
 
 
-def test_sector_gain_wedge():
+def test_sector_levels_average_to_one():
     bp = BeamParams(zeta=24, b=0.01)
-    width = 2 * np.pi / 24
-    assert sector_gain(0.0, 0.0, bp) == pytest.approx(23.77)      # lower edge in
-    assert sector_gain(width / 2, 0.0, bp) == pytest.approx(23.77)
-    assert sector_gain(width, 0.0, bp) == 0.01                    # upper edge out
-    assert sector_gain(np.pi, 0.0, bp) == 0.01
-    # membership is modulo 2*pi
-    assert sector_gain(width / 2 + 2 * np.pi, 0.0, bp) == pytest.approx(23.77)
     # average-gain identity: mainlobe fraction is exactly 1/zeta
     avg = (bp.sector_mainlobe_level / bp.zeta
            + bp.sector_sidelobe_level * (1 - 1 / bp.zeta))
     assert avg == pytest.approx(1.0, rel=1e-12)
-    # grid average over an aligned grid of multiples of the wedge
-    thetas = np.arange(24 * 1000) * (2 * np.pi / (24 * 1000))
-    assert np.mean(sector_gain(thetas, 0.0, bp)) == pytest.approx(1.0, rel=1e-9)
+    # grid average around a BS whose sector 0 wedge is the mainlobe
+    ext = square(2.0, origin=(-1.0, -1.0))
+    t = Topology(np.zeros((1, 2)), ext, ext, sectors_per_bs=24)
+    thetas = (np.arange(24 * 1000) + 0.5) * (2 * np.pi / (24 * 1000))
+    pts = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    level = np.where(t.covering_sector(0, pts) == 0, bp.sector_mainlobe_level,
+                     bp.sector_sidelobe_level)
+    assert np.mean(level) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_sector_gain_omni_when_b_is_one_limit():
@@ -51,14 +49,6 @@ def test_sector_gain_omni_when_b_is_one_limit():
     bp = BeamParams(zeta=8, b=1 - 1e-12)
     assert bp.sector_mainlobe_level == pytest.approx(1.0, abs=1e-9)
     assert bp.sector_sidelobe_level == pytest.approx(1.0, abs=1e-9)
-
-
-def test_wedges_tile_circle():
-    for zeta in (1, 3, 24):
-        thetas = np.random.default_rng(1).uniform(0, 2 * np.pi, 500)
-        starts = np.arange(zeta) * 2 * np.pi / zeta + 0.3
-        inside = np.stack([in_sector_wedge(thetas, s, zeta) for s in starts])
-        assert np.all(inside.sum(axis=0) == 1)
 
 
 def test_mobile_gain():

@@ -3,14 +3,17 @@ import pytest
 
 from fhuplink.association import Association, draw_shadowing_table, associate
 from fhuplink.beams import BeamParams
+from fhuplink.config import RunConfig
 from fhuplink.linkbudget import (HopPlan, InterferenceProfile,
                                  build_interferer_sets, collision_probability,
                                  empty_profile, fractional_durations, gamma0,
                                  power_control_ratio, reference_link_profile,
                                  spectral_factor, timing_offset,
                                  truncate_strongest)
-from fhuplink.propagation import SPEED_OF_LIGHT_KM_S, path_loss, preset_params
-from fhuplink.topology import generate_topology, place_mobiles
+from fhuplink.propagation import (SPEED_OF_LIGHT_KM_S, path_loss,
+                                  preset_params, round_integer_m,
+                                  sample_shadowing)
+from fhuplink.topology import Topology, generate_topology, place_mobiles, square
 
 NY = preset_params("newyork")
 
@@ -182,20 +185,18 @@ def _small_scene(zeta=4, seed=3):
     pl = place_mobiles(t, 300.0, 0.002, rng)
     near, dist = t.nearest_bs(pl.xy, 12)
     shadow = draw_shadowing_table(t, pl.xy, near, dist, NY, rng)
-    hop = HopPlan(hopset=100, ref_block=10, block=10)
-    assoc = associate(shadow, NY, hop.sector_capacity, rng)
-    bp = BeamParams(zeta=zeta)
+    # New York propagation, 100 channels in blocks of 10, delta 0.1, K 30
+    cfg = RunConfig(zeta=zeta, p_over_n_db=70.0, beta_db=3.0)
+    assoc = associate(shadow, cfg.hop_plan.sector_capacity, rng)
     served = np.flatnonzero(assoc.served_mask)
     ref = int(served[0])
-    return t, pl, shadow, assoc, hop, bp, ref
+    return t, pl, shadow, assoc, cfg, ref
 
 
 def test_reference_link_profile_invariants():
-    t, pl, shadow, assoc, hop, bp, ref = _small_scene()
+    t, pl, shadow, assoc, cfg, ref = _small_scene()
     rng = np.random.default_rng(10)
-    prof, info = reference_link_profile(
-        t, NY, bp, hop, pl.xy, shadow, assoc, ref, rng,
-        delta=0.1, beta=2.0, p_over_n=1e7, k_strongest=30)
+    prof, info = reference_link_profile(t, cfg, pl.xy, shadow, assoc, ref, rng)
     assert prof.gamma0 > 0 and prof.m0 >= 1
     assert prof.n_interferers <= 30
     assert np.all(prof.omega >= 0)
@@ -212,29 +213,52 @@ def test_reference_link_profile_invariants():
     slot = list(shadow.near[ref]).index(j // t.sectors_per_bs)
     assert prof.gamma0 == gamma0(1e7, shadow.xi_db[ref, slot],
                                  path_loss(info["d_r"], NY))
+    assert prof.beta == cfg.beta_linear
 
 
 def test_reference_link_profile_typical_override():
-    t, pl, shadow, assoc, hop, bp, ref = _small_scene()
-    rng = np.random.default_rng(10)
-    prof, info = reference_link_profile(
-        t, NY, bp, hop, pl.xy, shadow, assoc, ref, rng,
-        delta=0.1, beta=2.0, p_over_n=1e7, k_strongest=30,
-        d_r=0.05, xi_ref_db=0.0)
+    t, pl, shadow, assoc, cfg, ref = _small_scene()
+    prof, info = reference_link_profile(t, cfg, pl.xy, shadow, assoc, ref,
+                                        np.random.default_rng(10), d_r=0.05)
     assert info["d_r"] == 0.05
-    # gamma0 = (P/N) * f(d_r) exactly when the shadowing is zeroed
-    assert prof.gamma0 == pytest.approx(1e7 * path_loss(0.05, NY), rel=1e-12)
+    # the typical link's shadowing is the rng's first draw, at length d_r
+    xi = float(sample_shadowing(0.05, NY, np.random.default_rng(10)))
+    assert prof.gamma0 == gamma0(1e7, xi, path_loss(0.05, NY))
+    for d_r in (0.0, -0.05):
+        with pytest.raises(ValueError, match="length must be positive"):
+            reference_link_profile(t, cfg, pl.xy, shadow, assoc, ref,
+                                   np.random.default_rng(10), d_r=d_r)
+
+
+def test_reference_link_profile_without_interferers():
+    # one single-sector BS serves every mobile, so no sector interferes
+    ext = square(1.0)
+    t = Topology(np.array([[0.5, 0.5]]), ext, ext)
+    xy = np.array([[0.2, 0.3], [0.7, 0.6], [0.4, 0.9]])
+    near, dist = t.nearest_bs(xy, 1)
+    shadow = draw_shadowing_table(t, xy, near, dist, NY,
+                                  np.random.default_rng(0))
+    cfg = RunConfig(zeta=1)
+    assoc = associate(shadow, cfg.hop_plan.sector_capacity,
+                      np.random.default_rng(1))
+    prof, info = reference_link_profile(t, cfg, xy, shadow, assoc, 1,
+                                        np.random.default_rng(2))
+    want = empty_profile(gamma0(cfg.p_over_n_linear, shadow.xi_db[1, 0],
+                                path_loss(info["d_r"], NY)),
+                         round_integer_m(info["d_r"], NY), cfg.beta_linear)
+    assert info["n_potential"] == prof.n_interferers == 0
+    assert (prof.gamma0, prof.m0, prof.beta) == (want.gamma0, want.m0, want.beta)
+    for name in ("omega", "m", "q", "c"):
+        assert getattr(prof, name).shape == getattr(want, name).shape
 
 
 def test_reference_link_profile_keeps_the_strongest_rows():
-    t, pl, shadow, assoc, hop, bp, ref = _small_scene()
-    kw = dict(delta=0.1, beta=2.0, p_over_n=1e7)
-    full, _ = reference_link_profile(t, NY, bp, hop, pl.xy, shadow, assoc, ref,
-                                     np.random.default_rng(10),
-                                     k_strongest=10**6, **kw)
-    cut, info = reference_link_profile(t, NY, bp, hop, pl.xy, shadow, assoc,
-                                       ref, np.random.default_rng(10),
-                                       k_strongest=30, **kw)
+    t, pl, shadow, assoc, cfg, ref = _small_scene()
+    full, _ = reference_link_profile(t, cfg.replace(k_strongest=10**6), pl.xy,
+                                     shadow, assoc, ref,
+                                     np.random.default_rng(10))
+    cut, info = reference_link_profile(t, cfg, pl.xy, shadow, assoc, ref,
+                                       np.random.default_rng(10))
     assert full.n_interferers == info["n_potential"] > 30
     top = np.sort(np.argsort(-full.omega)[:30])
     assert (cut.gamma0, cut.m0) == (full.gamma0, full.m0)

@@ -126,9 +126,45 @@ def test_covering_sector_tiles_plane():
         # wedge membership: angle within the wedge span
         rel = pts - t.bs_xy[bs]
         theta = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
-        start = t.wedge_start(sec)
+        start = t.sector_offsets[bs] + (sec - bs * 6) * 2 * np.pi / 6
         off = np.mod(theta - start, 2 * np.pi)
         assert np.all(off < 2 * np.pi / 6 + 1e-12)
+
+
+def _one_bs(zeta, offset=0.0):
+    ext = square(2.0, origin=(-1.0, -1.0))
+    return Topology(np.zeros((1, 2)), ext, ext, sectors_per_bs=zeta,
+                    sector_offsets=[offset])
+
+
+def test_covering_sector_wedge_edges():
+    # zeta = 4 puts the wedge edges on the axes, where angles are exact
+    t = _one_bs(4)
+    assert t.covering_sector(0, [1.0, 0.0]) == 0      # lower edge in
+    assert t.covering_sector(0, [1.0, 0.5]) == 0
+    assert t.covering_sector(0, [0.0, 1.0]) == 1      # upper edge out
+    assert t.covering_sector(0, [-1.0, 0.0]) == 2
+    # membership is modulo 2*pi: negative angles fall in the last wedge,
+    # and a wedge starting at 7*pi/4 holds the angles on both sides of 0
+    assert t.covering_sector(0, [1.0, -0.5]) == 3
+    wrap = _one_bs(4, 7 * np.pi / 4)
+    assert np.all(wrap.covering_sector(0, [[1.0, -0.2], [1.0, 0.0],
+                                           [1.0, 0.2]]) == 0)
+
+
+def test_covering_sector_wedges_tile_circle():
+    # zeta wedges from an offset: every angle lies in exactly one wedge,
+    # the one of the sector that covers it
+    theta = np.random.default_rng(1).uniform(0, 2 * np.pi, 500)
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    for zeta in (1, 3, 24):
+        width = 2 * np.pi / zeta
+        starts = np.arange(zeta) * width + 0.3
+        inside = np.mod(theta - starts[:, None], 2 * np.pi) < width
+        assert np.all(inside.sum(axis=0) == 1)
+        sec = _one_bs(zeta, 0.3).covering_sector(0, pts)
+        assert np.array_equal(sec, inside.argmax(axis=0))
+        assert len(np.unique(sec)) == zeta
 
 
 def _brute_nearest(t, xy, k):
