@@ -64,6 +64,15 @@ CASES = {
     "sweep_p_over_n_db": (["sweep", "--axis", "p_over_n_db", "--values",
                            "40,70", "--ratios", "0.35", "--trials", "3"],
                           "fb15130c88e63c39cf60f266af32f8454abc376242e40c4b53e388f17c80c8e6"),
+    # no --ratios: the ratios come from cfg.cm_ratios
+    "densify_default_ratios": (
+        ["densify"],
+        "e73d43bc4363d92c38ae90b925c34820cf9f76721a0b80d6077e231d60c21566"),
+    "links": (["links", "--links", "3", "--beta-db", "0,3"],
+              "a9bd84ad376af46c953f1b331881ed0523deef50f1046bb645c62ec725b15cdc"),
+    "sweep_l_over_lj": (["sweep", "--axis", "L_over_Lj", "--values", "1,10",
+                         "--ratios", "1", "--trials", "3"],
+                        "80f35c744fc82ae20ffc2e7275152adfe0f59132b3be361834156f913e563144"),
 }
 
 
