@@ -23,18 +23,6 @@ from .experiments import (_sweep_row, cm_ratio_of, densification_sweep,
 from .outage import run_validation
 from .topology import generate_topology, save_coordinates
 
-DENSIFY_COLUMNS = ("cm_ratio", "d_r_km", "epsilon_bar", "halfwidth95",
-                   "epsilon_bar_no_hop", "halfwidth95_no_hop",
-                   "code_rate_bpcu", "throughput_bpcu", "ase_bpcu_km2",
-                   "n_trials")
-CAMPAIGN_COLUMNS = DENSIFY_COLUMNS + ("mean_interferers", "mean_denied")
-SWEEP_COLUMNS = ("axis", "value") + DENSIFY_COLUMNS
-LINKS_COLUMNS = ("link", "mobile_index", "beta_db", "code_rate_bpcu",
-                 "epsilon")
-VALIDATE_COLUMNS = ("profile", "n_interferers", "m0", "gamma0",
-                    "eps_closed_form", "eps_monte_carlo", "stderr",
-                    "abs_diff", "within_4_stderr")
-
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
@@ -42,12 +30,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(header_lines, columns, rows) -> str:
+def _csv_text(header_lines, rows) -> str:
+    """Comment header, the first row's keys as the column line, the rows."""
     out = [f"# {line}" if not line.startswith("#") else line
            for line in header_lines]
-    out.append(",".join(columns))
+    out.append(",".join(rows[0]))
     for row in rows:
-        out.append(",".join(_fmt(row[c]) for c in columns))
+        out.append(",".join(_fmt(value) for value in row.values()))
     return "\n".join(out) + "\n"
 
 
@@ -80,8 +69,25 @@ def _load_config(args) -> RunConfig:
     return cfg.replace(**updates) if updates else cfg
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _list_option(args, dest, cast=float):
+    """The comma-separated values of an option, or None when it is absent."""
+    text = getattr(args, dest)
+    if text is None:
+        return None
+    values = [cast(v.strip()) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"--{dest.replace('_', '-')} needs at least one "
+                         f"comma-separated value, got {text!r}")
+    return values
+
+
+def _cm_topology(args, cfg: RunConfig, extra):
+    """The run's topology, rescaled to --cm (noted in extra) when given."""
+    topo = build_topology(cfg)
+    if args.cm is None:
+        return topo
+    extra["cm"] = _fmt(args.cm)
+    return scale_to_cm(topo, cfg.density_per_km2, args.cm)
 
 
 def _add_run_options(p, trials=True):
@@ -95,53 +101,44 @@ def _add_run_options(p, trials=True):
 
 def cmd_campaign(args) -> int:
     cfg = _load_config(args)
-    topo = build_topology(cfg)
     extra = {}
-    if args.cm is not None:
-        topo = scale_to_cm(topo, cfg.density_per_km2, args.cm)
-        extra["cm"] = _fmt(args.cm)
+    topo = _cm_topology(args, cfg, extra)
     cm = cm_ratio_of(topo, cfg.density_per_km2)
     override = resolve_dr_override(cfg, cm, sweep_default="realized")
     stats, _ = run_campaign(topo, cfg, d_r_override=override)
     row = {**_sweep_row(cm, stats), "mean_interferers": stats.mean_interferers,
            "mean_denied": stats.mean_denied}
-    _emit(_csv_text(_header("campaign", cfg, cfg.seed, extra),
-                    CAMPAIGN_COLUMNS, [row]), args.out)
+    _emit(_csv_text(_header("campaign", cfg, cfg.seed, extra), [row]),
+          args.out)
     return 0
 
 
 def cmd_densify(args) -> int:
     cfg = _load_config(args)
-    ratios = _float_list(args.ratios) if args.ratios else None
-    topo = build_topology(cfg)
-    rows = densification_sweep(topo, cfg, ratios)
-    extra = {"ratios": ",".join(_fmt(r) for r in (ratios or cfg.cm_ratios))}
-    _emit(_csv_text(_header("densify", cfg, cfg.seed, extra),
-                    DENSIFY_COLUMNS, rows), args.out)
+    ratios = _list_option(args, "ratios") or cfg.cm_ratios
+    rows = densification_sweep(build_topology(cfg), cfg, ratios)
+    extra = {"ratios": ",".join(_fmt(r) for r in ratios)}
+    _emit(_csv_text(_header("densify", cfg, cfg.seed, extra), rows),
+          args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    ratios = _float_list(args.ratios) if args.ratios else None
-    rows = sweep(cfg, args.axis, values, ratios=ratios)
+    rows = sweep(cfg, args.axis, _list_option(args, "values", str),
+                 ratios=_list_option(args, "ratios"))
     extra = {"axis": args.axis, "values": args.values}
-    _emit(_csv_text(_header("sweep", cfg, cfg.seed, extra),
-                    SWEEP_COLUMNS, rows), args.out)
+    _emit(_csv_text(_header("sweep", cfg, cfg.seed, extra), rows), args.out)
     return 0
 
 
 def cmd_links(args) -> int:
     cfg = _load_config(args)
-    topo = build_topology(cfg)
     extra = {"links": args.links, "beta_db": args.beta_db}
-    if args.cm is not None:
-        topo = scale_to_cm(topo, cfg.density_per_km2, args.cm)
-        extra["cm"] = _fmt(args.cm)
-    rows = per_link_rate_curves(topo, cfg, args.links, _float_list(args.beta_db))
-    _emit(_csv_text(_header("links", cfg, cfg.seed, extra),
-                    LINKS_COLUMNS, rows), args.out)
+    topo = _cm_topology(args, cfg, extra)
+    rows = per_link_rate_curves(topo, cfg, args.links,
+                                _list_option(args, "beta_db"))
+    _emit(_csv_text(_header("links", cfg, cfg.seed, extra), rows), args.out)
     return 0
 
 
@@ -161,8 +158,8 @@ def cmd_validate(args) -> int:
     if args.out:
         _emit(_csv_text(_header("validate", cfg, cfg.seed,
                                 {"profiles": args.profiles,
-                                 "samples": args.samples}),
-                        VALIDATE_COLUMNS, records), args.out)
+                                 "samples": args.samples}), records),
+              args.out)
     return 0 if all_ok else 1
 
 

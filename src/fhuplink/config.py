@@ -199,8 +199,9 @@ def _check_key(key, value, line):
     if key == "ref_zone_km" and value is not None and value < 0:
         raise ConfigError(f"{key} must be non-negative or 'none'{where}")
     if key == "cm_ratios":
-        if any(v <= 0 for v in value):
-            raise ConfigError(f"cm_ratios must be positive{where}")
+        if not value or not all(0 < v < np.inf for v in value):
+            raise ConfigError(f"cm_ratios must be one or more positive, "
+                              f"finite ratios{where}")
 
 
 def _preset_keys(name) -> dict:

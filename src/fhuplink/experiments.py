@@ -202,7 +202,10 @@ def scale_to_cm(t: Topology, density, ratio) -> Topology:
     """Rescale the whole network to a BS-per-mobile ratio at fixed density.
 
     The BS layout is kept, so the mobile count follows the scaled area.
+    ratio must be positive and finite.
     """
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"C/M ratio must be positive and finite, got {ratio}")
     target_area = t.n_bs / (density * ratio)
     return scale_topology(t, math.sqrt(target_area / t.extent.area))
 
@@ -228,10 +231,10 @@ def densification_sweep(t: Topology, cfg: RunConfig, ratios=None, *,
     ratios = cfg.cm_ratios if ratios is None else tuple(ratios)
     rows = []
     for ratio in ratios:
+        scaled = scale_to_cm(t, cfg.density_per_km2, ratio)
         if not (0.05 <= ratio <= 1.0):
             warnings.warn(f"C/M ratio {ratio} outside the calibrated range "
                           "[0.05, 1]; computing anyway")
-        scaled = scale_to_cm(t, cfg.density_per_km2, ratio)
         override = resolve_dr_override(cfg, ratio, sweep_default="typical")
         stats, _ = run_campaign(scaled, cfg, n_trials, seed, threads,
                                 d_r_override=override)

@@ -118,9 +118,8 @@ def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector: int,
     sectors = assoc.serving[perm]
     order = np.argsort(sectors, kind="stable")
     sorted_secs = sectors[order]
-    group_start = np.r_[0, np.flatnonzero(np.diff(sorted_secs)) + 1]
-    sizes = np.diff(np.r_[group_start, len(sorted_secs)])
-    pos = np.arange(len(sorted_secs)) - np.repeat(group_start, sizes)
+    # rank of each mobile within its sector, as in Topology._cell_grid
+    pos = np.arange(len(sorted_secs)) - np.searchsorted(sorted_secs, sorted_secs)
     kept = perm[order][pos < keep_max]
     return np.sort(kept)
 

@@ -191,21 +191,18 @@ class MobilePlacement:
     """One trial's mobile positions under the uniform clustering rule."""
 
     xy: np.ndarray             # (M, 2) in km
-    exclusion_radius: float    # km
-    density: float             # mobiles per km^2
 
     @property
     def n_mobiles(self) -> int:
         return len(self.xy)
 
 
-def load_topology(path, *, extent=None, reference_zone=None,
-                  sectors_per_bs=1, sector_offsets=None):
+def load_topology(path, *, extent=None, sectors_per_bs=1):
     """Read BS coordinates from a text file: one "x y" pair (km) per line.
 
     Lines starting with '#' (or inline '#' tails) are comments.  The
-    extent defaults to the bounding square of the coordinates and the
-    reference zone defaults to the full extent.
+    extent defaults to the bounding square of the coordinates; the
+    reference zone is the full extent.
     """
     coords = []
     with open(path) as fh:
@@ -227,9 +224,7 @@ def load_topology(path, *, extent=None, reference_zone=None,
         raise ValueError(f"{path}: non-finite coordinate")
     if extent is None:
         extent = _bounding_square(xy)
-    if reference_zone is None:
-        reference_zone = extent
-    return Topology(xy, extent, reference_zone, sectors_per_bs, sector_offsets)
+    return Topology(xy, extent, extent, sectors_per_bs)
 
 
 def save_coordinates(path, xy, comment=None):
@@ -252,8 +247,7 @@ def _bounding_square(xy):
     return Rect(cx - side / 2.0, cy - side / 2.0, cx + side / 2.0, cy + side / 2.0)
 
 
-def generate_topology(kind, count, extent, rng=None, *, reference_zone=None,
-                      sectors_per_bs=1, sector_offsets=None):
+def generate_topology(kind, count, extent, rng=None, *, sectors_per_bs=1):
     """Place BSs synthetically: 'uniform-random' draws or a square 'grid'.
 
     extent may be a Rect or a square side in km.  The grid generator puts
@@ -280,8 +274,7 @@ def generate_topology(kind, count, extent, rng=None, *, reference_zone=None,
         xy = np.column_stack([gx.ravel(), gy.ravel()])[:count]
     else:
         raise ValueError(f"unknown topology generator {kind!r}")
-    return Topology(xy, extent, reference_zone if reference_zone is not None else extent,
-                    sectors_per_bs, sector_offsets)
+    return Topology(xy, extent, extent, sectors_per_bs)
 
 
 def scale_topology(t: Topology, factor) -> Topology:
@@ -313,7 +306,7 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
     cand = np.column_stack([rng.uniform(ext.xmin, ext.xmax, size=m),
                             rng.uniform(ext.ymin, ext.ymax, size=m)])
     if r_ex == 0.0:
-        return MobilePlacement(cand, 0.0, density)
+        return MobilePlacement(cand)
 
     # the first candidate is always accepted, so acc is never empty
     acc = np.delete(cand, sorted(_exclusion_conflicts(cand, r_ex)), axis=0)
@@ -329,7 +322,7 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
                 f"uniform clustering failed: {max_tries} rejections while "
                 f"packing {m} mobiles with r_ex={r_ex} km into "
                 f"{ext.area:g} km^2")
-    return MobilePlacement(acc, float(r_ex), density)
+    return MobilePlacement(acc)
 
 
 def _exclusion_conflicts(cand, r_ex):

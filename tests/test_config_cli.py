@@ -97,6 +97,10 @@ def test_validation_errors():
         parse_config_text("k_strongest = 0\n")
     with pytest.raises(ConfigError, match=r"shannon_loss.*\(0, 1\]"):
         parse_config_text("shannon_loss = 0\n")
+    # densify would write a CSV without rows, or crash on a ratio
+    for ratios in (",", "0.5,inf"):
+        with pytest.raises(ConfigError, match="cm_ratios"):
+            parse_config_text(f"cm_ratios = {ratios}\n")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -267,6 +271,23 @@ def test_cli_error_reporting(tmp_path, capsys):
     for n in ("0", "-3"):
         assert cli.main(["validate", "--profiles", n, "--samples", "10"]) == 2
         assert "at least one profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, named", [
+    ("campaign --cm 0", "0.0"),
+    ("campaign --cm -1", "-1.0"),
+    ("densify --ratios 0", "0.0"),
+    ("densify --ratios ,", "--ratios"),
+    ("sweep --axis delta --values ,", "--values"),
+    ("links --beta-db=,", "--beta-db")])
+def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys):
+    # an empty list would leave a CSV without rows, so without a column line
+    out = tmp_path / "out.csv"
+    assert cli.main(args.split() + ["--config", _write_cfg(tmp_path),
+                                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err, err
+    assert not out.exists()
 
 
 def test_cli_env_overrides(tmp_path, monkeypatch):

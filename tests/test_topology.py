@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -37,11 +39,10 @@ def test_load_topology(tmp_path):
     rng = np.random.default_rng(3)
     xy = rng.uniform(0, 2, size=(132, 2))
     save_coordinates(path, xy, comment="surrogate deployment")
-    t = load_topology(path, extent=square(2.0),
-                      reference_zone=central_zone(square(2.0), 1.0))
+    t = load_topology(path, extent=square(2.0))
     assert t.n_bs == 132
     assert t.extent.area == pytest.approx(4.0)
-    assert t.reference_zone.area == pytest.approx(1.0)
+    assert t.reference_zone == t.extent
     assert np.allclose(t.bs_xy, xy)
 
     single = tmp_path / "one.txt"
@@ -89,8 +90,9 @@ def test_generate_uniform_deterministic():
 
 
 def test_scale_topology():
-    t = generate_topology("uniform-random", 20, 2.0, np.random.default_rng(1),
-                          reference_zone=central_zone(square(2.0), 1.0))
+    t = replace(generate_topology("uniform-random", 20, 2.0,
+                                  np.random.default_rng(1)),
+                reference_zone=central_zone(square(2.0), 1.0))
     assert scale_topology(t, 1.0).extent == t.extent
     assert np.array_equal(scale_topology(t, 1.0).bs_xy, t.bs_xy)
 
@@ -117,8 +119,9 @@ def test_scale_topology():
 
 def test_covering_sector_tiles_plane():
     rng = np.random.default_rng(4)
-    t = generate_topology("uniform-random", 5, 2.0, rng, sectors_per_bs=6,
-                          sector_offsets=rng.uniform(0, 2 * np.pi, 5))
+    t = replace(generate_topology("uniform-random", 5, 2.0, rng,
+                                  sectors_per_bs=6),
+                sector_offsets=rng.uniform(0, 2 * np.pi, 5))
     pts = rng.uniform(0, 2, size=(200, 2))
     for bs in range(t.n_bs):
         sec = t.covering_sector(bs, pts)
@@ -293,17 +296,17 @@ def test_pick_reference_mobile():
     ext = square(2.0)
     t = Topology(np.array([[1.0, 1.0]]), ext, central_zone(ext, 1.0))
     xy = np.array([[1.0, 1.0], [0.1, 0.1], [1.2, 0.8], [1.9, 1.9]])
-    pl = MobilePlacement(xy, 0.0, 1.0)
+    pl = MobilePlacement(xy)
     rng = np.random.default_rng(0)
     picks = {pick_reference_mobile(pl, t, rng) for _ in range(200)}
     assert picks == {0, 2}  # only the in-zone mobiles
 
     # exactly one candidate -> always chosen
-    only = MobilePlacement(np.array([[0.1, 0.1], [1.0, 1.0]]), 0.0, 1.0)
+    only = MobilePlacement(np.array([[0.1, 0.1], [1.0, 1.0]]))
     assert all(pick_reference_mobile(only, t, rng) == 1 for _ in range(20))
 
     # none inside -> None
-    none = MobilePlacement(np.array([[0.1, 0.1]]), 0.0, 1.0)
+    none = MobilePlacement(np.array([[0.1, 0.1]]))
     assert pick_reference_mobile(none, t, rng) is None
 
     # eligibility mask is honored
@@ -316,7 +319,7 @@ def test_pick_reference_uniform_frequency():
     t = Topology(np.array([[1.0, 1.0]]), ext, central_zone(ext, 1.0))
     xy = np.vstack([np.full((7, 2), 1.0) + np.linspace(0, 0.4, 7)[:, None],
                     [[0.1, 0.1]]])
-    pl = MobilePlacement(xy, 0.0, 1.0)
+    pl = MobilePlacement(xy)
     rng = np.random.default_rng(13)
     counts = np.zeros(8)
     for _ in range(10**5):
