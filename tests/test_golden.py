@@ -5,7 +5,10 @@ criterion 9, plus optional config lines, and compares the hash of the
 whole CSV, header included, to a committed value.  A refactor that keeps behaviour keeps every hash; a
 change that moves a result must re-pin the hash and state why in
 CHANGES.md.  The hashes must not depend on the BLAS kernel the CPU
-selects, so no hashed result may pass through a BLAS call.
+selects, so no hashed result may pass through a BLAS call.  They do
+depend on numpy's SIMD dispatch level: its AVX2 (X86_V3) loops round
+exp, log, log10, power and arctan2 unlike its AVX-512 ones in the last
+bit, so each level has its own exact set.
 """
 
 import hashlib
@@ -14,7 +17,9 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from fhuplink import cli
 
@@ -75,13 +80,60 @@ CASES = {
                         "80f35c744fc82ae20ffc2e7275152adfe0f59132b3be361834156f913e563144"),
 }
 
+# the same cases at numpy's X86_V3 dispatch, pinned from the code the
+# default set was pinned on
+X86_V3 = {
+    "campaign": "ed56e18a8263df620c74eda6ad88ea41a73fef210413e1156bf98aed1eae5978",
+    "campaign_cm": "1446b394fa157ffc93e7fc77521a4810b28dfe3efca15ec6e2d6f3e6c66d13d3",
+    "campaign_random_offsets": "4dce5937e5dc69ade77e6d07ba893b11a73cb15dd84d10f0744d58e5e74f2e5b",
+    "campaign_saturated": "2b6c3c7d9ebca682b71e93e8b33352dadd7ec74361c02880bd62bcd45bf44404",
+    "campaign_sector_shadowing": "968e1dec031bf2caa85405982c17dcb1caa8a97c8f3a7882a666aefc73b96920",
+    "densify": "8d4eb308d2ab32ba4c93d94c3c8496e57e6d176ec71cc379ea89aaa21b52411e",
+    "densify_default_ratios": "03cceb82c6dd480f75f575f25984f961ee05780c0e1ff86babf7a8679dac1e82",
+    "links": "a434e26f52f05e1362eca41a58bd58ea45444ab94b949e0c2e72147a6a485312",
+    "links_cm": "ee9b94dbce4ba762dd0b8cd20ca274f367c1829e6ae7a4b978b45dc60c95ed61",
+    "sweep_beta_db": "558e2b6ffe785685bd77ba6e71bf98f79c6947e53b856d8f04143345434e99e5",
+    "sweep_delta": "bd1ed152696357369c447ed4d608baeac469a490f492fd5dbf0e6e2bd14cdf32",
+    "sweep_l_over_lj": "10561b55570fa1457ac4000c85cca01e6b277dd1cbaa11980de5779591cc5dfb",
+    "sweep_p_over_n_db": "ad3c1b55419bdbc993a481df2f50ab3c036598219b936da3ff1ddc887d56a338",
+    "sweep_preset": "01c89b57cf49ed6d9834a89ed39dc389b4311ffc0ee797bfc2250d329b04d909",
+    "sweep_zeta": "64369b9111217e7054f6be2dc4563db7d63efdbdca426541dd20f29209b574f3",
+    "validate": "378e6530f68ac386d31db6c5d685c8d2a6901650c723b75a0b0dea1eca5735e4",
+}
+
+# the highest dispatch target numpy runs at in this process
+LEVEL = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)][-1]
+
+
+def _expected(name):
+    if LEVEL == "AVX512_SPR":
+        return CASES[name][1]
+    if LEVEL == "X86_V3":
+        return X86_V3[name]
+    pytest.fail(f"no golden hashes pinned for numpy {np.__version__} "
+                f"at dispatch level {LEVEL}")
+
+
+def _golden_run(env_update):
+    # every case again in a fresh process with env_update in its environment
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, **env_update)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_golden_csv_hash"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:]
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_csv_hash(name, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FHUPLINK_SEED", raising=False)
     monkeypatch.delenv("FHUPLINK_THREADS", raising=False)
     cfg_file = tmp_path / "golden.cfg"
-    argv, want, *extra = CASES[name]
+    argv, _, *extra = CASES[name]
+    want = _expected(name)
     cfg_file.write_text(CONFIG + "".join(extra))
     out = tmp_path / "out.csv"
     rc = cli.main(argv + ["--config", str(cfg_file), "--seed", "29",
@@ -92,14 +144,13 @@ def test_golden_csv_hash(name, tmp_path, monkeypatch, capsys):
 
 
 def test_hashes_do_not_depend_on_the_blas_kernel():
-    # every case again in a fresh process whose OpenBLAS uses a kernel
-    # without FMA, which rounds a matrix product unlike the default one
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_golden_csv_hash"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stdout[-3000:]
+    # an OpenBLAS kernel without FMA rounds a matrix product unlike the
+    # default one
+    _golden_run({"OPENBLAS_CORETYPE": "Prescott"})
+
+
+def test_hashes_at_the_x86_v3_dispatch_level():
+    # numpy's AVX2 ufunc loops, as on a CPU without AVX-512
+    if not __cpu_features__.get("X86_V3"):
+        pytest.skip("the CPU lacks X86_V3")
+    _golden_run({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
