@@ -15,33 +15,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import PropagationParams, path_loss, sigma_of
-from .seeding import derive_rng
+from .seeding import derive_rng, per_trial
 from .topology import Topology, distance
 
 
 @dataclass(frozen=True, eq=False)
 class ShadowingTable:
-    """One trial's shadowing factors in dB, one value per link.
+    """Shadowing in dB of one or more trials' links, one value per link.
 
     per='bs': one factor per (mobile, BS), shared by the BS's sectors
     (their links share the propagation path); per='sector': one per
-    (mobile, sector).  xi_db holds the candidate links, mobile i toward
-    BS near[i, s] (its covering sector with per='sector').  Any other link
-    of mobile i is sigma_of(its length) times entry i of a column of unit
-    normals drawn from (seed, BS or sector), whatever the read order.
+    (mobile, sector).  Rows are mobiles, trial by trial, and seed holds
+    one value per trial (a scalar for one).  xi_db holds the candidate
+    links, row r toward BS near[r, s] (its covering sector with
+    per='sector').  Any other link of a trial's mobile i is sigma_of(its
+    length) times entry i of unit normals drawn from (seed, BS or sector).
     """
 
     t: Topology
-    mobile_xy: np.ndarray  # (M, 2) km
-    near: np.ndarray       # (M, k) candidate BSs, nearest first
-    dist: np.ndarray       # (M, k) km
-    xi_db: np.ndarray      # (M, k) dB
+    mobile_xy: np.ndarray  # (R, 2) km
+    near: np.ndarray       # (R, k) candidate BSs, nearest first
+    dist: np.ndarray       # (R, k) km
+    xi_db: np.ndarray      # (R, k) dB
     prop: PropagationParams
     per: str = "bs"
-    seed: int = 0
+    seed: int | np.ndarray = 0
 
     def toward_sector(self, mobile_idx, sector_id):
-        """Shadowing in dB of the link(s) from mobile(s) to sector(s)."""
+        """Shadowing in dB of the link(s) from mobile row(s) to sector(s)."""
         i, sector = np.broadcast_arrays(mobile_idx, sector_id)
         shape, i, sector = i.shape, i.ravel(), sector.ravel()
         bs = sector // self.t.sectors_per_bs
@@ -50,35 +51,49 @@ class ShadowingTable:
             hit &= (self.t.covering_sector(bs, self.mobile_xy[i]) == sector)[:, None]
         xi = self.xi_db[i, hit.argmax(axis=1)]
         off = np.flatnonzero(~hit.any(axis=1))
-        keys = (bs if self.per == "bs" else sector)[off]
-        for key in np.unique(keys):
-            link = off[keys == key]
-            z = derive_rng(self.seed, key).standard_normal(len(self.mobile_xy))
-            d = distance(self.mobile_xy[i[link]], self.t.bs_xy[bs[link]])
-            xi[link] = z[i[link]] * sigma_of(d, self.prop)
+        m = len(self.mobile_xy) // np.size(self.seed)
+        trial, row = np.divmod(i[off], m)
+        # one column per (trial, key); a trial has n_sectors >= n_bs keys
+        n = self.t.n_sectors
+        keys, at = np.unique(trial * n + (bs if self.per == "bs" else sector)[off],
+                             return_inverse=True)
+        z = [derive_rng(np.ravel(self.seed)[k // n], k % n).standard_normal(m)
+             for k in keys]
+        d = distance(self.mobile_xy[i[off]], self.t.bs_xy[bs[off]])
+        xi[off] = np.reshape(z, (-1, m))[at, row] * sigma_of(d, self.prop)
         return xi.reshape(shape)
 
 
 def draw_shadowing_table(t: Topology, mobile_xy, near, dist,
-                         p: PropagationParams, rng: np.random.Generator,
-                         per="bs") -> ShadowingTable:
+                         p: PropagationParams, rng, per="bs") -> ShadowingTable:
     """Draw one factor per candidate link (near, dist: the (M, k) BSs and
     distances in km from Topology.nearest_bs), its standard deviation set
-    by the link's length, and one seed for the links outside the table."""
+    by the link's length, and one seed for the links outside the table.
+    rng may be a sequence of generators, one per trial of a block whose
+    rows come one trial after another."""
     if per not in ("bs", "sector"):
         raise ValueError("shadowing per must be 'bs' or 'sector'")
-    xi = rng.standard_normal(np.shape(near)) * sigma_of(dist, p)
+    rngs = per_trial(rng)
+    z, m = np.empty(np.shape(near)), len(near) // len(rngs)
+    for b, r in enumerate(rngs):
+        r.standard_normal(out=z[b * m:(b + 1) * m])
+    seed = np.array([r.integers(2**63) for r in rngs])
     return ShadowingTable(t, np.asarray(mobile_xy, dtype=float), near, dist,
-                          xi, p, per, int(rng.integers(2**63)))
+                          z * sigma_of(dist, p), p, per,
+                          seed[0] if isinstance(rng, np.random.Generator) else seed)
 
 
 @dataclass(frozen=True, eq=False)
 class Association:
-    """Result of the admission pass: serving sector per mobile and loads."""
+    """Result of the admission pass: serving sector per mobile and loads.
 
-    serving: np.ndarray    # (M,) global sector index, -1 if denied
-    loads: np.ndarray      # (n_sectors,) mobiles admitted per sector
-    denied: np.ndarray     # indices of unserved mobiles
+    A block association holds its trials' mobiles one trial after
+    another and one row of loads per trial.
+    """
+
+    serving: np.ndarray    # (R,) sector index within the trial, -1 if denied
+    loads: np.ndarray      # (n_sectors,) or (trials, n_sectors) admitted
+    denied: np.ndarray     # row indices of unserved mobiles
     sequential: bool = False   # the one-by-one admission loop ran
 
     @property
@@ -86,41 +101,44 @@ class Association:
         return self.serving >= 0
 
 
-def associate(shadow: ShadowingTable, capacity: int,
-              rng: np.random.Generator) -> Association:
+def associate(shadow: ShadowingTable, capacity: int, rng) -> Association:
     """Assign mobiles to sectors by maximum shadowed local-mean power.
 
     Candidates are the covering sectors of each mobile's BSs in
     shadow.near (distant BSs cannot plausibly win the ranking under urban
     shadowing), ranked with ties going to the earlier candidate.  Mobiles
     take turns in a uniformly random order, each taking its best-ranked
-    candidate with load below capacity.  That loop runs only if a sector
-    is the first choice of more than capacity mobiles; otherwise one
-    bincount of first choices gives the same result.
+    candidate with load below capacity.  That loop runs only for a trial
+    in which a sector is the first choice of more than capacity mobiles;
+    otherwise one bincount of first choices gives the same result.  A
+    block table takes one generator per trial.
     """
     if capacity < 1:
         raise ValueError("sector capacity must be >= 1")
     t = shadow.t
-    m = len(shadow.near)
-    order = rng.permutation(m)
-    rows = np.arange(m)[:, None]
+    rngs = per_trial(rng)
+    m = len(shadow.near) // len(rngs)
+    orders = [r.permutation(m) for r in rngs]
+    rows = np.arange(len(shadow.near))[:, None]
     xy = shadow.mobile_xy[:, None, :]
     rank = shadow.xi_db + 10.0 * np.log10(path_loss(shadow.dist, shadow.prop))
     best = rank.argmax(axis=1)[:, None]
     serving = t.covering_sector(shadow.near[rows, best], xy)[:, 0]
-    loads = np.bincount(serving, minlength=t.n_sectors)
-    if loads.max() <= capacity:
-        return Association(serving, loads, np.flatnonzero(serving < 0))
-
-    cand_sec = t.covering_sector(shadow.near, xy)
-    pref = np.argsort(-rank, axis=1, kind="stable")
-    serving = np.full(m, -1, dtype=int)
-    loads = np.zeros(t.n_sectors, dtype=int)
-    for i in order:
-        for slot in pref[i]:
-            s = cand_sec[i, slot]
-            if loads[s] < capacity:
-                serving[i] = s
-                loads[s] += 1
-                break
-    return Association(serving, loads, np.flatnonzero(serving < 0), sequential=True)
+    loads = np.bincount(rows[:, 0] // m * t.n_sectors + serving,
+                        minlength=len(rngs) * t.n_sectors).reshape(len(rngs), -1)
+    full = np.flatnonzero(loads.max(axis=1) > capacity)
+    if full.size:
+        cand_sec = t.covering_sector(shadow.near, xy)
+        pref = np.argsort(-rank, axis=1, kind="stable")
+    for b in full:
+        own, load = serving[b * m:(b + 1) * m], loads[b]
+        own[:], load[:] = -1, 0
+        for i in orders[b]:
+            for slot in pref[b * m + i]:
+                s = cand_sec[b * m + i, slot]
+                if load[s] < capacity:
+                    own[i] = s
+                    load[s] += 1
+                    break
+    return Association(serving, loads.reshape(np.shape(shadow.seed) + (-1,)),
+                       np.flatnonzero(serving < 0), sequential=bool(full.size))

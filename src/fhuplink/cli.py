@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -61,8 +62,16 @@ def _emit(text, out_path):
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    env = {key: os.environ.get(f"FHUPLINK_{key.upper()}") for key in ("seed", "threads")}
-    updates = {key: int(value) for key, value in env.items() if value is not None}
+    updates = {}
+    for key in ("seed", "threads"):
+        name = f"FHUPLINK_{key.upper()}"
+        text = os.environ.get(name)
+        if text is None:
+            continue
+        try:
+            updates[key] = int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
     for key in ("seed", "threads", "trials"):   # options beat the environment
         if getattr(args, key, None) is not None:
             updates[key] = getattr(args, key)
@@ -233,11 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
-        print(f"fhuplink {args.command}: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():     # a warning, like an error, is one line
+        warnings.showwarning = lambda message, *_: print(
+            f"fhuplink {args.command}: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ConfigError, ValueError, OSError, RuntimeError) as exc:
+            print(f"fhuplink {args.command}: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """Monte Carlo campaigns over network realizations and parameter sweeps.
 
 A trial freezes one network realization (mobile drop, shadowing,
-association) and builds the reference link's interference profile; the
-conditional outages of a block of trials are then evaluated in closed
-form in one batched call, and the campaign averages trials into outage,
-throughput, and area spectral efficiency.  Trials are embarrassingly
-parallel: each derives its own RNG from (master seed, trial index), a
-trial's outages do not depend on which trials share its block, and
-results are reduced in index order, so campaigns are reproducible
-bit-for-bit regardless of the worker count.
+association) and builds the reference link's interference profile, and
+the campaign averages the trials' conditional outages into outage,
+throughput, and area spectral efficiency.  A block of trials draws from
+each trial's own RNG, derived from (master seed, trial index), and runs
+the arithmetic between draws once as stacked arrays; a trial's record
+does not depend on which trials share its block, and results are reduced
+in index order, so campaigns are bit-for-bit the same for any worker count.
 """
 
 from __future__ import annotations
@@ -22,15 +21,17 @@ import numpy as np
 
 from .association import associate, draw_shadowing_table
 from .config import RunConfig, build_topology, set_key
-from .linkbudget import reference_link_profile
+from .linkbudget import link_profiles
 from .outage import outage_batch
-from .seeding import DOMAIN_LINKS, DOMAIN_TRIAL, derive_rng
-from .topology import (Topology, pick_reference_mobile, place_mobiles,
-                       scale_topology)
+from .seeding import DOMAIN_LINKS, DOMAIN_TRIAL, derive_rng, per_trial
+from .topology import (MobilePlacement, Topology, mobile_count,
+                       pick_reference_mobile, place_mobiles, scale_topology)
 
 
 # trials whose profiles are held at once and evaluated in one call
 TRIAL_BLOCK = 64
+# mobiles whose realization arrays a sub-block stacks at once
+ROW_BUDGET = 2 ** 11
 
 
 def code_rate(beta_linear, shannon_loss=0.794) -> float:
@@ -74,59 +75,88 @@ TRIAL_DTYPE = np.dtype([
     ("n_denied", "i8")])
 
 
-def realize_network(t: Topology, cfg: RunConfig, rng: np.random.Generator):
-    """Draw one network realization: placement, shadowing, association."""
-    prop = cfg.propagation_params
-    placement = place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, rng)
+def realize_network(t: Topology, cfg: RunConfig, rng):
+    """Draw network realizations: placement, shadowing, association;
+    rng is one trial's generator, or one per trial of a block."""
+    placement = MobilePlacement(np.concatenate([
+        place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, r).xy
+        for r in per_trial(rng)]))
     near, dist = t.nearest_bs(placement.xy, cfg.candidate_bs)
-    shadow = draw_shadowing_table(t, placement.xy, near, dist, prop, rng,
-                                  cfg.shadowing_per)
+    shadow = draw_shadowing_table(t, placement.xy, near, dist,
+                                  cfg.propagation_params, rng, cfg.shadowing_per)
     assoc = associate(shadow, cfg.hop_plan.sector_capacity, rng)
     return placement, shadow, assoc
 
 
+def _run_block(t: Topology, cfg: RunConfig, rngs, d_r_override):
+    """Run the trials drawn from rngs, one generator per trial.
+
+    Yields, per realization attempt, (trials, TRIAL_DTYPE records with
+    NaN outages, ProfileBlock) of the trials that found a served mobile
+    in the reference zone; the others realize again, together, up to 100
+    attempts in all.
+    """
+    todo = np.arange(len(rngs))
+    for _ in range(100):
+        gens = [rngs[b] for b in todo]
+        placement, shadow, assoc = realize_network(t, cfg, gens)
+        ref = pick_reference_mobile(placement, t, gens, assoc.served_mask)
+        ok = np.flatnonzero(ref >= 0)
+        if ok.size:
+            refs = ok * (len(placement.xy) // len(gens)) + ref[ok]
+            block, info = link_profiles(t, cfg, placement.xy, shadow, assoc,
+                                        refs, [gens[b] for b in ok], d_r_override)
+            denied = assoc.serving.reshape(len(gens), -1)[ok] < 0
+            records = np.empty(len(ok), dtype=TRIAL_DTYPE)
+            records["epsilon"] = records["epsilon_no_hop"] = np.nan
+            records["d_r"] = info["d_r"]
+            records["serving_sector"] = info["serving_sector"]
+            records["n_interferers"] = block.n_interferers
+            records["n_denied"] = np.sum(denied, axis=1)
+            yield todo[ok], records, block
+        todo = todo[ref < 0]
+        if not todo.size:
+            return
+    raise RuntimeError("no served mobile fell inside the reference zone; "
+                       "check density and reference-zone size")
+
+
 def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
               d_r_override=None):
-    """One simulation trial; returns (row, InterferenceProfile).
+    """One simulation trial, as a block of one; returns (row, profile).
 
     row is a tuple of the TRIAL_DTYPE fields after the two outages, in
-    order; run_trials evaluates the outages.  Fully deterministic given
-    the rng state.  d_r_override switches the reference link to the
-    typical length used in densification studies.
+    order, and profile its InterferenceProfile; run_trials evaluates the
+    outages.  Fully deterministic given the rng state.  d_r_override
+    switches the reference link to the typical length used in
+    densification studies.
     """
-    for _ in range(100):
-        placement, shadow, assoc = realize_network(t, cfg, rng)
-        ref = pick_reference_mobile(placement, t, rng,
-                                    eligible=assoc.served_mask)
-        if ref is not None:
-            break
-    else:
-        raise RuntimeError("no served mobile fell inside the reference zone; "
-                           "check density and reference-zone size")
-    profile, info = reference_link_profile(t, cfg, placement.xy, shadow,
-                                           assoc, ref, rng, d_r_override)
-    row = (info["d_r"], info["serving_sector"], profile.n_interferers,
-           len(assoc.denied))
-    return row, profile
+    ((_, records, block),) = _run_block(t, cfg, [rng], d_r_override)
+    return tuple(records[0])[2:], block.profile(0)
 
 
 def run_trials(t: Topology, cfg: RunConfig, seed, lo, hi, d_r_override=None):
     """TRIAL_DTYPE records of trials lo .. hi - 1.
 
-    The trials run in blocks of TRIAL_BLOCK; the hop and no-hop outages
-    of a block are one outage_batch call.
+    A block of TRIAL_BLOCK trials is realized and linked in even
+    sub-blocks of at most ROW_BUDGET mobiles (or one trial), and its
+    outages are one outage_batch call.
     """
     records = np.empty(hi - lo, dtype=TRIAL_DTYPE)
+    cap = max(1, ROW_BUDGET // mobile_count(t, cfg.density_per_km2))
     for start in range(lo, hi, TRIAL_BLOCK):
         block = records[start - lo:min(start + TRIAL_BLOCK, hi) - lo]
-        profiles = []
-        for off in range(len(block)):
-            row, profile = run_trial(
-                t, cfg, derive_rng(seed, DOMAIN_TRIAL, start + off),
-                d_r_override)
-            block[off] = (np.nan, np.nan, *row)
-            profiles.append(profile)
-        block["epsilon"], block["epsilon_no_hop"] = outage_batch(profiles)
+        size = -(-len(block) // -(-len(block) // cap))
+        profiles, order = [], []
+        for sub in range(0, len(block), size):
+            rngs = [derive_rng(seed, DOMAIN_TRIAL, start + i)
+                    for i in range(sub, min(sub + size, len(block)))]
+            for trials, rows, profile in _run_block(t, cfg, rngs, d_r_override):
+                block[sub + trials] = rows
+                order.append(sub + trials)
+                profiles.append(profile)
+        order, eps = np.concatenate(order), outage_batch(profiles)
+        block["epsilon"][order], block["epsilon_no_hop"][order] = eps
     return records
 
 
@@ -319,8 +349,10 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
     n_links = min(int(n_links), len(served))
     chosen = np.sort(rng.choice(served, size=n_links, replace=False))
 
-    profiles = [reference_link_profile(t, cfg, placement.xy, shadow, assoc,
-                                       int(idx), rng)[0] for idx in served]
+    size = max(1, ROW_BUDGET // len(placement.xy))
+    profiles = [link_profiles(t, cfg, placement.xy, shadow, assoc, refs,
+                              [rng] * len(refs))[0]
+                for refs in np.split(served, range(size, len(served), size))]
 
     betas = [float(10.0 ** (beta_db / 10.0)) for beta_db in beta_db_grid]
     eps = outage_batch(profiles, [2] * len(betas), betas)

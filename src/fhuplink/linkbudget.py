@@ -1,14 +1,15 @@
 """Reference-link interference bookkeeping.
 
-For one reference uplink this module collects everything the outage
+For each reference uplink this module collects everything the outage
 expression needs: the no-fading SNR, the integer reference fading shape,
-and one record per potential interferer holding its interference-to-signal
-ratio, real fading shape, collision probabilities, and the fractional
-durations of the four asynchronous-overlap periods of a subframe.
+and one record per interferer holding its interference-to-signal ratio,
+real fading shape, collision probabilities, and the fractional durations
+of the four asynchronous-overlap periods of a subframe.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,8 @@ from . import beams as bm
 from .association import Association, ShadowingTable
 from .beams import BeamParams
 from .propagation import (SPEED_OF_LIGHT_KM_S, m_of, path_loss,
-                          round_integer_m, sample_shadowing)
+                          round_integer_m, sigma_of)
+from .seeding import per_trial
 from .topology import Topology, distance
 
 
@@ -97,8 +99,8 @@ def collision_probability(n_g, l_g, l_j, hopset, activity):
     return np.maximum(np.asarray(n_g) * l_g, l_j) * activity / hopset
 
 
-def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector: int,
-                          rng: np.random.Generator):
+def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector,
+                          rng, trial=0):
     """Indices of the mobiles that can interfere with the reference signal.
 
     All served mobiles outside the reference sector are potential
@@ -106,27 +108,37 @@ def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector: int,
     per period, so a loaded sector beyond that contributes a uniformly
     random subset of that size; the subset is drawn once and reused for
     all four overlap periods, because block occupancy is fixed within a
-    subframe.
+    subframe.  For many references, one entry each in ref_sector, rng and
+    trial (its trial in a block association), returns (reference, row)
+    pairs ordered by reference, then row.
     """
-    pool = np.flatnonzero(assoc.served_mask & (assoc.serving != ref_sector))
-    if len(pool) == 0:
-        return pool
+    sectors, rngs = np.ravel(ref_sector), per_trial(rng)
+    loads = assoc.loads.reshape(-1, assoc.loads.shape[-1])
+    m = len(assoc.serving) // len(loads)
+    trial = np.broadcast_to(trial, sectors.shape)
+    rows = (trial[:, None] * m + np.arange(m)).ravel()
+    serving = assoc.serving[rows]
+    pool = np.flatnonzero((serving >= 0) & (serving != np.repeat(sectors, m)))
+    ref, row, serving = pool // m, rows[pool], serving[pool]
+    n = np.bincount(ref, minlength=len(sectors))
     keep_max = int(max(hop.ref_block / hop.block, 1.0))
-    if keep_max >= assoc.loads.max():
-        return pool
-    perm = pool[rng.permutation(len(pool))]
-    sectors = assoc.serving[perm]
-    order = np.argsort(sectors, kind="stable")
-    sorted_secs = sectors[order]
+    draw = keep_max < loads.max(axis=1)[trial]
+    # each reference's pool in ascending row order, or its random order
+    order = np.concatenate([s + (r.permutation(int(k)) if k and d else np.arange(k))
+                            for r, s, k, d in zip(rngs, np.cumsum(n) - n, n, draw)])
+    group = (ref * loads.shape[1] + serving)[order]
+    by_sector = np.argsort(group, kind="stable")
+    group = group[by_sector]
     # rank of each mobile within its sector, as in Topology._cell_grid
-    pos = np.arange(len(sorted_secs)) - np.searchsorted(sorted_secs, sorted_secs)
-    kept = perm[order][pos < keep_max]
-    return np.sort(kept)
+    rank = np.arange(len(group)) - np.searchsorted(group, group)
+    kept = np.sort(order[by_sector[rank < keep_max]])
+    return row[kept] if np.ndim(ref_sector) == 0 else (ref[kept], row[kept])
 
 
 def gamma0(p_over_n, xi_db, f_dr):
-    """No-fading SNR of the reference link; p_over_n > 0, linear."""
-    return p_over_n * 10.0 ** (xi_db / 10.0) * f_dr
+    """No-fading SNR of the reference link(s); p_over_n > 0, linear."""
+    # float_power rounds as a scalar power does, also on an array
+    return p_over_n * np.float_power(10.0, xi_db / 10.0) * f_dr
 
 
 def check_threshold(beta) -> float:
@@ -157,29 +169,14 @@ class InterferenceProfile:
 
     def __post_init__(self):
         omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        m = np.atleast_1d(np.asarray(self.m, dtype=float))
-        q = np.asarray(self.q, dtype=float).reshape(len(omega), 4)
-        c = np.asarray(self.c, dtype=float).reshape(len(omega), 4)
-        for name, val in (("omega", omega), ("m", m), ("q", q), ("c", c)):
-            if not np.all(np.isfinite(val)):
-                raise ValueError(f"non-finite {name} in interference profile")
-            object.__setattr__(self, name, val)
-        if not 0 < self.gamma0 < np.inf:
-            raise ValueError("gamma0 must be positive and finite")
-        if self.m0 != int(self.m0) or self.m0 < 1:
-            raise ValueError("reference fading shape m0 must be an integer >= 1")
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "m", np.atleast_1d(np.asarray(self.m, dtype=float)))
+        for name in ("q", "c"):
+            object.__setattr__(self, name, np.asarray(
+                getattr(self, name), dtype=float).reshape(len(omega), 4))
+        ProfileBlock(*(np.atleast_1d(getattr(self, name))
+                       for name in ProfileBlock._fields)).checked()
         object.__setattr__(self, "m0", int(self.m0))
-        check_threshold(self.beta)
-        if np.any(omega < 0):
-            raise ValueError("interference ratios must be non-negative")
-        if np.any(m < 0.5):
-            raise ValueError("interferer fading shapes must be >= 0.5")
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("collision probabilities must lie in [0, 1]")
-        if np.any(c < 0) or (len(omega) and not
-                             np.allclose(c.sum(axis=1), 1.0, atol=1e-9)):
-            raise ValueError("fractional durations must be non-negative "
-                             "and sum to 1 per interferer")
 
     @property
     def n_interferers(self) -> int:
@@ -190,6 +187,59 @@ class InterferenceProfile:
         return 1.0 / self.gamma0
 
 
+class ProfileBlock(namedtuple("ProfileBlock", "gamma0 m0 beta n_interferers "
+                                               "omega m q c")):
+    """Many InterferenceProfiles.
+
+    Profile b has gamma0[b], m0[b] and beta[b] and its n_interferers[b]
+    interferers are the rows of omega, m (N,), q and c (N, 4) after those
+    of profile b - 1.  A named tuple, as it is cheap to define.
+    """
+
+    __slots__ = ()
+
+    def checked(self):
+        """self, if every value is valid, else the first check's ValueError.
+
+        A block built from raw values is checked once; concat joins checked
+        parts and needs no check.
+        """
+        for name in ("omega", "m", "q", "c"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"non-finite {name} in interference profile")
+        if not np.all((0 < self.gamma0) & (self.gamma0 < np.inf)):
+            raise ValueError("gamma0 must be positive and finite")
+        if np.any(self.m0 != np.floor(self.m0)) or np.any(self.m0 < 1):
+            raise ValueError("reference fading shape m0 must be an integer >= 1")
+        if not np.all((0 < self.beta) & (self.beta < np.inf)):
+            raise ValueError("SINR threshold must be positive and finite")
+        if np.any(self.omega < 0):
+            raise ValueError("interference ratios must be non-negative")
+        if np.any(self.m < 0.5):
+            raise ValueError("interferer fading shapes must be >= 0.5")
+        if np.any((self.q < 0) | (self.q > 1)):
+            raise ValueError("collision probabilities must lie in [0, 1]")
+        if np.any(self.c < 0) or not np.allclose(self.c.sum(axis=1), 1.0,
+                                                  atol=1e-9):
+            raise ValueError("fractional durations must be non-negative "
+                             "and sum to 1 per interferer")
+        return self
+
+    @classmethod
+    def concat(cls, parts):
+        """The profiles of checked parts, ProfileBlocks or
+        InterferenceProfiles, in order."""
+        return cls(*(np.concatenate([np.atleast_1d(getattr(p, name)) for p in parts])
+                     for name in cls._fields))
+
+    def profile(self, b) -> InterferenceProfile:
+        """Profile b as an InterferenceProfile."""
+        rows = slice(self.n_interferers[:b].sum(), self.n_interferers[:b + 1].sum())
+        return InterferenceProfile(self.gamma0[b], self.m0[b], self.beta[b],
+                                   self.omega[rows], self.m[rows], self.q[rows],
+                                   self.c[rows])
+
+
 def empty_profile(gamma0_value, m0, beta) -> InterferenceProfile:
     """Profile of an interference-free reference link."""
     return InterferenceProfile(gamma0_value, m0, beta,
@@ -197,11 +247,27 @@ def empty_profile(gamma0_value, m0, beta) -> InterferenceProfile:
                                np.empty((0, 4)), np.empty((0, 4)))
 
 
-def truncate_strongest(omega, k: int):
-    """Indices of the k largest power ratios (k >= 1), in index order."""
-    if len(omega) <= k:
-        return np.arange(len(omega))
-    return np.sort(np.argpartition(-omega, k - 1)[:k])
+def truncate_strongest(omega, k: int, group=None):
+    """Indices of the k largest power ratios (k >= 1), in index order.
+
+    Ties go to the lower index: omega descending, then index ascending.
+    With group, non-decreasing labels from 0, each group keeps its own k.
+    """
+    neg = -np.asarray(omega, dtype=float)
+    group = np.zeros(len(neg), dtype=int) if group is None else np.asarray(group)
+    col = np.arange(len(neg)) - np.searchsorted(group, group)
+    cand = np.arange(len(neg))
+    if len(neg) and col.max() >= k:
+        # only ratios at least their group's k-th largest can be kept
+        width = col.max() + 1
+        table = np.full((group[-1] + 1) * width, np.inf)
+        table[group * width + col] = neg
+        kth = np.partition(table.reshape(-1, width), k - 1, axis=1)[:, k - 1]
+        cand = np.flatnonzero(neg <= kth[group])
+    order = cand[np.lexsort((neg[cand], group[cand]))]
+    ranked = group[order]
+    rank = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+    return np.sort(order[rank < k])
 
 
 def power_control_ratio(xi_ij_db, xi_ig_db, xi_ref_db, f_ij, f_ig, f_dr,
@@ -215,72 +281,89 @@ def power_control_ratio(xi_ij_db, xi_ig_db, xi_ref_db, f_ij, f_ig, f_dr,
     cancel exactly.  Domain: 0 <= delta <= 1.
     """
     xi_net = xi_ij_db - delta * xi_ig_db + (delta - 1.0) * xi_ref_db
+    # f_dr is one link's value, so its power rounds as a scalar's
     return (10.0 ** (xi_net / 10.0) * f_ij * spec_factor
             * mobile_level * sector_level
-            / (f_dr ** (1.0 - delta) * f_ig ** delta * bm.max_pair_gain(bp)))
+            / (np.float_power(f_dr, 1.0 - delta) * f_ig ** delta
+               * bm.max_pair_gain(bp)))
+
+
+def link_profiles(t: Topology, cfg, mobile_xy, shadow: ShadowingTable,
+                  assoc: Association, refs, rngs, d_r: float | None = None):
+    """Assemble the ProfileBlock of the reference uplinks from rows refs.
+
+    shadow and assoc hold one or more trials, rows one trial after
+    another, and rngs one generator per reference, each drawn in turn.
+    cfg is the RunConfig whose propagation, beam, hopping and link-budget
+    values apply.  By default a link's length and shadowing come from the
+    realized geometry; a typical length d_r, as in densification studies,
+    replaces the length and draws the link's shadowing at it from its
+    generator, so the whole link model is consistent.  Returns (block,
+    info) where info holds, per reference, the link length, the serving
+    sector and the pre-truncation interferer count.
+    """
+    prop, bp, hop = cfg.propagation_params, cfg.beam_params, cfg.hop_plan
+    refs, xy = np.asarray(refs), np.asarray(mobile_xy, dtype=float)
+    n = len(refs)
+    trial = refs // (len(xy) // np.size(shadow.seed))
+    j = assoc.serving[refs]
+    if np.any(j < 0):
+        raise ValueError("reference mobile is not served")
+    pos_j = t.sector_position(j)
+    typical = d_r is not None
+    d_r = np.full(n, float(d_r)) if typical else distance(xy[refs], pos_j)
+    if np.any(d_r <= 0):
+        raise ValueError("reference link length must be positive")
+    if typical:
+        xi_ref = np.array([r.normal(0.0, 1.0) for r in rngs]) * sigma_of(d_r, prop)
+    ref, row = build_interferer_sets(assoc, hop, j, rngs, trial)
+    info = {"d_r": d_r, "serving_sector": j,
+            "n_potential": np.bincount(ref, minlength=n)}
+
+    # a scalar power rounds unlike an array one: one call per link length
+    f_dr = (np.full(n, path_loss(d_r[0], prop)) if typical
+            else np.array([path_loss(d, prop) for d in d_r]))
+    g_sec, xy_i, j_i = assoc.serving[row], xy[row], j[ref]
+    pos_g = t.sector_position(g_sec)
+    d_ij, d_ig = distance(xy_i, pos_j[ref]), distance(xy_i, pos_g)
+    xi = shadow.toward_sector(np.concatenate([refs, row, row]),
+                              np.concatenate([j, j_i, g_sec]))
+    xi_ij, xi_ig = xi[n:n + len(row)], xi[n + len(row):]
+    if not typical:
+        xi_ref = xi[:n]
+    # mobile beams point at their serving BS; sector j's wedge is fixed
+    mob_level = bm.mobile_gain_toward(xy_i, pos_j[ref], pos_g, bp)
+    in_wedge = t.covering_sector(j_i // t.sectors_per_bs, xy_i) == j_i
+    sec_level = np.where(in_wedge, bp.sector_mainlobe_level,
+                         bp.sector_sidelobe_level)
+    omega = power_control_ratio(
+        xi_ij, xi_ig, xi_ref[ref], path_loss(d_ij, prop), path_loss(d_ig, prop),
+        f_dr[ref], cfg.delta, spectral_factor(hop.ref_block, hop.block),
+        mob_level, sec_level, bp)
+    # cut to the strongest K first: later columns are built for kept rows only
+    top = truncate_strongest(omega, cfg.k_strongest, ref)
+    ref, d_ij, g_sec = ref[top], d_ij[top], g_sec[top]
+
+    n_g = assoc.loads.reshape(-1, t.n_sectors)[trial[ref], g_sec]
+    q1 = collision_probability(n_g, hop.block, hop.ref_block, hop.hopset,
+                               hop.activity)
+    c = fractional_durations(timing_offset(d_r[ref], d_ij, hop.slot_ms),
+                             hop.slot_ms)
+    block = ProfileBlock(
+        gamma0(cfg.p_over_n_linear, xi_ref, f_dr), round_integer_m(d_r, prop),
+        np.full(n, cfg.beta_linear), np.bincount(ref, minlength=n), omega[top],
+        m_of(d_ij, prop), np.repeat(q1[:, None], 4, axis=1), c)
+    return block.checked(), info
 
 
 def reference_link_profile(t: Topology, cfg, mobile_xy,
                            shadow: ShadowingTable, assoc: Association,
                            ref_idx: int, rng: np.random.Generator,
                            d_r: float | None = None):
-    """Assemble the InterferenceProfile of the reference uplink.
+    """The InterferenceProfile of one reference uplink, and its info.
 
-    cfg is the RunConfig whose propagation, beam, hopping and link-budget
-    values apply.  By default the reference link length and shadowing come
-    from the realized geometry; a typical length d_r, as in densification
-    studies, replaces the length and draws the link's shadowing at it from
-    rng, so the whole link model is consistent.  Returns (profile, info)
-    where info records the link length, the serving sector and the
-    pre-truncation interferer count.
+    The one-reference case of link_profiles, with the same arguments.
     """
-    prop, bp, hop = cfg.propagation_params, cfg.beam_params, cfg.hop_plan
-    j = int(assoc.serving[ref_idx])
-    if j < 0:
-        raise ValueError("reference mobile is not served")
-    mobile_xy = np.asarray(mobile_xy, dtype=float)
-    pos_j = t.sector_position(j)
-    typical = d_r is not None
-    if not typical:
-        d_r = float(distance(mobile_xy[ref_idx], pos_j))
-    if d_r <= 0:
-        raise ValueError("reference link length must be positive")
-    xi_ref_db = float(sample_shadowing(d_r, prop, rng) if typical
-                      else shadow.toward_sector(ref_idx, j))
-
-    f_dr = path_loss(d_r, prop)
-    g0 = gamma0(cfg.p_over_n_linear, xi_ref_db, f_dr)
-    m0 = round_integer_m(d_r, prop)
-
-    idx = build_interferer_sets(assoc, hop, j, rng)
-    info = {"d_r": d_r, "serving_sector": j, "n_potential": len(idx)}
-
-    d_ij = distance(mobile_xy[idx], pos_j)
-    f_ij = path_loss(d_ij, prop)
-    xi_ij = shadow.toward_sector(idx, j)
-
-    g_sec = assoc.serving[idx]
-    pos_g = t.sector_position(g_sec)
-    d_ig = distance(mobile_xy[idx], pos_g)
-    f_ig = path_loss(d_ig, prop)
-    xi_ig = shadow.toward_sector(idx, g_sec)
-
-    # mobile beams point at their serving BS; sector j's wedge is fixed
-    mob_level = bm.mobile_gain_toward(mobile_xy[idx], pos_j, pos_g, bp)
-    in_wedge = t.covering_sector(j // t.sectors_per_bs, mobile_xy[idx]) == j
-    sec_level = np.where(in_wedge, bp.sector_mainlobe_level,
-                         bp.sector_sidelobe_level)
-
-    omega = power_control_ratio(
-        xi_ij, xi_ig, xi_ref_db, f_ij, f_ig, f_dr, cfg.delta,
-        spectral_factor(hop.ref_block, hop.block), mob_level, sec_level, bp)
-    # cut to the strongest K first: later columns are built for kept rows only
-    top = truncate_strongest(omega, cfg.k_strongest)
-    d_ij, g_sec = d_ij[top], g_sec[top]
-
-    q1 = collision_probability(assoc.loads[g_sec], hop.block, hop.ref_block,
-                               hop.hopset, hop.activity)
-    q = np.repeat(np.asarray(q1)[:, None], 4, axis=1)
-    c = fractional_durations(timing_offset(d_r, d_ij, hop.slot_ms), hop.slot_ms)
-    return (InterferenceProfile(g0, m0, cfg.beta_linear, omega[top],
-                                m_of(d_ij, prop), q, c), info)
+    block, info = link_profiles(t, cfg, mobile_xy, shadow, assoc, [ref_idx],
+                                [rng], d_r)
+    return block.profile(0), {key: value[0] for key, value in info.items()}

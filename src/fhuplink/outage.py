@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .linkbudget import InterferenceProfile, check_threshold
+from .linkbudget import InterferenceProfile, ProfileBlock, check_threshold
 
 
 # term rows per evaluator call, so each temporary holds at most
@@ -33,30 +33,26 @@ _MAX_TERMS = 2 ** 14
 _DEEP_BLOCK = 8             # pmf terms per step of a deep tail's sum
 
 
-def _live_pairs(profile: InterferenceProfile):
-    """(q, omega c, m) of the pairs that can collide, interferer-major.
+def _live_pairs(block):
+    """Live pairs of each profile as (q, omega c, m) columns, each (P, B),
+    and their count per profile.
 
-    A pair with q = 0 or omega c = 0 never adds interference.
+    block is a ProfileBlock or one InterferenceProfile.  A pair with q = 0
+    or omega c = 0 never adds interference.  A profile's pairs are
+    interferer-major, packed at the front of its column and padded with
+    q = 0 pairs.
     """
-    omega_c = profile.omega[:, None] * profile.c
-    live = (profile.q > 0) & (omega_c > 0)
-    m = np.broadcast_to(profile.m[:, None], live.shape)[live]
-    return profile.q[live], omega_c[live], m
-
-
-def _padded(pairs):
-    """Live pairs of each row as (q, omega c, m) columns, each (P, B).
-
-    Rows narrower than the widest are padded with q = 0 pairs.
-    """
-    lens = np.array([len(q) for q, _, _ in pairs])
-    shape = (int(lens.max(initial=0)), len(pairs))
+    w = block.omega[:, None] * block.c
+    live = (block.q > 0) & (w > 0)
+    n = np.size(block.m0)
+    col = np.repeat(np.arange(n), 4 * block.n_interferers)[live.ravel()]
+    count = np.bincount(col, minlength=n)
+    shape = (int(count.max(initial=0)), n)
     cols = np.zeros(shape), np.zeros(shape), np.ones(shape)
-    col = np.repeat(np.arange(len(pairs)), lens)
-    row = np.arange(len(col)) - np.repeat(np.cumsum(lens) - lens, lens)
-    for k, dst in enumerate(cols):
-        dst[row, col] = np.concatenate([p[k] for p in pairs])
-    return cols
+    row = np.arange(len(col)) - (np.cumsum(count) - count)[col]
+    for dst, src in zip(cols, (block.q, w, np.repeat(block.m[:, None], 4, axis=1))):
+        dst[row, col] = src[live]
+    return cols, count
 
 
 def _beyond(alpha, rho, term, j):
@@ -92,13 +88,14 @@ def _beyond(alpha, rho, term, j):
     return total
 
 
-def _count_laws(pairs, z, beta0, n):
+def _count_laws(q, w, m, z, beta0, n):
     """Pmfs of the interference counts and tails of the total counts.
 
-    Row b has the live pairs pairs[b], noise term z[b] and beta0[b]; all
-    rows share n.  Returns (pmf, tail) with pmf[b, k] = P(sum N_ik = k)
-    for k < n and tail[b] = P(K + sum N_ik >= n).  Each term is one row of
-    the (a, b, 0) recursion pmf_{k+1} = pmf_k (alpha + rho k) / (k + 1):
+    Row b has the live pairs (q, w, m)[:, b], noise term z[b] and
+    beta0[b]; all rows share n.  Returns (pmf, tail) with pmf[b, k] =
+    P(sum N_ik = k) for k < n and tail[b] = P(K + sum N_ik >= n).  Each
+    term is one row of the (a, b, 0) recursion pmf_{k+1} = pmf_k (alpha +
+    rho k) / (k + 1):
     rho = 0 for K and rho = 1 - p for a negative binomial.  Arrays are
     (degree, term, row); a row's terms are its pairs, then q = 0 padding,
     then K.  The fold P(A + B >= n) = P(A >= n) + sum_{k<n} P(A = k)
@@ -107,7 +104,6 @@ def _count_laws(pairs, z, beta0, n):
     0) and every sum runs in a fixed order along its axis, so a row's
     bits do not depend on which rows share the call.
     """
-    q, w, m = _padded(pairs)
     a = beta0 * w / m
     lam = beta0 * z
     rho = a / (1.0 + a)
@@ -173,30 +169,32 @@ def _chunks(rows, widths):
 def outage_batch(profiles, diversity=(2, 1), beta=None) -> np.ndarray:
     """Outage of every profile under every setting, shaped (settings, profiles).
 
-    Setting s has the desired-signal diversity diversity[s], 2 with
-    hopping (shape 2*m0) and 1 without (shape m0), and the threshold
-    beta[s]; beta None takes each profile's own threshold.  The rows are
-    grouped by n = diversity * m0 and each group is evaluated in as few
-    calls as _MAX_TERMS allows; a row's value is bit-identical whichever
-    rows share its call.
+    profiles is a ProfileBlock, or a sequence of ProfileBlocks and
+    InterferenceProfiles taken in order.  Setting s has the desired-signal
+    diversity diversity[s], 2 with hopping (shape 2*m0) and 1 without
+    (shape m0), and the threshold beta[s]; beta None takes each profile's
+    own threshold.  The rows are grouped by n = diversity * m0 and each
+    group is evaluated in as few calls as _MAX_TERMS allows; a row's value
+    is bit-identical whichever rows share its call.
     """
-    m0 = np.array([p.m0 for p in profiles], dtype=int)
-    n = np.array(diversity, dtype=int)[:, None] * m0
+    if not isinstance(profiles, ProfileBlock):
+        profiles = ProfileBlock.concat(profiles)
+    n = np.array(diversity, dtype=int)[:, None] * profiles.m0
     if beta is None:
-        beta = np.array([p.beta for p in profiles])
+        beta = profiles.beta
     else:
         beta = np.array([[check_threshold(b)]
                          for _, b in zip(diversity, beta, strict=True)])
     beta = np.broadcast_to(beta, n.shape).ravel()
-    z = np.array([p.z for p in profiles])
-    pairs = [_live_pairs(p) for p in profiles]
-    col = np.tile(np.arange(len(profiles)), len(n))     # row -> profile
-    widths = np.array([len(q) + 1 for q, _, _ in pairs], dtype=int)[col]
+    z = 1.0 / profiles.gamma0
+    (q, w, m), count = _live_pairs(profiles)
+    col = np.tile(np.arange(len(z)), len(n))     # row -> profile
+    widths = (count + 1)[col]
     eps = np.empty(n.size)
     for n_g in np.unique(n):
         for rows in _chunks(np.flatnonzero(n == n_g), widths):
-            c = col[rows]
-            eps[rows] = _count_laws([pairs[i] for i in c], z[c],
+            c, p = col[rows], widths[rows].max() - 1
+            eps[rows] = _count_laws(q[:p, c], w[:p, c], m[:p, c], z[c],
                                     beta[rows] * n_g, int(n_g))[1]
     return eps.reshape(n.shape)
 
@@ -209,7 +207,8 @@ def h_t_all(profile: InterferenceProfile, beta0, t_max):
     probability that the pairs' counts sum to t.  beta0 must be positive.
     """
     t = np.arange(t_max + 1)
-    pmf, _ = _count_laws([_live_pairs(profile)], np.array([profile.z]),
+    pairs, _ = _live_pairs(profile)
+    pmf, _ = _count_laws(*pairs, np.array([profile.z]),
                          np.array([float(beta0)]), t_max + 1)
     return pmf[0] / beta0 ** t
 
@@ -266,7 +265,8 @@ def outage_monte_carlo(profile: InterferenceProfile, n_samples: int,
     # interference, in place, so no long-lived array is reallocated
     left = _pack(gbar, gbar > beta * z)
     interference = np.zeros(left)
-    q, w, m = _live_pairs(profile)
+    (q, w, m), _ = _live_pairs(profile)
+    q, w, m = q[:, 0], w[:, 0], m[:, 0]
     for j in np.argsort(-(q * w), kind="stable"):
         if not left:
             break

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .seeding import per_trial
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -164,7 +166,8 @@ class Topology:
         d = np.sqrt(dx * dx + dy * dy)
         # cells list their BSs by index, so a stable sort breaks ties by it
         order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        return np.take_along_axis(near, order, 1), np.take_along_axis(d, order, 1)
+        order += np.arange(len(d))[:, None] * d.shape[1]    # flat positions
+        return near.ravel()[order], d.ravel()[order]
 
     def _cell_grid(self, k):
         """Origin, cells per km, cells per side, each cell's BS list (by
@@ -287,6 +290,14 @@ def scale_topology(t: Topology, factor) -> Topology:
                    reference_zone=t.reference_zone.scaled(factor))
 
 
+def mobile_count(t: Topology, density) -> int:
+    """Mobiles of a trial: round(density * area), at least one."""
+    m = int(round(density * t.extent.area))
+    if m < 1:
+        raise ValueError("density times extent area rounds to zero mobiles")
+    return m
+
+
 def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
                   max_tries=10_000) -> MobilePlacement:
     """Place round(density * area) mobiles by uniform clustering.
@@ -300,9 +311,7 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
     if r_ex < 0:
         raise ValueError("exclusion radius must be non-negative")
     ext = t.extent
-    m = int(round(density * ext.area))
-    if m < 1:
-        raise ValueError("density times extent area rounds to zero mobiles")
+    m = mobile_count(t, density)
     cand = np.column_stack([rng.uniform(ext.xmin, ext.xmax, size=m),
                             rng.uniform(ext.ymin, ext.ymax, size=m)])
     if r_ex == 0.0:
@@ -368,16 +377,21 @@ def distance_matrix(a, b):
     return distance(np.asarray(a, dtype=float)[:, None], b)
 
 
-def pick_reference_mobile(placement: MobilePlacement, t: Topology,
-                          rng: np.random.Generator, eligible=None):
+def pick_reference_mobile(placement: MobilePlacement, t: Topology, rng,
+                          eligible=None):
     """Uniformly pick a mobile inside the reference zone, or None if empty.
 
-    eligible optionally restricts the draw (e.g. to served mobiles).
+    eligible optionally restricts the draw (e.g. to served mobiles).  With
+    rng a sequence of generators, one per trial, placement holds the
+    trials' mobiles one trial after another, and the result holds each
+    trial's pick, as an index within its trial, or -1 for none.
     """
-    mask = t.reference_zone.contains(placement.xy)
+    rngs = per_trial(rng)
+    mask = t.reference_zone.contains(placement.xy).reshape(len(rngs), -1)
     if eligible is not None:
-        mask = mask & np.asarray(eligible, dtype=bool)
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return None
-    return int(idx[rng.integers(len(idx))])
+        mask = mask & np.asarray(eligible, dtype=bool).reshape(mask.shape)
+    pick = [int(idx[r.integers(len(idx))]) if len(idx) else -1
+            for r, idx in zip(rngs, map(np.flatnonzero, mask))]
+    if isinstance(rng, np.random.Generator):
+        return None if pick[0] < 0 else pick[0]
+    return np.array(pick)

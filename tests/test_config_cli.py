@@ -279,15 +279,31 @@ def test_cli_error_reporting(tmp_path, capsys):
     ("densify --ratios 0", "0.0"),
     ("densify --ratios ,", "--ratios"),
     ("sweep --axis delta --values ,", "--values"),
-    ("links --beta-db=,", "--beta-db")])
-def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys):
+    ("links --beta-db=,", "--beta-db"),
+    ("FHUPLINK_SEED=abc campaign", "FHUPLINK_SEED must be an integer, got 'abc'"),
+    ("FHUPLINK_THREADS=2x densify", "FHUPLINK_THREADS must be an integer, got '2x'")])
+def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys,
+                                             monkeypatch):
     # an empty list would leave a CSV without rows, so without a column line
     out = tmp_path / "out.csv"
-    assert cli.main(args.split() + ["--config", _write_cfg(tmp_path),
-                                    "--out", str(out)]) == 2
+    args = args.split()
+    while "=" in args[0]:       # leading NAME=value words are the environment
+        monkeypatch.setenv(*args.pop(0).split("=", 1))
+    assert cli.main(args + ["--config", _write_cfg(tmp_path),
+                            "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err, err
     assert not out.exists()
+
+
+def test_cli_out_of_range_ratio_warns_in_one_line(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.main(["densify", "--ratios", "2", "--trials", "2", "--config",
+                     _write_cfg(tmp_path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith("fhuplink densify: C/M ratio 2.0 outside"), err
+    assert out.exists()
 
 
 def test_cli_env_overrides(tmp_path, monkeypatch):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from fhuplink import experiments
 from fhuplink.beams import BeamParams
 from fhuplink.config import ConfigError, RunConfig
 from fhuplink.experiments import (TRIAL_BLOCK, TRIAL_DTYPE, cm_ratio_of,
                                   code_rate, densification_sweep,
                                   per_link_rate_curves, run_campaign,
                                   run_trial, scale_to_cm, sweep)
-from fhuplink.linkbudget import HopPlan, InterferenceProfile
+from fhuplink.linkbudget import HopPlan, InterferenceProfile, ProfileBlock
+from fhuplink.outage import outage_batch
 from fhuplink.propagation import PropagationParams
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
 
@@ -58,6 +60,18 @@ def test_run_trial_checks_each_object_once(monkeypatch, d_r_override):
     assert built == {"InterferenceProfile": 1}
 
 
+def test_campaign_checks_each_profile_once(monkeypatch):
+    # a block's profiles are checked where link_profiles builds them, and
+    # joining checked blocks for the closed forms checks nothing again
+    t = _topo(SMALL)
+    sizes = []
+    checked = ProfileBlock.checked
+    monkeypatch.setattr(ProfileBlock, "checked",
+                        lambda self: sizes.append(len(self.m0)) or checked(self))
+    run_campaign(t, SMALL, n_trials=10, threads=1)
+    assert sum(sizes) == 10
+
+
 def test_single_mobile_reduces_to_noise_only():
     # density * area rounds to one mobile: it is the reference, there are
     # no interferers, and the trial outage equals the pure-noise gamma CDF
@@ -102,7 +116,17 @@ def test_campaign_thread_invariance():
     assert s1 == s2
 
 
-def test_block_size_does_not_change_a_record():
+def _one_trial_records(t, cfg, n, d_r_override=None):
+    """The records of trials 0 .. n - 1, each run as a block of one."""
+    records = np.empty(n, dtype=TRIAL_DTYPE)
+    for i in range(n):
+        row, profile = run_trial(t, cfg, derive_rng(cfg.seed, DOMAIN_TRIAL, i),
+                                 d_r_override)
+        records[i] = (*outage_batch([profile])[:, 0], *row)
+    return records
+
+
+def test_block_size_does_not_change_a_record(monkeypatch):
     # 10 trials are one block; the first 10 of 70 share a block with 54
     # other trials, so a record must not depend on its block partners
     t = _topo(SMALL)
@@ -110,6 +134,37 @@ def test_block_size_does_not_change_a_record():
     _, long = run_campaign(t, SMALL, n_trials=70, threads=1)
     assert 10 < TRIAL_BLOCK < 70
     assert short.tobytes() == long[:10].tobytes()
+    assert short.tobytes() == _one_trial_records(t, SMALL, 10).tobytes()
+
+    # 600 mobiles a trial: the row budget splits 7 trials into sub-blocks
+    big = SMALL.replace(extent_km=2.0, density_per_km2=150.0, bs_count=40)
+    t = _topo(big)
+    assert 1 < experiments.ROW_BUDGET // 600 < 7
+    _, got = run_campaign(t, big, n_trials=7, threads=1, d_r_override=0.05)
+    assert got.tobytes() == _one_trial_records(t, big, 7, 0.05).tobytes()
+
+    # capacity 2 a sector: sequential admission runs inside the block
+    full = SMALL.replace(zeta=1, ref_block_channels=50, sector_block_channels=50)
+    t = _topo(full)
+    _, got = run_campaign(t, full, n_trials=6, threads=1)
+    assert np.all(got["n_denied"] > 0)
+    assert got.tobytes() == _one_trial_records(t, full, 6).tobytes()
+
+    # a small reference zone is often empty: some trials of the block
+    # realize again, together, and the others do not
+    sizes = []
+    realize = experiments.realize_network
+
+    def counted(t, cfg, rng):
+        sizes.append(len(rng))
+        return realize(t, cfg, rng)
+    sparse = SMALL.replace(ref_zone_km=0.12)
+    t = _topo(sparse)
+    monkeypatch.setattr(experiments, "realize_network", counted)
+    _, got = run_campaign(t, sparse, n_trials=12, threads=1)
+    assert sizes[0] == 12 and 0 < sizes[1] < 12
+    monkeypatch.undo()
+    assert got.tobytes() == _one_trial_records(t, sparse, 12).tobytes()
 
 
 def test_campaign_seed_sensitivity():

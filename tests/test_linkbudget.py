@@ -144,6 +144,15 @@ def test_truncate_strongest():
     assert truncate_strongest(omega, 1).tolist() == [1]
     assert truncate_strongest(omega, 3).tolist() == [1, 2, 3]  # index order
     assert truncate_strongest(np.empty(0), 3).tolist() == []
+    # ties at the K-th place go to the lower index
+    tied = np.array([1.0, 2.0, 2.0, 2.0, 0.5])
+    assert truncate_strongest(tied, 2).tolist() == [1, 2]
+    assert truncate_strongest(tied, 4).tolist() == [0, 1, 2, 3]
+    assert truncate_strongest(np.zeros(4), 3).tolist() == [0, 1, 2]
+    # with groups, each keeps its own K under the same rule
+    grouped = np.array([1.0, 1.0, 3.0, 2.0, 2.0, 2.0, 0.0])
+    assert truncate_strongest(grouped, 2, [0, 0, 0, 1, 1, 1, 2]).tolist() == \
+        [0, 2, 3, 4, 6]
 
 
 def test_power_control_ratio_full_inversion():
