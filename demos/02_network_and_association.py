@@ -22,14 +22,14 @@ def main():
     cfg = RunConfig(seed=3)
     topo = build_topology(cfg)
     rng = derive_rng(cfg.seed, DOMAIN_TRIAL, 0)
-    placement, shadow, assoc = realize_network(topo, cfg, rng)
+    placement, shadow, assoc = realize_network(topo, cfg, [rng])
     m = placement.n_mobiles
 
     print(f"\nmobiles: {m} (density {cfg.density_per_km2}/km^2, "
           f"exclusion {cfg.r_ex_km*1000:.0f} m)")
     print(f"sector capacity: {cfg.hop_plan.sector_capacity} "
           f"mobiles; denied: {len(assoc.denied)}")
-    loads = assoc.loads[assoc.loads > 0]
+    loads = assoc.loads[0][assoc.loads[0] > 0]
     print(f"loaded sectors: {len(loads)}; max load {loads.max()}; "
           f"mean load {loads.mean():.2f}")
 

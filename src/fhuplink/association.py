@@ -5,7 +5,8 @@ per BS) by shadowed area-mean power and, taking turns in a random order,
 is admitted to the best-ranked sector with spare capacity.  Overflowing
 mobiles fall through to their next candidate; a mobile with no candidate
 left is denied service.  Shadowing is drawn for these candidate links;
-any other link is drawn when it is read.
+any other link is drawn when it is read.  Both steps run on a block of
+trials, mobiles one trial after another, with one generator per trial.
 """
 
 from __future__ import annotations
@@ -15,21 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import PropagationParams, path_loss, sigma_of
-from .seeding import derive_rng, per_trial
+from .seeding import derive_rng
 from .topology import Topology, distance
 
 
 @dataclass(frozen=True, eq=False)
 class ShadowingTable:
-    """Shadowing in dB of one or more trials' links, one value per link.
+    """Shadowing in dB of a block of trials' links, one value per link.
 
     per='bs': one factor per (mobile, BS), shared by the BS's sectors
     (their links share the propagation path); per='sector': one per
     (mobile, sector).  Rows are mobiles, trial by trial, and seed holds
-    one value per trial (a scalar for one).  xi_db holds the candidate
-    links, row r toward BS near[r, s] (its covering sector with
-    per='sector').  Any other link of a trial's mobile i is sigma_of(its
-    length) times entry i of unit normals drawn from (seed, BS or sector).
+    one value per trial.  xi_db holds the candidate links, row r toward
+    BS near[r, s] (its covering sector with per='sector').  Any other
+    link of a trial's mobile i is sigma_of(its length) times entry i of
+    unit normals drawn from (seed, BS or sector).
     """
 
     t: Topology
@@ -39,7 +40,7 @@ class ShadowingTable:
     xi_db: np.ndarray      # (R, k) dB
     prop: PropagationParams
     per: str = "bs"
-    seed: int | np.ndarray = 0
+    seed: np.ndarray = (0,)    # (trials,); one trial by default
 
     def toward_sector(self, mobile_idx, sector_id):
         """Shadowing in dB of the link(s) from mobile row(s) to sector(s)."""
@@ -51,13 +52,13 @@ class ShadowingTable:
             hit &= (self.t.covering_sector(bs, self.mobile_xy[i]) == sector)[:, None]
         xi = self.xi_db[i, hit.argmax(axis=1)]
         off = np.flatnonzero(~hit.any(axis=1))
-        m = len(self.mobile_xy) // np.size(self.seed)
+        m = len(self.mobile_xy) // len(self.seed)
         trial, row = np.divmod(i[off], m)
         # one column per (trial, key); a trial has n_sectors >= n_bs keys
         n = self.t.n_sectors
         keys, at = np.unique(trial * n + (bs if self.per == "bs" else sector)[off],
                              return_inverse=True)
-        z = [derive_rng(np.ravel(self.seed)[k // n], k % n).standard_normal(m)
+        z = [derive_rng(self.seed[k // n], k % n).standard_normal(m)
              for k in keys]
         d = distance(self.mobile_xy[i[off]], self.t.bs_xy[bs[off]])
         xi[off] = np.reshape(z, (-1, m))[at, row] * sigma_of(d, self.prop)
@@ -65,34 +66,31 @@ class ShadowingTable:
 
 
 def draw_shadowing_table(t: Topology, mobile_xy, near, dist,
-                         p: PropagationParams, rng, per="bs") -> ShadowingTable:
-    """Draw one factor per candidate link (near, dist: the (M, k) BSs and
+                         p: PropagationParams, rngs, per="bs") -> ShadowingTable:
+    """Draw one factor per candidate link (near, dist: the (R, k) BSs and
     distances in km from Topology.nearest_bs), its standard deviation set
-    by the link's length, and one seed for the links outside the table.
-    rng may be a sequence of generators, one per trial of a block whose
-    rows come one trial after another."""
+    by the link's length, and per trial one seed for the links outside
+    the table; rngs holds one generator per trial."""
     if per not in ("bs", "sector"):
         raise ValueError("shadowing per must be 'bs' or 'sector'")
-    rngs = per_trial(rng)
     z, m = np.empty(np.shape(near)), len(near) // len(rngs)
     for b, r in enumerate(rngs):
         r.standard_normal(out=z[b * m:(b + 1) * m])
     seed = np.array([r.integers(2**63) for r in rngs])
     return ShadowingTable(t, np.asarray(mobile_xy, dtype=float), near, dist,
-                          z * sigma_of(dist, p), p, per,
-                          seed[0] if isinstance(rng, np.random.Generator) else seed)
+                          z * sigma_of(dist, p), p, per, seed)
 
 
 @dataclass(frozen=True, eq=False)
 class Association:
     """Result of the admission pass: serving sector per mobile and loads.
 
-    A block association holds its trials' mobiles one trial after
-    another and one row of loads per trial.
+    It holds its trials' mobiles one trial after another and one row of
+    loads per trial.
     """
 
     serving: np.ndarray    # (R,) sector index within the trial, -1 if denied
-    loads: np.ndarray      # (n_sectors,) or (trials, n_sectors) admitted
+    loads: np.ndarray      # (trials, n_sectors) admitted
     denied: np.ndarray     # row indices of unserved mobiles
     sequential: bool = False   # the one-by-one admission loop ran
 
@@ -101,7 +99,7 @@ class Association:
         return self.serving >= 0
 
 
-def associate(shadow: ShadowingTable, capacity: int, rng) -> Association:
+def associate(shadow: ShadowingTable, capacity: int, rngs) -> Association:
     """Assign mobiles to sectors by maximum shadowed local-mean power.
 
     Candidates are the covering sectors of each mobile's BSs in
@@ -110,13 +108,12 @@ def associate(shadow: ShadowingTable, capacity: int, rng) -> Association:
     take turns in a uniformly random order, each taking its best-ranked
     candidate with load below capacity.  That loop runs only for a trial
     in which a sector is the first choice of more than capacity mobiles;
-    otherwise one bincount of first choices gives the same result.  A
-    block table takes one generator per trial.
+    otherwise one bincount of first choices gives the same result.  rngs
+    holds one generator per trial of the table.
     """
     if capacity < 1:
         raise ValueError("sector capacity must be >= 1")
     t = shadow.t
-    rngs = per_trial(rng)
     m = len(shadow.near) // len(rngs)
     orders = [r.permutation(m) for r in rngs]
     rows = np.arange(len(shadow.near))[:, None]
@@ -140,5 +137,5 @@ def associate(shadow: ShadowingTable, capacity: int, rng) -> Association:
                     own[i] = s
                     load[s] += 1
                     break
-    return Association(serving, loads.reshape(np.shape(shadow.seed) + (-1,)),
-                       np.flatnonzero(serving < 0), sequential=bool(full.size))
+    return Association(serving, loads, np.flatnonzero(serving < 0),
+                       sequential=bool(full.size))

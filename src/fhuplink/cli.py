@@ -62,19 +62,22 @@ def _emit(text, out_path):
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    updates = {}
     for key in ("seed", "threads"):
         name = f"FHUPLINK_{key.upper()}"
         text = os.environ.get(name)
         if text is None:
             continue
         try:
-            updates[key] = int(text)
+            value = int(text)
         except ValueError:
             raise ValueError(f"{name} must be an integer, got {text!r}") from None
-    for key in ("seed", "threads", "trials"):   # options beat the environment
-        if getattr(args, key, None) is not None:
-            updates[key] = getattr(args, key)
+        if getattr(args, key, None) is None:    # options beat the environment
+            try:
+                cfg = cfg.replace(**{key: value})
+            except ConfigError as exc:
+                raise ConfigError(f"{name}={text}: {exc}") from None
+    updates = {key: getattr(args, key) for key in ("seed", "threads", "trials")
+               if getattr(args, key, None) is not None}
     return cfg.replace(**updates) if updates else cfg
 
 

@@ -3,11 +3,12 @@
 A trial freezes one network realization (mobile drop, shadowing,
 association) and builds the reference link's interference profile, and
 the campaign averages the trials' conditional outages into outage,
-throughput, and area spectral efficiency.  A block of trials draws from
-each trial's own RNG, derived from (master seed, trial index), and runs
-the arithmetic between draws once as stacked arrays; a trial's record
-does not depend on which trials share its block, and results are reduced
-in index order, so campaigns are bit-for-bit the same for any worker count.
+throughput, and area spectral efficiency.  A realization is a block of
+trials, one generator per trial, each derived from (master seed, trial
+index); run_trial is the block of one.  A block runs the arithmetic
+between draws once as stacked arrays; a trial's record does not depend
+on which trials share its block, and results are reduced in index
+order, so campaigns are bit-for-bit the same for any worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .association import associate, draw_shadowing_table
 from .config import RunConfig, build_topology, set_key
 from .linkbudget import link_profiles
 from .outage import outage_batch
-from .seeding import DOMAIN_LINKS, DOMAIN_TRIAL, derive_rng, per_trial
+from .seeding import DOMAIN_LINKS, DOMAIN_TRIAL, derive_rng
 from .topology import (MobilePlacement, Topology, mobile_count,
                        pick_reference_mobile, place_mobiles, scale_topology)
 
@@ -75,16 +76,16 @@ TRIAL_DTYPE = np.dtype([
     ("n_denied", "i8")])
 
 
-def realize_network(t: Topology, cfg: RunConfig, rng):
-    """Draw network realizations: placement, shadowing, association;
-    rng is one trial's generator, or one per trial of a block."""
+def realize_network(t: Topology, cfg: RunConfig, rngs):
+    """Draw the network realizations of a block of trials, one generator
+    per trial in rngs: placement, shadowing, association."""
     placement = MobilePlacement(np.concatenate([
         place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, r).xy
-        for r in per_trial(rng)]))
+        for r in rngs]))
     near, dist = t.nearest_bs(placement.xy, cfg.candidate_bs)
     shadow = draw_shadowing_table(t, placement.xy, near, dist,
-                                  cfg.propagation_params, rng, cfg.shadowing_per)
-    assoc = associate(shadow, cfg.hop_plan.sector_capacity, rng)
+                                  cfg.propagation_params, rngs, cfg.shadowing_per)
+    assoc = associate(shadow, cfg.hop_plan.sector_capacity, rngs)
     return placement, shadow, assoc
 
 
@@ -342,7 +343,7 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
         raise ValueError("n_links must be >= 1")
     seed = cfg.seed if seed is None else int(seed)
     rng = derive_rng(seed, DOMAIN_LINKS)
-    placement, shadow, assoc = realize_network(t, cfg, rng)
+    placement, shadow, assoc = realize_network(t, cfg, [rng])
     served = np.flatnonzero(assoc.served_mask)
     if len(served) == 0:
         raise RuntimeError("realization has no served mobiles")

@@ -4,7 +4,9 @@ For each reference uplink this module collects everything the outage
 expression needs: the no-fading SNR, the integer reference fading shape,
 and one record per interferer holding its interference-to-signal ratio,
 real fading shape, collision probabilities, and the fractional durations
-of the four asynchronous-overlap periods of a subframe.
+of the four asynchronous-overlap periods of a subframe.  link_profiles
+builds the profiles of a block of reference uplinks, one generator per
+reference; reference_link_profile is the block of one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .association import Association, ShadowingTable
 from .beams import BeamParams
 from .propagation import (SPEED_OF_LIGHT_KM_S, m_of, path_loss,
                           round_integer_m, sigma_of)
-from .seeding import per_trial
 from .topology import Topology, distance
 
 
@@ -100,7 +101,7 @@ def collision_probability(n_g, l_g, l_j, hopset, activity):
 
 
 def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector,
-                          rng, trial=0):
+                          rngs, trial):
     """Indices of the mobiles that can interfere with the reference signal.
 
     All served mobiles outside the reference sector are potential
@@ -108,31 +109,29 @@ def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector,
     per period, so a loaded sector beyond that contributes a uniformly
     random subset of that size; the subset is drawn once and reused for
     all four overlap periods, because block occupancy is fixed within a
-    subframe.  For many references, one entry each in ref_sector, rng and
-    trial (its trial in a block association), returns (reference, row)
-    pairs ordered by reference, then row.
+    subframe.  ref_sector, rngs and trial (its trial in the association)
+    hold one entry per reference; returns (reference, row) pairs ordered
+    by reference, then row.
     """
-    sectors, rngs = np.ravel(ref_sector), per_trial(rng)
-    loads = assoc.loads.reshape(-1, assoc.loads.shape[-1])
-    m = len(assoc.serving) // len(loads)
-    trial = np.broadcast_to(trial, sectors.shape)
+    sectors, trial = np.asarray(ref_sector), np.asarray(trial)
+    m = len(assoc.serving) // len(assoc.loads)
     rows = (trial[:, None] * m + np.arange(m)).ravel()
     serving = assoc.serving[rows]
     pool = np.flatnonzero((serving >= 0) & (serving != np.repeat(sectors, m)))
     ref, row, serving = pool // m, rows[pool], serving[pool]
     n = np.bincount(ref, minlength=len(sectors))
     keep_max = int(max(hop.ref_block / hop.block, 1.0))
-    draw = keep_max < loads.max(axis=1)[trial]
+    draw = keep_max < assoc.loads.max(axis=1)[trial]
     # each reference's pool in ascending row order, or its random order
     order = np.concatenate([s + (r.permutation(int(k)) if k and d else np.arange(k))
                             for r, s, k, d in zip(rngs, np.cumsum(n) - n, n, draw)])
-    group = (ref * loads.shape[1] + serving)[order]
+    group = (ref * assoc.loads.shape[1] + serving)[order]
     by_sector = np.argsort(group, kind="stable")
     group = group[by_sector]
     # rank of each mobile within its sector, as in Topology._cell_grid
     rank = np.arange(len(group)) - np.searchsorted(group, group)
     kept = np.sort(order[by_sector[rank < keep_max]])
-    return row[kept] if np.ndim(ref_sector) == 0 else (ref[kept], row[kept])
+    return ref[kept], row[kept]
 
 
 def gamma0(p_over_n, xi_db, f_dr):
@@ -305,7 +304,7 @@ def link_profiles(t: Topology, cfg, mobile_xy, shadow: ShadowingTable,
     prop, bp, hop = cfg.propagation_params, cfg.beam_params, cfg.hop_plan
     refs, xy = np.asarray(refs), np.asarray(mobile_xy, dtype=float)
     n = len(refs)
-    trial = refs // (len(xy) // np.size(shadow.seed))
+    trial = refs // (len(xy) // len(shadow.seed))
     j = assoc.serving[refs]
     if np.any(j < 0):
         raise ValueError("reference mobile is not served")
@@ -344,7 +343,7 @@ def link_profiles(t: Topology, cfg, mobile_xy, shadow: ShadowingTable,
     top = truncate_strongest(omega, cfg.k_strongest, ref)
     ref, d_ij, g_sec = ref[top], d_ij[top], g_sec[top]
 
-    n_g = assoc.loads.reshape(-1, t.n_sectors)[trial[ref], g_sec]
+    n_g = assoc.loads[trial[ref], g_sec]
     q1 = collision_probability(n_g, hop.block, hop.ref_block, hop.hopset,
                                hop.activity)
     c = fractional_durations(timing_offset(d_r[ref], d_ij, hop.slot_ms),

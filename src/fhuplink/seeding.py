@@ -22,7 +22,3 @@ def derive_rng(master_seed, *key) -> np.random.Generator:
                                 spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
 
-
-def per_trial(rng) -> list:
-    """One trial's generator, or a block's sequence of them, as a list."""
-    return [rng] if isinstance(rng, np.random.Generator) else list(rng)

@@ -4,7 +4,8 @@ Base stations sit at fixed coordinates inside a square network extent and
 are split into equal angular sectors.  Mobiles are re-placed every trial
 with a uniform clustering rule: sequential uniform draws, rejecting any
 candidate that lands within the exclusion radius of an already accepted
-mobile.  Coordinates are in km.
+mobile.  Coordinates are in km.  The reference pick runs on a block of
+trials, one generator per trial.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .seeding import per_trial
 
 TWO_PI = 2.0 * np.pi
 
@@ -377,21 +376,17 @@ def distance_matrix(a, b):
     return distance(np.asarray(a, dtype=float)[:, None], b)
 
 
-def pick_reference_mobile(placement: MobilePlacement, t: Topology, rng,
+def pick_reference_mobile(placement: MobilePlacement, t: Topology, rngs,
                           eligible=None):
-    """Uniformly pick a mobile inside the reference zone, or None if empty.
+    """Uniformly pick a mobile inside the reference zone of each trial.
 
-    eligible optionally restricts the draw (e.g. to served mobiles).  With
-    rng a sequence of generators, one per trial, placement holds the
-    trials' mobiles one trial after another, and the result holds each
-    trial's pick, as an index within its trial, or -1 for none.
+    placement holds the trials' mobiles one trial after another and rngs
+    one generator per trial; eligible optionally restricts the draw (e.g.
+    to served mobiles).  Returns each trial's pick, as an index within its
+    trial, or -1 for an empty zone.
     """
-    rngs = per_trial(rng)
     mask = t.reference_zone.contains(placement.xy).reshape(len(rngs), -1)
     if eligible is not None:
         mask = mask & np.asarray(eligible, dtype=bool).reshape(mask.shape)
-    pick = [int(idx[r.integers(len(idx))]) if len(idx) else -1
-            for r, idx in zip(rngs, map(np.flatnonzero, mask))]
-    if isinstance(rng, np.random.Generator):
-        return None if pick[0] < 0 else pick[0]
-    return np.array(pick)
+    return np.array([int(idx[r.integers(len(idx))]) if len(idx) else -1
+                     for r, idx in zip(rngs, map(np.flatnonzero, mask))])

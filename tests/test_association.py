@@ -13,11 +13,12 @@ NY = preset_params("newyork")
 
 
 def _table(t, xy, rng=None, k=12, per="bs", xi=None):
-    """Shadowing of the mobiles at xy: drawn from rng, or xi dB (nearest first)."""
+    """Shadowing of one trial's mobiles at xy: drawn from rng, or xi dB
+    (nearest first)."""
     xy = np.asarray(xy, dtype=float)
     near, dist = t.nearest_bs(xy, k)
     if xi is None:
-        return draw_shadowing_table(t, xy, near, dist, NY, rng, per)
+        return draw_shadowing_table(t, xy, near, dist, NY, [rng], per)
     return ShadowingTable(t, xy, near, dist,
                           np.broadcast_to(np.asarray(xi, dtype=float), near.shape),
                           NY, per)
@@ -28,7 +29,7 @@ def test_no_shadowing_gives_nearest_bs():
     t = generate_topology("uniform-random", 9, 2.0, rng, sectors_per_bs=4)
     pl = place_mobiles(t, 50.0, 0.0, rng)
     shadow = _table(t, pl.xy, xi=0.0)
-    assoc = associate(shadow, capacity=1000, rng=rng)
+    assoc = associate(shadow, capacity=1000, rngs=[rng])
     assert len(assoc.denied) == 0
     nearest = np.argmin(distance_matrix(pl.xy, t.bs_xy), axis=1)
     expected = t.covering_sector(nearest, pl.xy)
@@ -44,11 +45,11 @@ def test_loads_consistent_and_capacity_respected():
     pl = place_mobiles(t, 200.0, 0.0, rng)
     shadow = _table(t, pl.xy, rng)
     cap = 5
-    assoc = associate(shadow, cap, rng)
+    assoc = associate(shadow, cap, [rng])
     assert np.all(assoc.loads <= cap)
     served = assoc.serving[assoc.serving >= 0]
     counts = np.bincount(served, minlength=t.n_sectors)
-    assert np.array_equal(counts, assoc.loads)
+    assert np.array_equal(counts, assoc.loads[0])
     assert np.array_equal(np.flatnonzero(assoc.serving < 0), assoc.denied)
 
 
@@ -60,7 +61,7 @@ def test_capacity_one_single_bs_denies_second():
     t = Topology(np.array([[1.0, 1.0]]), ext, ext, sectors_per_bs=4)
     xy = np.array([[1.3, 1.1], [1.4, 1.2]])  # both in the first quadrant wedge
     assoc = associate(_table(t, xy, xi=0.0), capacity=1,
-                      rng=np.random.default_rng(0))
+                      rngs=[np.random.default_rng(0)])
     assert sorted([assoc.serving[0], assoc.serving[1]])[0] == -1
     assert len(assoc.denied) == 1
     assert assoc.loads.sum() == 1
@@ -73,7 +74,7 @@ def test_overflow_goes_to_next_candidate():
     t = Topology(np.array([[1.0, 1.0], [3.0, 1.0]]), ext, ext, sectors_per_bs=1)
     xy = np.array([[1.1, 1.0], [1.2, 1.0]])
     assoc = associate(_table(t, xy, xi=0.0), capacity=1,
-                      rng=np.random.default_rng(3))
+                      rngs=[np.random.default_rng(3)])
     assert sorted(assoc.serving.tolist()) == [0, 1]
     assert len(assoc.denied) == 0
 
@@ -84,7 +85,7 @@ def test_strong_shadowing_flips_to_far_bs():
     xy = np.array([[1.1, 1.0]])  # much closer to BS0
     # absurdly favorable shadowing toward the second candidate, BS1
     shadow = _table(t, xy, xi=[[0.0, 200.0]])
-    assoc = associate(shadow, capacity=10, rng=np.random.default_rng(0))
+    assoc = associate(shadow, capacity=10, rngs=[np.random.default_rng(0)])
     assert assoc.serving[0] == 1
 
 
@@ -93,8 +94,8 @@ def test_deterministic_given_seed():
     t = generate_topology("uniform-random", 8, 1.0, rng, sectors_per_bs=6)
     pl = place_mobiles(t, 150.0, 0.0, rng)
     shadow = _table(t, pl.xy, rng)
-    a = associate(shadow, 3, np.random.default_rng(42))
-    b = associate(shadow, 3, np.random.default_rng(42))
+    a = associate(shadow, 3, [np.random.default_rng(42)])
+    b = associate(shadow, 3, [np.random.default_rng(42)])
     assert np.array_equal(a.serving, b.serving)
     assert np.array_equal(a.loads, b.loads)
 
@@ -105,9 +106,9 @@ def test_candidate_restriction_k_nearest():
     pl = place_mobiles(t, 30.0, 0.0, rng)
     # without shadowing the nearest BS always wins, so k=1 and k=30 agree
     a1 = associate(_table(t, pl.xy, k=1, xi=0.0), 1000,
-                   np.random.default_rng(0))
+                   [np.random.default_rng(0)])
     a30 = associate(_table(t, pl.xy, k=30, xi=0.0), 1000,
-                    np.random.default_rng(0))
+                    [np.random.default_rng(0)])
     assert np.array_equal(a1.serving, a30.serving)
 
 
@@ -117,7 +118,7 @@ def test_sector_mode_shadowing():
     pl = place_mobiles(t, 100.0, 0.0, rng)
     shadow = _table(t, pl.xy, rng, per="sector")
     assert shadow.xi_db.shape == (pl.n_mobiles, 4)
-    assoc = associate(shadow, 10, rng)
+    assoc = associate(shadow, 10, [rng])
     assert np.all(assoc.loads <= 10)
     # a candidate link is the covering sector of the candidate BS
     bs = shadow.near[0, 1]
@@ -126,7 +127,7 @@ def test_sector_mode_shadowing():
     # another sector of the same BS gets its own draw, not the ranked value
     other = bs * 3 + (covering + 1) % 3
     d = distance_matrix(pl.xy[:1], t.bs_xy[bs:bs + 1])[0, 0]
-    want = derive_rng(shadow.seed, other).standard_normal(pl.n_mobiles)[0]
+    want = derive_rng(shadow.seed[0], other).standard_normal(pl.n_mobiles)[0]
     assert shadow.toward_sector(0, other) == want * sigma_of(d, NY)
     assert shadow.toward_sector(0, other) != shadow.xi_db[0, 1]
 
@@ -158,7 +159,7 @@ def _scene(seed, n_bs=12, zeta=4, per="bs", k=12, density=150.0):
 @pytest.mark.parametrize("per", ["bs", "sector"])
 def test_one_link_one_shadowing_value(per):
     t, xy, shadow = _scene(31, per=per, k=4)
-    assoc = associate(shadow, 1000, np.random.default_rng(0))
+    assoc = associate(shadow, 1000, [np.random.default_rng(0)])
     m = len(xy)
     rows = np.arange(m)
     # the serving link (xi_ref, xi_ig) reads the value it was ranked by
@@ -188,9 +189,9 @@ def _against_oracle(shadow, capacity, seed):
     """associate vs the sequential oracle from equal rng states; the path taken."""
     rng_new = np.random.default_rng(seed)
     rng_old = np.random.default_rng(seed)
-    got = associate(shadow, capacity, rng_new)
+    got = associate(shadow, capacity, [rng_new])
     want = associate_sequential(shadow, capacity, rng_old)
-    for a, b in zip((got.serving, got.loads, got.denied), want):
+    for a, b in zip((got.serving, got.loads[0], got.denied), want):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
@@ -229,3 +230,35 @@ def test_associate_ties_give_the_oracle_answer_on_either_path():
         assert _against_oracle(_table(t, xy, rng, k=4), capacity, 2) == sequential
         # without shadowing the four tie at the top rank
         assert _against_oracle(_table(t, xy, k=4, xi=0.0), capacity, 3) == sequential
+
+
+def test_block_association_matches_the_oracle_per_trial():
+    # one two-trial table: trial 0 packs its mobiles a few metres from
+    # one BS, so a sector overflows and sequential admission runs; trial 1
+    # puts each mobile next to its own BS, so first choices fit
+    t = generate_topology("uniform-random", 12, 1.0, np.random.default_rng(4),
+                          sectors_per_bs=3)
+    m, capacity = 8, 2
+    offsets = np.random.default_rng(5).uniform(0.002, 0.004, (m, 2))
+    cluster = np.clip(t.bs_xy[0] + offsets, 0.0, 1.0)
+    spread = np.clip(t.bs_xy[:m] + offsets, 0.0, 1.0)
+    trials = (cluster, spread)
+    xy = np.vstack(trials)
+    near, dist = t.nearest_bs(xy, 12)
+    rngs = [np.random.default_rng(b) for b in (0, 1)]
+    block = draw_shadowing_table(t, xy, near, dist, NY, rngs)
+    got = associate(block, capacity, rngs)
+    assert got.loads.shape == (2, t.n_sectors)
+    for b, own_xy in enumerate(trials):
+        rng = np.random.default_rng(b)
+        own = _table(t, own_xy, rng)
+        rows = slice(b * m, (b + 1) * m)
+        assert np.array_equal(own.xi_db, block.xi_db[rows])
+        assert own.seed[0] == block.seed[b]
+        alone = associate(own, capacity, [np.random.default_rng(b)])
+        assert alone.sequential == (b == 0)
+        serving, loads, denied = associate_sequential(own, capacity, rng)
+        assert np.array_equal(got.serving[rows], serving)
+        assert np.array_equal(got.loads[b], loads)
+        assert np.array_equal(got.denied[got.denied // m == b] - b * m, denied)
+        assert rng.bit_generator.state == rngs[b].bit_generator.state

@@ -281,7 +281,9 @@ def test_cli_error_reporting(tmp_path, capsys):
     ("sweep --axis delta --values ,", "--values"),
     ("links --beta-db=,", "--beta-db"),
     ("FHUPLINK_SEED=abc campaign", "FHUPLINK_SEED must be an integer, got 'abc'"),
-    ("FHUPLINK_THREADS=2x densify", "FHUPLINK_THREADS must be an integer, got '2x'")])
+    ("FHUPLINK_THREADS=2x densify", "FHUPLINK_THREADS must be an integer, got '2x'"),
+    ("FHUPLINK_THREADS=0 campaign", "FHUPLINK_THREADS=0: threads must be >= 1"),
+    ("FHUPLINK_SEED=-3 campaign", "FHUPLINK_SEED=-3: seed must be non-negative")])
 def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys,
                                              monkeypatch):
     # an empty list would leave a CSV without rows, so without a column line

@@ -8,7 +8,9 @@ CHANGES.md.  The hashes must not depend on the BLAS kernel the CPU
 selects, so no hashed result may pass through a BLAS call.  They do
 depend on numpy's SIMD dispatch level: its AVX2 (X86_V3) loops round
 exp, log, log10, power and arctan2 unlike its AVX-512 ones in the last
-bit, so each level has its own exact set.
+bit, so each level has its own exact set.  tests/golden/ holds the
+CSVs of the default set; a hash that fails is shown as a cell diff
+against them.
 """
 
 import hashlib
@@ -19,7 +21,8 @@ import sys
 
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                           __cpu_features__)
 
 from fhuplink import cli
 
@@ -102,16 +105,58 @@ X86_V3 = {
 }
 
 # the highest dispatch target numpy runs at in this process
-LEVEL = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)][-1]
+LEVEL = (__cpu_baseline__
+         + [t for t in __cpu_dispatch__ if __cpu_features__.get(t)])[-1]
+PINNED = {"AVX512_SPR": {name: case[1] for name, case in CASES.items()},
+          "X86_V3": X86_V3}
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
 
 
-def _expected(name):
-    if LEVEL == "AVX512_SPR":
-        return CASES[name][1]
-    if LEVEL == "X86_V3":
-        return X86_V3[name]
-    pytest.fail(f"no golden hashes pinned for numpy {np.__version__} "
-                f"at dispatch level {LEVEL}")
+def _cell(text):
+    """A CSV cell as int, float or str, whichever parses first."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _cell_diff(got, want):
+    """The cells that differ between two CSV texts: every integer and
+    text cell, and the float cell with the largest relative change.  A
+    comment line is one text cell; data cells are named by the column
+    line."""
+    moved, worst, columns = [], None, None
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for n, (g_line, w_line) in enumerate(zip(got_lines, want_lines), start=1):
+        if w_line.startswith("#") or columns is None:
+            columns = None if w_line.startswith("#") else w_line.split(",")
+            pairs = [("line", g_line, w_line)]
+        else:
+            pairs = list(zip(columns, g_line.split(","), w_line.split(",")))
+            if g_line.count(",") != w_line.count(","):
+                pairs = [("row", g_line, w_line)]
+        for column, g, w in pairs:
+            if g == w:
+                continue
+            g_cell, w_cell = _cell(g), _cell(w)
+            if isinstance(g_cell, float) and isinstance(w_cell, float):
+                rel = abs(g_cell - w_cell) / abs(w_cell) if w_cell else np.inf
+                if worst is None or not rel <= worst[0]:
+                    worst = (rel, f"line {n} {column}: {g} against {w}")
+            else:
+                moved.append(f"line {n} {column}: {g!r} against {w!r}")
+    report = [f"{len(moved)} integer or text cells moved"] + moved[:20]
+    if not moved and worst is None:
+        report = ["no cell differs"]
+    if len(got_lines) != len(want_lines):
+        report.insert(0, f"{len(got_lines)} lines, want {len(want_lines)}")
+    if worst is not None:
+        report.append(f"largest relative float change {worst[0]:.3g}, "
+                      f"{worst[1]}")
+    return "\n".join(report)
 
 
 def _golden_run(env_update):
@@ -133,14 +178,34 @@ def test_golden_csv_hash(name, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FHUPLINK_THREADS", raising=False)
     cfg_file = tmp_path / "golden.cfg"
     argv, _, *extra = CASES[name]
-    want = _expected(name)
     cfg_file.write_text(CONFIG + "".join(extra))
     out = tmp_path / "out.csv"
     rc = cli.main(argv + ["--config", str(cfg_file), "--seed", "29",
                           "--threads", "1", "--out", str(out)])
     assert rc == 0
     got = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == want, f"{name}: CSV hash {got}"
+    if got != PINNED.get(LEVEL, {}).get(name):
+        why = (f"CSV hash {got}" if LEVEL in PINNED else
+               f"no golden hashes pinned for numpy {np.__version__}")
+        pytest.fail(f"{name}: {why} at dispatch level {LEVEL}; {out} against "
+                    f"tests/golden/{name}.csv:\n" + _cell_diff(
+                        out.read_text(), (GOLDEN / f"{name}.csv").read_text()))
+
+
+def test_golden_csvs_are_the_default_pinned_outputs():
+    for name, case in CASES.items():
+        data = (GOLDEN / f"{name}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == case[1], name
+
+
+def test_cell_diff_names_what_moved():
+    want = "# seed = 29\na,n,x\nrun,3,1.0\nrun,4,2.0\n"
+    got = "# seed = 30\na,n,x\nrun,3,1.5\nrun,5,2.0000001\n"
+    report = _cell_diff(got, want).splitlines()
+    assert report[0] == "2 integer or text cells moved"
+    assert report[1] == "line 1 line: '# seed = 30' against '# seed = 29'"
+    assert report[2] == "line 4 n: '5' against '4'"
+    assert report[3] == "largest relative float change 0.5, line 3 x: 1.5 against 1.0"
 
 
 def test_hashes_do_not_depend_on_the_blas_kernel():

@@ -75,7 +75,7 @@ def test_collision_probability():
 def _toy_association():
     # sectors: 0 holds {0,1}; 1 holds {2,3,4}; 2 holds {5}; mobile 6 denied
     serving = np.array([0, 0, 1, 1, 1, 2, -1])
-    loads = np.array([2, 3, 1])
+    loads = np.array([[2, 3, 1]])
     return Association(serving, loads, np.array([6]))
 
 
@@ -85,7 +85,7 @@ def test_build_interferer_sets():
     rng = np.random.default_rng(0)
     picks = set()
     for _ in range(100):
-        s = build_interferer_sets(assoc, hop, 0, rng)
+        s = build_interferer_sets(assoc, hop, [0], [rng], [0])[1]
         assert len(s) == 2                      # one from sector 1, one from 2
         assert 5 in s                           # lone mobile always kept
         assert not set(s) & {0, 1}              # reference sector never
@@ -96,12 +96,12 @@ def test_build_interferer_sets():
 
     # wide reference block keeps everyone: max(L_j/L_l, 1) = 10 >= N_l
     hop_wide = HopPlan(hopset=100, ref_block=100, block=10)
-    s = build_interferer_sets(assoc, hop_wide, 0, rng)
+    s = build_interferer_sets(assoc, hop_wide, [0], [rng], [0])[1]
     assert np.array_equal(s, [2, 3, 4, 5])
 
     # fractional ratio floors: L_j/L_l = 2.5 -> keep 2 per sector
     hop_frac = HopPlan(hopset=100, ref_block=25, block=10)
-    s = build_interferer_sets(assoc, hop_frac, 0, rng)
+    s = build_interferer_sets(assoc, hop_frac, [0], [rng], [0])[1]
     assert len(s) == 3  # 2 from sector 1, 1 from sector 2
 
 
@@ -193,10 +193,10 @@ def _small_scene(zeta=4, seed=3):
     t = generate_topology("uniform-random", 12, 1.0, rng, sectors_per_bs=zeta)
     pl = place_mobiles(t, 300.0, 0.002, rng)
     near, dist = t.nearest_bs(pl.xy, 12)
-    shadow = draw_shadowing_table(t, pl.xy, near, dist, NY, rng)
+    shadow = draw_shadowing_table(t, pl.xy, near, dist, NY, [rng])
     # New York propagation, 100 channels in blocks of 10, delta 0.1, K 30
     cfg = RunConfig(zeta=zeta, p_over_n_db=70.0, beta_db=3.0)
-    assoc = associate(shadow, cfg.hop_plan.sector_capacity, rng)
+    assoc = associate(shadow, cfg.hop_plan.sector_capacity, [rng])
     served = np.flatnonzero(assoc.served_mask)
     ref = int(served[0])
     return t, pl, shadow, assoc, cfg, ref
@@ -246,10 +246,10 @@ def test_reference_link_profile_without_interferers():
     xy = np.array([[0.2, 0.3], [0.7, 0.6], [0.4, 0.9]])
     near, dist = t.nearest_bs(xy, 1)
     shadow = draw_shadowing_table(t, xy, near, dist, NY,
-                                  np.random.default_rng(0))
+                                  [np.random.default_rng(0)])
     cfg = RunConfig(zeta=1)
     assoc = associate(shadow, cfg.hop_plan.sector_capacity,
-                      np.random.default_rng(1))
+                      [np.random.default_rng(1)])
     prof, info = reference_link_profile(t, cfg, xy, shadow, assoc, 1,
                                         np.random.default_rng(2))
     want = empty_profile(gamma0(cfg.p_over_n_linear, shadow.xi_db[1, 0],

@@ -298,20 +298,20 @@ def test_pick_reference_mobile():
     xy = np.array([[1.0, 1.0], [0.1, 0.1], [1.2, 0.8], [1.9, 1.9]])
     pl = MobilePlacement(xy)
     rng = np.random.default_rng(0)
-    picks = {pick_reference_mobile(pl, t, rng) for _ in range(200)}
+    picks = {pick_reference_mobile(pl, t, [rng])[0] for _ in range(200)}
     assert picks == {0, 2}  # only the in-zone mobiles
 
     # exactly one candidate -> always chosen
     only = MobilePlacement(np.array([[0.1, 0.1], [1.0, 1.0]]))
-    assert all(pick_reference_mobile(only, t, rng) == 1 for _ in range(20))
+    assert all(pick_reference_mobile(only, t, [rng])[0] == 1 for _ in range(20))
 
-    # none inside -> None
+    # none inside -> -1
     none = MobilePlacement(np.array([[0.1, 0.1]]))
-    assert pick_reference_mobile(none, t, rng) is None
+    assert pick_reference_mobile(none, t, [rng])[0] == -1
 
     # eligibility mask is honored
-    assert pick_reference_mobile(pl, t, rng,
-                                 eligible=[False, True, True, True]) == 2
+    assert pick_reference_mobile(pl, t, [rng],
+                                 eligible=[False, True, True, True])[0] == 2
 
 
 def test_pick_reference_uniform_frequency():
@@ -323,7 +323,7 @@ def test_pick_reference_uniform_frequency():
     rng = np.random.default_rng(13)
     counts = np.zeros(8)
     for _ in range(10**5):
-        counts[pick_reference_mobile(pl, t, rng)] += 1
+        counts[pick_reference_mobile(pl, t, [rng])[0]] += 1
     assert counts[7] == 0
     res = stats.chisquare(counts[:7])
     assert res.pvalue > 0.01
