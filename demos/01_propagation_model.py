@@ -9,7 +9,8 @@ has to be classified as LOS or NLOS.
 
 import numpy as np
 
-from fhuplink import alpha_of, m_of, path_loss, preset_params, sigma_of
+from fhuplink import (RunConfig, alpha_of, m_of, parse_config_text, path_loss,
+                      sigma_of)
 
 
 def main():
@@ -19,9 +20,9 @@ def main():
 
     distances = np.array([0.004, 0.01, 0.025, 0.05, 0.1, 0.2, 0.5])
     for name in ("newyork", "austin"):
-        p = preset_params(name)  # transition rate 20/km, d0 = 4 m
+        p = parse_config_text(f"preset = {name}")  # rate 20/km, d0 = 4 m
         print(f"\n[{name}]  alpha: {p.alpha_min}->{p.alpha_max}  "
-              f"sigma: {p.sigma_min}->{p.sigma_max} dB  "
+              f"sigma: {p.sigma_min_db}->{p.sigma_max_db} dB  "
               f"m: {p.m_max}->{p.m_min}")
         print(f"{'d [m]':>8} {'alpha(d)':>9} {'sigma(d) dB':>12} "
               f"{'m(d)':>7} {'path gain dB':>13}")
@@ -30,7 +31,7 @@ def main():
                   f"{sigma_of(d, p):>12.2f} {m_of(d, p):>7.3f} "
                   f"{10*np.log10(path_loss(d, p)):>13.1f}")
 
-    p = preset_params("newyork")
+    p = RunConfig()     # the New York preset
     print("\nThe ramp saturates within a couple hundred meters:")
     print(f"  alpha at 50 m  = {alpha_of(0.05, p):.4f} (already near "
           f"{p.alpha_max})")
@@ -38,7 +39,8 @@ def main():
           "Rayleigh-like)")
     print("\nLower transition rates keep links in the benign LOS regime "
           "longer;")
-    print("try mu=5 against mu=40 with preset_params(name, mu=...).")
+    print("try mu_per_km=5 against mu_per_km=40 with "
+          "RunConfig(mu_per_km=...).")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ a sector can hold; the overflow falls to the next-best candidate.
 
 import numpy as np
 
-from fhuplink import RunConfig, build_topology, max_pair_gain
+from fhuplink import (RunConfig, build_topology, max_pair_gain, mobile_levels,
+                      sector_levels)
 from fhuplink.experiments import realize_network
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
 from fhuplink.topology import distance
@@ -27,7 +28,7 @@ def main():
 
     print(f"\nmobiles: {m} (density {cfg.density_per_km2}/km^2, "
           f"exclusion {cfg.r_ex_km*1000:.0f} m)")
-    print(f"sector capacity: {cfg.hop_plan.sector_capacity} "
+    print(f"sector capacity: {cfg.sector_capacity} "
           f"mobiles; denied: {len(assoc.denied)}")
     loads = assoc.loads[0][assoc.loads[0] > 0]
     print(f"loaded sectors: {len(loads)}; max load {loads.max()}; "
@@ -43,12 +44,13 @@ def main():
     print(f"serving-link length: median {np.median(d_serving)*1000:.0f} m, "
           f"90th pct {np.percentile(d_serving, 90)*1000:.0f} m")
 
-    bp = cfg.beam_params
-    print(f"\nbeam levels: sector mainlobe {bp.sector_mainlobe_level:.2f}, "
-          f"mobile mainlobe {bp.mobile_mainlobe_level:.2f}")
-    print(f"maximum antenna-pair gain: {10*np.log10(max_pair_gain(bp)):.1f} dB")
+    sec_main, sec_side = sector_levels(cfg)
+    mob_main, mob_side = mobile_levels(cfg)
+    print(f"\nbeam levels: sector mainlobe {sec_main:.2f}, "
+          f"mobile mainlobe {mob_main:.2f}")
+    print(f"maximum antenna-pair gain: {10*np.log10(max_pair_gain(cfg)):.1f} dB")
     print("sidelobe-to-sidelobe coupling sits "
-          f"{10*np.log10(bp.sector_sidelobe_level*bp.mobile_sidelobe_level/ (bp.sector_mainlobe_level*bp.mobile_mainlobe_level)):.0f} dB "
+          f"{10*np.log10(sec_side*mob_side/ (sec_main*mob_main)):.0f} dB "
           "below mainlobe-to-mainlobe")
 
 

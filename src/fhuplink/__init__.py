@@ -7,21 +7,21 @@ spectral efficiency.
 """
 
 from .association import Association, ShadowingTable, associate, draw_shadowing_table
-from .beams import BeamParams, max_pair_gain, mobile_gain_toward
+from .beams import (max_pair_gain, mobile_gain_toward, mobile_levels,
+                    sector_levels)
 from .config import (ConfigError, RunConfig, build_topology, config_sha256,
                      parse_config, parse_config_text, serialize)
 from .experiments import (OutageStats, cm_ratio_of, code_rate,
                           densification_sweep, per_link_rate_curves,
                           run_campaign, run_trial, sweep)
-from .linkbudget import (HopPlan, InterferenceProfile, build_interferer_sets,
+from .linkbudget import (InterferenceProfile, build_interferer_sets,
                          collision_probability, fractional_durations, gamma0,
                          reference_link_profile, spectral_factor,
                          timing_offset, truncate_strongest)
 from .outage import (outage_batch, outage_closed_form, outage_monte_carlo,
                      outage_no_hopping, random_profile, run_validation)
-from .propagation import (PRESETS, PropagationParams, alpha_of, m_of, path_loss,
-                          preset_params, round_integer_m, sample_power_gain,
-                          sample_shadowing, sigma_of)
+from .propagation import (PRESETS, alpha_of, m_of, path_loss, round_integer_m,
+                          sample_power_gain, sample_shadowing, sigma_of)
 from .topology import (MobilePlacement, Rect, Topology, central_zone,
                        generate_topology, load_topology, pick_reference_mobile,
                        place_mobiles, save_coordinates, scale_topology, square)

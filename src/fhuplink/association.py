@@ -6,7 +6,8 @@ is admitted to the best-ranked sector with spare capacity.  Overflowing
 mobiles fall through to their next candidate; a mobile with no candidate
 left is denied service.  Shadowing is drawn for these candidate links;
 any other link is drawn when it is read.  Both steps run on a block of
-trials, mobiles one trial after another, with one generator per trial.
+trials, mobiles one trial after another, with one generator per trial,
+and read the propagation values from a RunConfig.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import PropagationParams, path_loss, sigma_of
+from .config import RunConfig
+from .propagation import path_loss, sigma_of
 from .seeding import derive_rng
 from .topology import Topology, distance
 
@@ -24,11 +26,12 @@ from .topology import Topology, distance
 class ShadowingTable:
     """Shadowing in dB of a block of trials' links, one value per link.
 
-    per='bs': one factor per (mobile, BS), shared by the BS's sectors
-    (their links share the propagation path); per='sector': one per
-    (mobile, sector).  Rows are mobiles, trial by trial, and seed holds
-    one value per trial.  xi_db holds the candidate links, row r toward
-    BS near[r, s] (its covering sector with per='sector').  Any other
+    cfg is the RunConfig whose propagation values apply.  Its
+    shadowing_per = bs gives one factor per (mobile, BS), shared by the
+    BS's sectors (their links share the propagation path); sector gives
+    one per (mobile, sector).  Rows are mobiles, trial by trial, and seed
+    holds one value per trial.  xi_db holds the candidate links, row r
+    toward BS near[r, s] (its covering sector, per sector).  Any other
     link of a trial's mobile i is sigma_of(its length) times entry i of
     unit normals drawn from (seed, BS or sector).
     """
@@ -38,8 +41,7 @@ class ShadowingTable:
     near: np.ndarray       # (R, k) candidate BSs, nearest first
     dist: np.ndarray       # (R, k) km
     xi_db: np.ndarray      # (R, k) dB
-    prop: PropagationParams
-    per: str = "bs"
+    cfg: RunConfig
     seed: np.ndarray = (0,)    # (trials,); one trial by default
 
     def toward_sector(self, mobile_idx, sector_id):
@@ -48,7 +50,8 @@ class ShadowingTable:
         shape, i, sector = i.shape, i.ravel(), sector.ravel()
         bs = sector // self.t.sectors_per_bs
         hit = self.near[i] == bs[:, None]
-        if self.per == "sector":
+        per = self.cfg.shadowing_per
+        if per == "sector":
             hit &= (self.t.covering_sector(bs, self.mobile_xy[i]) == sector)[:, None]
         xi = self.xi_db[i, hit.argmax(axis=1)]
         off = np.flatnonzero(~hit.any(axis=1))
@@ -56,29 +59,27 @@ class ShadowingTable:
         trial, row = np.divmod(i[off], m)
         # one column per (trial, key); a trial has n_sectors >= n_bs keys
         n = self.t.n_sectors
-        keys, at = np.unique(trial * n + (bs if self.per == "bs" else sector)[off],
+        keys, at = np.unique(trial * n + (bs if per == "bs" else sector)[off],
                              return_inverse=True)
         z = [derive_rng(self.seed[k // n], k % n).standard_normal(m)
              for k in keys]
         d = distance(self.mobile_xy[i[off]], self.t.bs_xy[bs[off]])
-        xi[off] = np.reshape(z, (-1, m))[at, row] * sigma_of(d, self.prop)
+        xi[off] = np.reshape(z, (-1, m))[at, row] * sigma_of(d, self.cfg)
         return xi.reshape(shape)
 
 
-def draw_shadowing_table(t: Topology, mobile_xy, near, dist,
-                         p: PropagationParams, rngs, per="bs") -> ShadowingTable:
+def draw_shadowing_table(t: Topology, mobile_xy, near, dist, cfg,
+                         rngs) -> ShadowingTable:
     """Draw one factor per candidate link (near, dist: the (R, k) BSs and
     distances in km from Topology.nearest_bs), its standard deviation set
-    by the link's length, and per trial one seed for the links outside
-    the table; rngs holds one generator per trial."""
-    if per not in ("bs", "sector"):
-        raise ValueError("shadowing per must be 'bs' or 'sector'")
+    by the link's length under cfg, and per trial one seed for the links
+    outside the table; rngs holds one generator per trial."""
     z, m = np.empty(np.shape(near)), len(near) // len(rngs)
     for b, r in enumerate(rngs):
         r.standard_normal(out=z[b * m:(b + 1) * m])
     seed = np.array([r.integers(2**63) for r in rngs])
     return ShadowingTable(t, np.asarray(mobile_xy, dtype=float), near, dist,
-                          z * sigma_of(dist, p), p, per, seed)
+                          z * sigma_of(dist, cfg), cfg, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +119,7 @@ def associate(shadow: ShadowingTable, capacity: int, rngs) -> Association:
     orders = [r.permutation(m) for r in rngs]
     rows = np.arange(len(shadow.near))[:, None]
     xy = shadow.mobile_xy[:, None, :]
-    rank = shadow.xi_db + 10.0 * np.log10(path_loss(shadow.dist, shadow.prop))
+    rank = shadow.xi_db + 10.0 * np.log10(path_loss(shadow.dist, shadow.cfg))
     best = rank.argmax(axis=1)[:, None]
     serving = t.covering_sector(shadow.near[rows, best], xy)[:, 0]
     loads = np.bincount(rows[:, 0] // m * t.n_sectors + serving,

@@ -5,6 +5,11 @@ The config file is flat human-readable text, one ``key = value`` (or
 that are purely cosmetic.  Keys match the RunConfig field names.  All
 dB-valued quantities stay in dB here and are converted once at this
 boundary; the simulation modules work in linear scale throughout.
+
+A RunConfig is the model's one parameter set: the propagation, beam,
+hopping and link-budget functions read their values from it, and it is
+the one place those values are checked, key by key (file errors name
+the line) and across keys.
 """
 
 from __future__ import annotations
@@ -13,13 +18,10 @@ import dataclasses
 import hashlib
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .beams import BeamParams
-from .linkbudget import HopPlan
-from .propagation import PRESETS, PropagationParams, preset_params
+from .propagation import PRESETS
 from .seeding import DOMAIN_TOPOLOGY, derive_rng
 from .topology import (Topology, central_zone, generate_topology,
                        load_topology, square)
@@ -43,10 +45,10 @@ class RunConfig:
     alpha_max: float = 4.7
     sigma_min_db: float = 6.1
     sigma_max_db: float = 12.6
-    m_min: float = 1.0
-    m_max: float = 2.0
-    mu_per_km: float = 20.0
-    d0_km: float = 0.004
+    m_min: float = 1.0                  # Nakagami shape at long range
+    m_max: float = 2.0                  # Nakagami shape at short range
+    mu_per_km: float = 20.0             # transition rate of the tanh ramp
+    d0_km: float = 0.004                # reference distance; path gain 1 there
 
     # topology and mobile placement
     topology: str = "uniform-random"    # uniform-random | grid | file
@@ -60,18 +62,21 @@ class RunConfig:
     candidate_bs: int = 12
     shadowing_per: str = "bs"           # bs | sector
 
-    # antennas
-    zeta: int = 24
-    sidelobe_bs: float = 0.01
-    mobile_beamwidth_rad: float = 0.1 * np.pi
-    sidelobe_mobile: float = 0.1
+    # antennas; sidelobe levels are relative to an isotropic pattern
+    zeta: int = 24                      # sectors per BS
+    sidelobe_bs: float = 0.01           # sector sidelobe level b
+    mobile_beamwidth_rad: float = 0.1 * np.pi   # mobile mainlobe width Theta
+    sidelobe_mobile: float = 0.1        # mobile sidelobe level a
 
-    # frequency hopping
-    hopset_channels: int = 100
-    ref_block_channels: int = 10
+    # frequency hopping, shared by the network
+    hopset_channels: int = 100          # disjoint channels L in the hopset
+    ref_block_channels: int = 10        # channels per reference hop, L_j
+    # channels per hop in every sector, L_l; the hopping model assumes
+    # hopset/block >= 2, but 1 is accepted to cover the degenerate
+    # full-band assignment used in bandwidth sweeps
     sector_block_channels: int = 10
-    slot_ms: float = 0.5
-    activity_prob: float = 1.0
+    slot_ms: float = 0.5                # hop slot T; a codeword spans two slots
+    activity_prob: float = 1.0          # P(a mobile transmits in a subframe)
 
     # link budget
     beta_db: float = 3.0
@@ -100,23 +105,10 @@ class RunConfig:
     def p_over_n_linear(self) -> float:
         return float(db_to_linear(self.p_over_n_db))
 
-    @cached_property
-    def propagation_params(self) -> PropagationParams:
-        return PropagationParams(self.alpha_min, self.alpha_max,
-                                 self.sigma_min_db, self.sigma_max_db,
-                                 self.m_min, self.m_max,
-                                 self.mu_per_km, self.d0_km)
-
-    @cached_property
-    def beam_params(self) -> BeamParams:
-        return BeamParams(self.zeta, self.sidelobe_bs,
-                          self.mobile_beamwidth_rad, self.sidelobe_mobile)
-
-    @cached_property
-    def hop_plan(self) -> HopPlan:
-        return HopPlan(self.hopset_channels, self.ref_block_channels,
-                       self.sector_block_channels, self.slot_ms,
-                       self.activity_prob)
+    @property
+    def sector_capacity(self) -> int:
+        """Mobiles with orthogonal patterns a sector can hold: L / L_l."""
+        return self.hopset_channels // self.sector_block_channels
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)
@@ -145,10 +137,11 @@ _RANGES = {
     "sidelobe_mobile": (0.0, 1.0 - 1e-12, "must be in [0, 1)"),
     "mobile_beamwidth_rad": (1e-12, 2 * np.pi, "must be in (0, 2*pi]"),
     "shannon_loss": (1e-12, 1.0, "must be in (0, 1]"),
+    "m_min": (0.5, np.inf, "must be >= 0.5 for a valid Nakagami shape"),
 }
 _POSITIVE = {"mu_per_km", "d0_km", "density_per_km2", "slot_ms", "dr0_km",
              "alpha_min", "alpha_max", "sigma_min_db", "sigma_max_db",
-             "m_min", "m_max"}
+             "m_max"}
 _NONNEG = {"r_ex_km", "extent_km", "seed", "beta_db"}
 _MIN_ONE = _INT_KEYS - {"seed"}
 
@@ -183,6 +176,8 @@ def _num(key, text, line, typ):
 
 def _check_key(key, value, line):
     where = _where(line)
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite{where}")
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(f"{key} must be one of "
                           f"{sorted(_CHOICES[key])}{where}")
@@ -206,10 +201,7 @@ def _check_key(key, value, line):
 
 def _preset_keys(name) -> dict:
     """RunConfig values set by a named propagation preset."""
-    p = preset_params(name)
-    return dict(preset=name, alpha_min=p.alpha_min, alpha_max=p.alpha_max,
-                sigma_min_db=p.sigma_min, sigma_max_db=p.sigma_max,
-                m_min=p.m_min, m_max=p.m_max)
+    return dict(PRESETS[name], preset=name)
 
 
 def set_key(cfg: RunConfig, key, text) -> RunConfig:
@@ -268,15 +260,17 @@ def parse_config(path) -> RunConfig:
 def validate_config(cfg: RunConfig):
     """Check every key and cross-field invariant; raises ConfigError.
 
-    RunConfig runs it on construction, which also builds (and so checks)
-    the cached parameter objects every trial reuses.
+    RunConfig runs it on construction.
     """
     for key in _FIELDS:
         _check_key(key, getattr(cfg, key), None)
-    try:
-        cfg.propagation_params, cfg.beam_params, cfg.hop_plan
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    for low, high in (("alpha_min", "alpha_max"),
+                      ("sigma_min_db", "sigma_max_db"), ("m_min", "m_max")):
+        if getattr(cfg, low) > getattr(cfg, high):
+            raise ConfigError(f"{low} cannot exceed {high}")
+    for key in ("ref_block_channels", "sector_block_channels"):
+        if cfg.hopset_channels % getattr(cfg, key):
+            raise ConfigError(f"{key} must divide hopset_channels")
     if cfg.topology == "file" and not cfg.topology_file:
         raise ConfigError("topology_file: missing topology source "
                           "(required when topology = file)")

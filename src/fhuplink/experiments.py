@@ -83,9 +83,8 @@ def realize_network(t: Topology, cfg: RunConfig, rngs):
         place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, r).xy
         for r in rngs]))
     near, dist = t.nearest_bs(placement.xy, cfg.candidate_bs)
-    shadow = draw_shadowing_table(t, placement.xy, near, dist,
-                                  cfg.propagation_params, rngs, cfg.shadowing_per)
-    assoc = associate(shadow, cfg.hop_plan.sector_capacity, rngs)
+    shadow = draw_shadowing_table(t, placement.xy, near, dist, cfg, rngs)
+    assoc = associate(shadow, cfg.sector_capacity, rngs)
     return placement, shadow, assoc
 
 
@@ -305,16 +304,20 @@ def sweep(cfg: RunConfig, axis, values, *, ratios=None, n_trials=None,
           seed=None, threads=None):
     """Nested sweep: for each axis value, run the densification sweep.
 
-    Every RunConfig key is an axis, its values parsed and checked as in a
-    config file; L_over_Lj sets both block sizes from the hopset size.
-    The topology is rebuilt per value (the axis may change the sector
-    count) from the value's master seed, so BS positions stay comparable
-    across values; seed, when given, replaces the config's seed before
-    the axis applies.  Returns row dicts tagged with (axis, value as cast).
+    Every RunConfig key but cm_ratios, which ratios sets, is an axis, its
+    values parsed and checked as in a config file; L_over_Lj sets both
+    block sizes from the hopset size.  The topology is rebuilt per value
+    (the axis may change the sector count) from the value's master seed,
+    so BS positions stay comparable across values; seed, when given,
+    replaces the config's seed before the axis applies.  Returns row
+    dicts tagged with (axis, value as cast).
     """
     if axis != "L_over_Lj" and axis not in RunConfig.__dataclass_fields__:
         raise ValueError(f"unknown sweep axis {axis!r}; choose a config key "
                          "or L_over_Lj")
+    if axis == "cm_ratios":
+        raise ValueError("cm_ratios is not a sweep axis: every value sweeps "
+                         "the C/M ratios, set them with --ratios")
     cfg = cfg if seed is None else cfg.replace(seed=int(seed))
     rows = []
     for value in values:

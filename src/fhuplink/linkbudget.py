@@ -6,7 +6,9 @@ and one record per interferer holding its interference-to-signal ratio,
 real fading shape, collision probabilities, and the fractional durations
 of the four asynchronous-overlap periods of a subframe.  link_profiles
 builds the profiles of a block of reference uplinks, one generator per
-reference; reference_link_profile is the block of one.
+reference; reference_link_profile is the block of one.  The model values,
+the hopping layout among them, are read from a RunConfig, ``cfg``, which
+checks them.
 """
 
 from __future__ import annotations
@@ -18,46 +20,10 @@ import numpy as np
 
 from . import beams as bm
 from .association import Association, ShadowingTable
-from .beams import BeamParams
+from .config import RunConfig
 from .propagation import (SPEED_OF_LIGHT_KM_S, m_of, path_loss,
                           round_integer_m, sigma_of)
 from .topology import Topology, distance
-
-
-@dataclass(frozen=True)
-class HopPlan:
-    """Frequency-hopping layout shared by the network.
-
-    hopset    : number of disjoint channels L in the hopset
-    ref_block : channels per hop of the reference signal (L_j)
-    block     : channels per hop in every sector (L_l); the hopping model
-                assumes hopset/block >= 2, but 1 is accepted to cover the
-                degenerate full-band assignment used in bandwidth sweeps
-    slot_ms   : hop slot duration T; a codeword spans two slots
-    activity  : probability that a mobile transmits through a subframe
-    """
-
-    hopset: int = 100
-    ref_block: int = 10
-    block: int = 10
-    slot_ms: float = 0.5
-    activity: float = 1.0
-
-    def __post_init__(self):
-        for name in ("hopset", "ref_block", "block"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive channel count")
-        if self.hopset % self.ref_block or self.hopset % self.block:
-            raise ValueError("block sizes must divide the hopset size")
-        if self.slot_ms <= 0:
-            raise ValueError("slot duration must be positive")
-        if not (0.0 <= self.activity <= 1.0):
-            raise ValueError("activity probability must be in [0, 1]")
-
-    @property
-    def sector_capacity(self) -> int:
-        """Mobiles with orthogonal patterns a sector can hold: L / L_l."""
-        return self.hopset // self.block
 
 
 def spectral_factor(l_j, l_l):
@@ -100,18 +66,19 @@ def collision_probability(n_g, l_g, l_j, hopset, activity):
     return np.maximum(np.asarray(n_g) * l_g, l_j) * activity / hopset
 
 
-def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector,
+def build_interferer_sets(assoc: Association, cfg: RunConfig, ref_sector,
                           rngs, trial):
     """Indices of the mobiles that can interfere with the reference signal.
 
     All served mobiles outside the reference sector are potential
     interferers.  A sector can collide on at most max(L_j/L_l, 1) blocks
-    per period, so a loaded sector beyond that contributes a uniformly
-    random subset of that size; the subset is drawn once and reused for
-    all four overlap periods, because block occupancy is fixed within a
-    subframe.  ref_sector, rngs and trial (its trial in the association)
-    hold one entry per reference; returns (reference, row) pairs ordered
-    by reference, then row.
+    per period (L_j and L_l: cfg's ref_block_channels and
+    sector_block_channels), so a loaded sector beyond that contributes a
+    uniformly random subset of that size; the subset is drawn once and
+    reused for all four overlap periods, because block occupancy is fixed
+    within a subframe.  ref_sector, rngs and trial (its trial in the
+    association) hold one entry per reference; returns (reference, row)
+    pairs ordered by reference, then row.
     """
     sectors, trial = np.asarray(ref_sector), np.asarray(trial)
     m = len(assoc.serving) // len(assoc.loads)
@@ -120,7 +87,7 @@ def build_interferer_sets(assoc: Association, hop: HopPlan, ref_sector,
     pool = np.flatnonzero((serving >= 0) & (serving != np.repeat(sectors, m)))
     ref, row, serving = pool // m, rows[pool], serving[pool]
     n = np.bincount(ref, minlength=len(sectors))
-    keep_max = int(max(hop.ref_block / hop.block, 1.0))
+    keep_max = int(max(cfg.ref_block_channels / cfg.sector_block_channels, 1.0))
     draw = keep_max < assoc.loads.max(axis=1)[trial]
     # each reference's pool in ascending row order, or its random order
     order = np.concatenate([s + (r.permutation(int(k)) if k and d else np.arange(k))
@@ -271,24 +238,25 @@ def truncate_strongest(omega, k: int, group=None):
 
 def power_control_ratio(xi_ij_db, xi_ig_db, xi_ref_db, f_ij, f_ig, f_dr,
                         delta, spec_factor, mobile_level, sector_level,
-                        bp: BeamParams):
+                        cfg: RunConfig):
     """Interference-to-signal power ratio of one (or many) interferers.
 
     Fractional power control with parameter delta partially inverts each
     interferer's own local-mean path loss and shadowing; the beam levels
-    enter relative to the maximum pair gain, so the average antenna gains
-    cancel exactly.  Domain: 0 <= delta <= 1.
+    enter relative to the maximum pair gain of cfg's patterns, so the
+    average antenna gains cancel exactly.  Domain: 0 <= delta <= 1.
     """
     xi_net = xi_ij_db - delta * xi_ig_db + (delta - 1.0) * xi_ref_db
     # f_dr is one link's value, so its power rounds as a scalar's
     return (10.0 ** (xi_net / 10.0) * f_ij * spec_factor
             * mobile_level * sector_level
             / (np.float_power(f_dr, 1.0 - delta) * f_ig ** delta
-               * bm.max_pair_gain(bp)))
+               * bm.max_pair_gain(cfg)))
 
 
-def link_profiles(t: Topology, cfg, mobile_xy, shadow: ShadowingTable,
-                  assoc: Association, refs, rngs, d_r: float | None = None):
+def link_profiles(t: Topology, cfg: RunConfig, mobile_xy,
+                  shadow: ShadowingTable, assoc: Association, refs, rngs,
+                  d_r: float | None = None):
     """Assemble the ProfileBlock of the reference uplinks from rows refs.
 
     shadow and assoc hold one or more trials, rows one trial after
@@ -301,7 +269,6 @@ def link_profiles(t: Topology, cfg, mobile_xy, shadow: ShadowingTable,
     info) where info holds, per reference, the link length, the serving
     sector and the pre-truncation interferer count.
     """
-    prop, bp, hop = cfg.propagation_params, cfg.beam_params, cfg.hop_plan
     refs, xy = np.asarray(refs), np.asarray(mobile_xy, dtype=float)
     n = len(refs)
     trial = refs // (len(xy) // len(shadow.seed))
@@ -314,14 +281,14 @@ def link_profiles(t: Topology, cfg, mobile_xy, shadow: ShadowingTable,
     if np.any(d_r <= 0):
         raise ValueError("reference link length must be positive")
     if typical:
-        xi_ref = np.array([r.normal(0.0, 1.0) for r in rngs]) * sigma_of(d_r, prop)
-    ref, row = build_interferer_sets(assoc, hop, j, rngs, trial)
+        xi_ref = np.array([r.normal(0.0, 1.0) for r in rngs]) * sigma_of(d_r, cfg)
+    ref, row = build_interferer_sets(assoc, cfg, j, rngs, trial)
     info = {"d_r": d_r, "serving_sector": j,
             "n_potential": np.bincount(ref, minlength=n)}
 
     # a scalar power rounds unlike an array one: one call per link length
-    f_dr = (np.full(n, path_loss(d_r[0], prop)) if typical
-            else np.array([path_loss(d, prop) for d in d_r]))
+    f_dr = (np.full(n, path_loss(d_r[0], cfg)) if typical
+            else np.array([path_loss(d, cfg) for d in d_r]))
     g_sec, xy_i, j_i = assoc.serving[row], xy[row], j[ref]
     pos_g = t.sector_position(g_sec)
     d_ij, d_ig = distance(xy_i, pos_j[ref]), distance(xy_i, pos_g)
@@ -331,31 +298,32 @@ def link_profiles(t: Topology, cfg, mobile_xy, shadow: ShadowingTable,
     if not typical:
         xi_ref = xi[:n]
     # mobile beams point at their serving BS; sector j's wedge is fixed
-    mob_level = bm.mobile_gain_toward(xy_i, pos_j[ref], pos_g, bp)
+    mob_level = bm.mobile_gain_toward(xy_i, pos_j[ref], pos_g, cfg)
     in_wedge = t.covering_sector(j_i // t.sectors_per_bs, xy_i) == j_i
-    sec_level = np.where(in_wedge, bp.sector_mainlobe_level,
-                         bp.sector_sidelobe_level)
+    sec_level = np.where(in_wedge, *bm.sector_levels(cfg))
     omega = power_control_ratio(
-        xi_ij, xi_ig, xi_ref[ref], path_loss(d_ij, prop), path_loss(d_ig, prop),
-        f_dr[ref], cfg.delta, spectral_factor(hop.ref_block, hop.block),
-        mob_level, sec_level, bp)
+        xi_ij, xi_ig, xi_ref[ref], path_loss(d_ij, cfg), path_loss(d_ig, cfg),
+        f_dr[ref], cfg.delta,
+        spectral_factor(cfg.ref_block_channels, cfg.sector_block_channels),
+        mob_level, sec_level, cfg)
     # cut to the strongest K first: later columns are built for kept rows only
     top = truncate_strongest(omega, cfg.k_strongest, ref)
     ref, d_ij, g_sec = ref[top], d_ij[top], g_sec[top]
 
     n_g = assoc.loads[trial[ref], g_sec]
-    q1 = collision_probability(n_g, hop.block, hop.ref_block, hop.hopset,
-                               hop.activity)
-    c = fractional_durations(timing_offset(d_r[ref], d_ij, hop.slot_ms),
-                             hop.slot_ms)
+    q1 = collision_probability(n_g, cfg.sector_block_channels,
+                               cfg.ref_block_channels, cfg.hopset_channels,
+                               cfg.activity_prob)
+    c = fractional_durations(timing_offset(d_r[ref], d_ij, cfg.slot_ms),
+                             cfg.slot_ms)
     block = ProfileBlock(
-        gamma0(cfg.p_over_n_linear, xi_ref, f_dr), round_integer_m(d_r, prop),
+        gamma0(cfg.p_over_n_linear, xi_ref, f_dr), round_integer_m(d_r, cfg),
         np.full(n, cfg.beta_linear), np.bincount(ref, minlength=n), omega[top],
-        m_of(d_ij, prop), np.repeat(q1[:, None], 4, axis=1), c)
+        m_of(d_ij, cfg), np.repeat(q1[:, None], 4, axis=1), c)
     return block.checked(), info
 
 
-def reference_link_profile(t: Topology, cfg, mobile_xy,
+def reference_link_profile(t: Topology, cfg: RunConfig, mobile_xy,
                            shadow: ShadowingTable, assoc: Association,
                            ref_idx: int, rng: np.random.Generator,
                            d_r: float | None = None):

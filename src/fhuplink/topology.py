@@ -260,7 +260,11 @@ def generate_topology(kind, count, extent, rng=None, *, sectors_per_bs=1):
     if count < 1:
         raise ValueError("count must be >= 1")
     if not isinstance(extent, Rect):
-        extent = square(float(extent))
+        side = float(extent)
+        if not 0 < side < np.inf:
+            raise ValueError(f"extent must be a positive, finite square side "
+                             f"in km, got {side!r}")
+        extent = square(side)
     if kind == "uniform-random":
         if rng is None:
             raise ValueError("uniform-random generation needs an rng")

@@ -164,7 +164,7 @@ def associate_sequential(shadow, capacity, rng):
     rows = np.arange(m)[:, None]
     cand_sec = t.covering_sector(near, xy[:, None, :])
     xi = shadow.toward_sector(np.broadcast_to(rows, near.shape), cand_sec)
-    rank_db = xi + 10.0 * np.log10(path_loss(dist[rows, near], shadow.prop))
+    rank_db = xi + 10.0 * np.log10(path_loss(dist[rows, near], shadow.cfg))
     pref = np.argsort(-rank_db, axis=1, kind="stable")
     serving = np.full(m, -1, dtype=int)
     loads = np.zeros(t.n_sectors, dtype=int)

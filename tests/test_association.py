@@ -4,24 +4,25 @@ import pytest
 from fhuplink.association import (ShadowingTable, associate,
                                   draw_shadowing_table)
 from oracles import associate_sequential
-from fhuplink.propagation import preset_params, sigma_of
+from fhuplink.config import ConfigError, RunConfig
+from fhuplink.propagation import sigma_of
 from fhuplink.seeding import derive_rng
 from fhuplink.topology import (Topology, distance_matrix, generate_topology,
                                place_mobiles, square)
 
-NY = preset_params("newyork")
+NY = RunConfig()
 
 
 def _table(t, xy, rng=None, k=12, per="bs", xi=None):
     """Shadowing of one trial's mobiles at xy: drawn from rng, or xi dB
     (nearest first)."""
-    xy = np.asarray(xy, dtype=float)
+    xy, cfg = np.asarray(xy, dtype=float), NY.replace(shadowing_per=per)
     near, dist = t.nearest_bs(xy, k)
     if xi is None:
-        return draw_shadowing_table(t, xy, near, dist, NY, [rng], per)
+        return draw_shadowing_table(t, xy, near, dist, cfg, [rng])
     return ShadowingTable(t, xy, near, dist,
                           np.broadcast_to(np.asarray(xi, dtype=float), near.shape),
-                          NY, per)
+                          cfg)
 
 
 def test_no_shadowing_gives_nearest_bs():
@@ -145,7 +146,8 @@ def test_draw_shadowing_table_stddev_tracks_distance():
     far = shadow.toward_sector(rows, np.ones_like(rows))
     assert np.std(far) == pytest.approx(11.0503, abs=0.05)
     assert abs(np.corrcoef(far, shadow.xi_db[:, 0])[0, 1]) < 0.01
-    with pytest.raises(ValueError):
+    # the config, not the table, checks the shadowing mode
+    with pytest.raises(ConfigError, match="shadowing_per"):
         _table(t, xy[:2], np.random.default_rng(1), per="link")
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,20 +107,14 @@ def test_validation_errors():
 
 @pytest.mark.parametrize("key, value", [
     ("dr_mode", "typcial"), ("psi_offsets", "randm"), ("shannon_loss", 0.0),
-    ("delta", 1.5), ("k_strongest", 0)])
+    ("delta", 1.5), ("k_strongest", 0), ("extent_km", math.inf),
+    ("density_per_km2", math.inf), ("r_ex_km", math.nan)])
 def test_direct_run_config_is_validated(key, value):
     with pytest.raises(ConfigError) as direct:
         RunConfig(**{key: value})
     with pytest.raises(ConfigError) as from_file:
         parse_config_text(f"{key} = {value}\n")
     assert str(from_file.value) == f"{direct.value} (line 1)"
-
-
-def test_parameter_objects_are_built_once():
-    cfg = RunConfig()
-    assert cfg.hop_plan is cfg.hop_plan
-    assert cfg.propagation_params is cfg.propagation_params
-    assert cfg.replace(hopset_channels=200).hop_plan.sector_capacity == 20
 
 
 def test_parse_config_file(tmp_path):
@@ -279,6 +275,7 @@ def test_cli_error_reporting(tmp_path, capsys):
     ("densify --ratios 0", "0.0"),
     ("densify --ratios ,", "--ratios"),
     ("sweep --axis delta --values ,", "--values"),
+    ("sweep --axis cm_ratios --values 1", "cm_ratios"),
     ("links --beta-db=,", "--beta-db"),
     ("FHUPLINK_SEED=abc campaign", "FHUPLINK_SEED must be an integer, got 'abc'"),
     ("FHUPLINK_THREADS=2x densify", "FHUPLINK_THREADS must be an integer, got '2x'"),
@@ -295,6 +292,16 @@ def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys,
                             "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extent", ["inf", "0", "-2"])
+def test_gen_topo_rejects_a_bad_extent(extent, tmp_path, capsys):
+    out = tmp_path / "bs.txt"
+    assert cli.main(["gen-topo", "--count", "3", "--extent", extent,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "extent" in err, err
     assert not out.exists()
 
 

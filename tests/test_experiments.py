@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from fhuplink import experiments
-from fhuplink.beams import BeamParams
 from fhuplink.config import ConfigError, RunConfig
 from fhuplink.experiments import (TRIAL_BLOCK, TRIAL_DTYPE, cm_ratio_of,
                                   code_rate, densification_sweep,
                                   per_link_rate_curves, run_campaign,
                                   run_trial, scale_to_cm, sweep)
-from fhuplink.linkbudget import HopPlan, InterferenceProfile, ProfileBlock
+from fhuplink.linkbudget import InterferenceProfile, ProfileBlock
 from fhuplink.outage import outage_batch
-from fhuplink.propagation import PropagationParams
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
 
 from oracles import noise_only_outage
@@ -45,11 +43,11 @@ def test_run_trial_deterministic():
 
 @pytest.mark.parametrize("d_r_override", [None, 0.05])
 def test_run_trial_checks_each_object_once(monkeypatch, d_r_override):
-    # the config's parameter objects were checked when SMALL was built;
-    # a trial reuses them and builds (and checks) its one profile once
+    # the config was checked when SMALL was built; a trial reads it, builds
+    # no other config, and builds (and checks) its one profile once
     t = _topo(SMALL)
     built = {}
-    for cls in (InterferenceProfile, HopPlan, BeamParams, PropagationParams):
+    for cls in (InterferenceProfile, RunConfig):
         def counted(self, _init=cls.__post_init__, _name=cls.__name__):
             built[_name] = built.get(_name, 0) + 1
             _init(self)

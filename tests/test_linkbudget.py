@@ -2,33 +2,36 @@ import numpy as np
 import pytest
 
 from fhuplink.association import Association, draw_shadowing_table, associate
-from fhuplink.beams import BeamParams
-from fhuplink.config import RunConfig
-from fhuplink.linkbudget import (HopPlan, InterferenceProfile,
-                                 build_interferer_sets, collision_probability,
-                                 empty_profile, fractional_durations, gamma0,
+from fhuplink.beams import mobile_levels, sector_levels
+from fhuplink.config import ConfigError, RunConfig
+from fhuplink.linkbudget import (InterferenceProfile, build_interferer_sets,
+                                 collision_probability, empty_profile,
+                                 fractional_durations, gamma0,
                                  power_control_ratio, reference_link_profile,
                                  spectral_factor, timing_offset,
                                  truncate_strongest)
 from fhuplink.propagation import (SPEED_OF_LIGHT_KM_S, path_loss,
-                                  preset_params, round_integer_m,
-                                  sample_shadowing)
+                                  round_integer_m, sample_shadowing)
 from fhuplink.topology import Topology, generate_topology, place_mobiles, square
 
-NY = preset_params("newyork")
+NY = RunConfig()
 
 
-def test_hop_plan():
-    hop = HopPlan()
-    assert hop.sector_capacity == 10
-    with pytest.raises(ValueError):
-        HopPlan(hopset=100, ref_block=7)   # 7 does not divide 100
-    with pytest.raises(ValueError):
-        HopPlan(activity=1.5)
-    with pytest.raises(ValueError):
-        HopPlan(ref_block=0)               # spectral_factor needs blocks >= 1
+def test_hopping_layout():
+    assert NY.sector_capacity == 10
+    assert RunConfig(hopset_channels=200).sector_capacity == 20
+    # 7 does not divide 100; spectral_factor needs blocks >= 1
+    for key, value, named in [
+            ("ref_block_channels", 7, "ref_block_channels must divide"),
+            ("sector_block_channels", 7, "sector_block_channels must divide"),
+            ("activity_prob", 1.5, "activity_prob must be in"),
+            ("ref_block_channels", 0, "ref_block_channels must be >= 1"),
+            ("slot_ms", 0.0, "slot_ms must be positive")]:
+        with pytest.raises(ConfigError, match=named):
+            RunConfig(**{key: value})
     # degenerate full-band reference block is allowed for sweeps
-    assert HopPlan(hopset=100, ref_block=100, block=100).sector_capacity == 1
+    assert RunConfig(ref_block_channels=100,
+                     sector_block_channels=100).sector_capacity == 1
 
 
 def test_spectral_factor():
@@ -81,7 +84,7 @@ def _toy_association():
 
 def test_build_interferer_sets():
     assoc = _toy_association()
-    hop = HopPlan(hopset=100, ref_block=10, block=10)  # keep at most 1/sector
+    hop = RunConfig()  # blocks of 10 channels each: keep at most 1/sector
     rng = np.random.default_rng(0)
     picks = set()
     for _ in range(100):
@@ -95,12 +98,12 @@ def test_build_interferer_sets():
     assert picks == {(2, 5), (3, 5), (4, 5)}
 
     # wide reference block keeps everyone: max(L_j/L_l, 1) = 10 >= N_l
-    hop_wide = HopPlan(hopset=100, ref_block=100, block=10)
+    hop_wide = RunConfig(ref_block_channels=100, sector_block_channels=10)
     s = build_interferer_sets(assoc, hop_wide, [0], [rng], [0])[1]
     assert np.array_equal(s, [2, 3, 4, 5])
 
     # fractional ratio floors: L_j/L_l = 2.5 -> keep 2 per sector
-    hop_frac = HopPlan(hopset=100, ref_block=25, block=10)
+    hop_frac = RunConfig(ref_block_channels=25, sector_block_channels=10)
     s = build_interferer_sets(assoc, hop_frac, [0], [rng], [0])[1]
     assert len(s) == 3  # 2 from sector 1, 1 from sector 2
 
@@ -156,33 +159,28 @@ def test_truncate_strongest():
 
 
 def test_power_control_ratio_full_inversion():
-    bp = BeamParams()
     # delta = 1, no shadowing, interferer's distance to the reference
     # sector equals its serving distance, mainlobe-to-mainlobe, F = 1:
     # local-mean powers equalize exactly
     om = power_control_ratio(0.0, 0.0, 0.0, 1e-3, 1e-3, 1e-2, 1.0, 1.0,
-                             bp.mobile_mainlobe_level,
-                             bp.sector_mainlobe_level, bp)
+                             mobile_levels(NY)[0], sector_levels(NY)[0], NY)
     assert om == 1.0
 
 
 def test_power_control_ratio_sidelobe_scaling():
-    bp = BeamParams()
     kwargs = dict(xi_ij_db=0.0, xi_ig_db=0.0, xi_ref_db=0.0, f_ij=1e-4,
-                  f_ig=1e-3, f_dr=1e-2, delta=0.1, spec_factor=1.0, bp=bp)
-    main = power_control_ratio(mobile_level=bp.mobile_mainlobe_level,
-                               sector_level=bp.sector_mainlobe_level, **kwargs)
-    side = power_control_ratio(mobile_level=bp.mobile_sidelobe_level,
-                               sector_level=bp.sector_sidelobe_level, **kwargs)
+                  f_ig=1e-3, f_dr=1e-2, delta=0.1, spec_factor=1.0, cfg=NY)
+    main = power_control_ratio(mobile_level=mobile_levels(NY)[0],
+                               sector_level=sector_levels(NY)[0], **kwargs)
+    side = power_control_ratio(mobile_level=mobile_levels(NY)[1],
+                               sector_level=sector_levels(NY)[1], **kwargs)
     assert side / main == pytest.approx((0.1 * 0.01) / (18.1 * 23.77), rel=1e-12)
 
 
 def test_power_control_ratio_delta_zero_ignores_own_link():
-    bp = BeamParams()
     base = dict(xi_ij_db=3.0, xi_ref_db=-2.0, f_ij=1e-4, f_dr=1e-2,
-                delta=0.0, spec_factor=0.5,
-                mobile_level=bp.mobile_mainlobe_level,
-                sector_level=bp.sector_sidelobe_level, bp=bp)
+                delta=0.0, spec_factor=0.5, mobile_level=mobile_levels(NY)[0],
+                sector_level=sector_levels(NY)[1], cfg=NY)
     a = power_control_ratio(xi_ig_db=0.0, f_ig=1e-3, **base)
     b = power_control_ratio(xi_ig_db=25.0, f_ig=1e-7, **base)
     assert a == b
@@ -196,7 +194,7 @@ def _small_scene(zeta=4, seed=3):
     shadow = draw_shadowing_table(t, pl.xy, near, dist, NY, [rng])
     # New York propagation, 100 channels in blocks of 10, delta 0.1, K 30
     cfg = RunConfig(zeta=zeta, p_over_n_db=70.0, beta_db=3.0)
-    assoc = associate(shadow, cfg.hop_plan.sector_capacity, [rng])
+    assoc = associate(shadow, cfg.sector_capacity, [rng])
     served = np.flatnonzero(assoc.served_mask)
     ref = int(served[0])
     return t, pl, shadow, assoc, cfg, ref
@@ -248,7 +246,7 @@ def test_reference_link_profile_without_interferers():
     shadow = draw_shadowing_table(t, xy, near, dist, NY,
                                   [np.random.default_rng(0)])
     cfg = RunConfig(zeta=1)
-    assoc = associate(shadow, cfg.hop_plan.sector_capacity,
+    assoc = associate(shadow, cfg.sector_capacity,
                       [np.random.default_rng(1)])
     prof, info = reference_link_profile(t, cfg, xy, shadow, assoc, 1,
                                         np.random.default_rng(2))

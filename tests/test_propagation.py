@@ -2,32 +2,34 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fhuplink.propagation import (PropagationParams, alpha_of, m_of, path_loss,
-                                  preset_params, round_integer_m,
+from fhuplink.config import ConfigError, RunConfig, parse_config_text
+from fhuplink.propagation import (alpha_of, m_of, path_loss, round_integer_m,
                                   sample_power_gain, sample_shadowing, sigma_of)
 
-NY = preset_params("newyork")  # mu = 20 /km, d0 = 0.004 km
+NY = RunConfig()  # New York preset, mu = 20 /km, d0 = 0.004 km
 
 
 def test_presets():
     assert NY.alpha_min == 2.3 and NY.alpha_max == 4.7
-    assert NY.sigma_min == 6.1 and NY.sigma_max == 12.6
-    au = preset_params("austin")
+    assert NY.sigma_min_db == 6.1 and NY.sigma_max_db == 12.6
+    au = parse_config_text("preset = austin")
     assert (au.alpha_min, au.alpha_max) == (1.9, 3.3)
-    assert (au.sigma_min, au.sigma_max) == (4.6, 12.3)
-    with pytest.raises(ValueError):
-        preset_params("london")
+    assert (au.sigma_min_db, au.sigma_max_db) == (4.6, 12.3)
+    with pytest.raises(ConfigError):
+        parse_config_text("preset = london")
 
 
 def test_param_invariants():
-    with pytest.raises(ValueError):
-        PropagationParams(4.7, 2.3, 6.1, 12.6, 1.0, 2.0)  # alpha order
-    with pytest.raises(ValueError):
-        PropagationParams(2.3, 4.7, 6.1, 12.6, 0.3, 2.0)  # m_min < 0.5
-    with pytest.raises(ValueError):
-        PropagationParams(2.3, 4.7, 6.1, 12.6, 1.0, 2.0, mu=0.0)
-    with pytest.raises(ValueError):
-        PropagationParams(2.3, 4.7, 6.1, 12.6, 1.0, 2.0, d0=0.0)
+    for keys, named in [
+            (dict(alpha_min=4.7, alpha_max=2.3), "alpha_min cannot exceed alpha_max"),
+            (dict(sigma_min_db=12.6, sigma_max_db=6.1),
+             "sigma_min_db cannot exceed sigma_max_db"),
+            (dict(m_min=2.0, m_max=1.0), "m_min cannot exceed m_max"),
+            (dict(m_min=0.3), "m_min must be >= 0.5"),
+            (dict(mu_per_km=0.0), "mu_per_km must be positive"),
+            (dict(d0_km=0.0), "d0_km must be positive")]:
+        with pytest.raises(ConfigError, match=named):
+            RunConfig(**keys)
 
 
 def test_alpha_of():
@@ -60,7 +62,7 @@ def test_sigma_and_m_values():
 
 
 def test_path_loss():
-    assert path_loss(NY.d0, NY) == 1.0
+    assert path_loss(NY.d0_km, NY) == 1.0
     # direct evaluation at twice the reference distance
     expected = 2.0 ** -(2.3 + 2.4 * np.tanh(20 * 0.008))
     assert path_loss(0.008, NY) == pytest.approx(expected, rel=1e-14)
@@ -68,7 +70,7 @@ def test_path_loss():
     # clamped to 1 below the reference distance
     assert path_loss(0.001, NY) == 1.0
     assert path_loss(0.0, NY) == 1.0
-    d = np.linspace(NY.d0, 3.0, 2000)
+    d = np.linspace(NY.d0_km, 3.0, 2000)
     assert np.all(np.diff(path_loss(d, NY)) < 0)
     assert path_loss(0.1, NY) < path_loss(0.05, NY)
 
@@ -76,7 +78,7 @@ def test_path_loss():
 def test_round_integer_m():
     assert round_integer_m(0.05, NY) == 1          # m = 1.2384
     assert round_integer_m(0.0, NY) == 2           # m = m_max = 2
-    d_tie = np.arctanh(0.5) / NY.mu                # m exactly 1.5
+    d_tie = np.arctanh(0.5) / NY.mu_per_km         # m exactly 1.5
     assert m_of(d_tie, NY) == pytest.approx(1.5, abs=1e-12)
     assert round_integer_m(d_tie, NY) == 2         # ties round up
     assert round_integer_m(1e6, NY) >= 1
@@ -91,7 +93,7 @@ def test_sample_shadowing_moments():
 
 
 def test_sample_shadowing_degenerate_sigma():
-    p = PropagationParams(2.3, 4.7, 8.0, 8.0, 1.0, 2.0)
+    p = RunConfig(sigma_min_db=8.0, sigma_max_db=8.0)
     assert sigma_of(0.0, p) == sigma_of(5.0, p) == 8.0
     rng = np.random.default_rng(5)
     xi = sample_shadowing(np.array([0.0, 0.1, 2.0]), p, rng)
