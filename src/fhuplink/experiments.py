@@ -160,18 +160,43 @@ def run_trials(t: Topology, cfg: RunConfig, seed, lo, hi, d_r_override=None):
     return records
 
 
-# worker-process state for parallel campaigns
+# worker-process state for pooled campaigns
 _WORKER = {}
 
 
-def _init_worker(t, cfg, seed, d_r_override):
-    _WORKER["args"] = (t, cfg, seed, d_r_override)
+def _init_worker(points, cfg, seed):
+    _WORKER["args"] = (points, cfg, seed)
 
 
-def _run_chunk(bounds):
-    t, cfg, seed, d_r_override = _WORKER["args"]
-    lo, hi = bounds
-    return lo, run_trials(t, cfg, seed, lo, hi, d_r_override)
+def _run_chunk(task):
+    points, cfg, seed = _WORKER["args"]
+    point, lo, hi = task
+    t, d_r_override = points[point]
+    return run_trials(t, cfg, seed, lo, hi, d_r_override)
+
+
+def run_points(points, cfg: RunConfig, n_trials=None, seed=None, threads=None):
+    """Each point's TRIAL_DTYPE records, in trial order; a point is a
+    (topology, d_r_override) pair.  With threads > 1 one process pool
+    gets the point list once and runs chunks of trials point by point, so
+    the first points start first and the last ones fill the tail."""
+    n = int(cfg.trials if n_trials is None else n_trials)
+    if n < 1:
+        raise ValueError("need at least one trial")
+    seed = cfg.seed if seed is None else int(seed)
+    threads = cfg.threads if threads is None else int(threads)
+    if threads <= 1 or n * len(points) <= 1:
+        return [run_trials(t, cfg, seed, 0, n, d_r) for t, d_r in points]
+
+    chunk = max(1, -(-n // (threads * 8)))
+    tasks = [(point, lo, min(lo + chunk, n)) for point in range(len(points))
+             for lo in range(0, n, chunk)]
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(threads, len(tasks)), initializer=_init_worker,
+            initargs=(points, cfg, seed)) as pool:
+        rows = list(pool.map(_run_chunk, tasks))
+    per = len(rows) // len(points)
+    return [np.concatenate(rows[i:i + per]) for i in range(0, len(rows), per)]
 
 
 def run_campaign(t: Topology, cfg: RunConfig, n_trials=None, seed=None,
@@ -182,24 +207,7 @@ def run_campaign(t: Topology, cfg: RunConfig, n_trials=None, seed=None,
     fixed-order pairwise sum, so the result does not depend on the number
     of workers.
     """
-    n = int(cfg.trials if n_trials is None else n_trials)
-    if n < 1:
-        raise ValueError("need at least one trial")
-    seed = cfg.seed if seed is None else int(seed)
-    threads = cfg.threads if threads is None else int(threads)
-
-    if threads <= 1 or n == 1:
-        records = run_trials(t, cfg, seed, 0, n, d_r_override)
-    else:
-        records = np.empty(n, dtype=TRIAL_DTYPE)
-        chunk = max(1, -(-n // (threads * 8)))
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=threads, initializer=_init_worker,
-                initargs=(t, cfg, seed, d_r_override)) as pool:
-            for lo, rows in pool.map(_run_chunk, bounds):
-                records[lo:lo + len(rows)] = rows
-
+    (records,) = run_points([(t, d_r_override)], cfg, n_trials, seed, threads)
     return _stats_from_records(records, cfg), records
 
 
@@ -256,20 +264,21 @@ def densification_sweep(t: Topology, cfg: RunConfig, ratios=None, *,
 
     The network is rescaled per ratio by scale_to_cm.  Unless dr_mode
     says otherwise the reference link takes the typical length for each
-    ratio.  Returns one row dict per ratio.
+    ratio.  Every ratio is rescaled first, then one run_points call runs
+    them all.  Returns one row dict per ratio.
     """
     ratios = cfg.cm_ratios if ratios is None else tuple(ratios)
-    rows = []
+    points = []
     for ratio in ratios:
         scaled = scale_to_cm(t, cfg.density_per_km2, ratio)
         if not (0.05 <= ratio <= 1.0):
             warnings.warn(f"C/M ratio {ratio} outside the calibrated range "
                           "[0.05, 1]; computing anyway")
-        override = resolve_dr_override(cfg, ratio, sweep_default="typical")
-        stats, _ = run_campaign(scaled, cfg, n_trials, seed, threads,
-                                d_r_override=override)
-        rows.append(_sweep_row(ratio, stats))
-    return rows
+        points.append((scaled, resolve_dr_override(cfg, ratio,
+                                                   sweep_default="typical")))
+    runs = run_points(points, cfg, n_trials, seed, threads)
+    return [_sweep_row(ratio, _stats_from_records(records, cfg))
+            for ratio, records in zip(ratios, runs)]
 
 
 def _sweep_row(ratio, stats: OutageStats) -> dict:

@@ -146,7 +146,8 @@ class Topology:
         of a uniform grid keeps: all within d_k(centre) + 2h of the cell
         centre, h the half-diagonal.  The k-th-nearest distance d_k is
         1-Lipschitz, so that covers every BS within d_k(p) of any point p
-        of the cell.  The grid is built once per k and cached.
+        of the cell.  The grid is cached per k in cell units, which scaled
+        copies share: its test scales with the layout, to well within 1e-9.
         """
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         k = min(int(k), self.n_bs)
@@ -156,9 +157,13 @@ class Topology:
             raise ValueError("points must lie inside the extent")
         if k not in self._grids:
             self._grids[k] = self._cell_grid(k)
-        lo, scale, n, cand, bx, by = self._grids[k]
-        cell = np.minimum(((xy - lo) * scale).astype(int), n - 1)
+        n, cand = self._grids[k]
+        lo = np.array([self.extent.xmin, self.extent.ymin])
+        span = np.array([self.extent.width, self.extent.height])
+        cell = np.minimum(((xy - lo) * (n / np.where(span > 0, span, 1.0)))
+                          .astype(int), n - 1)
         near = cand[cell[:, 0] * n + cell[:, 1]]
+        bx, by = np.append(self.bs_xy, [[np.inf, np.inf]], axis=0).T.copy()
         dx, dy = bx[near], by[near]
         np.subtract(xy[:, :1], dx, out=dx)     # the arithmetic of distance()
         np.subtract(xy[:, 1:], dy, out=dy)
@@ -169,8 +174,8 @@ class Topology:
         return near.ravel()[order], d.ravel()[order]
 
     def _cell_grid(self, k):
-        """Origin, cells per km, cells per side, each cell's BS list (by
-        index, padded with C, a BS at infinity), and BS x and y."""
+        """Cells per side and each cell's BS list (by index, padded with C,
+        a BS at infinity), in cell units, so scaled copies share them."""
         n = int(np.ceil(6.0 * np.sqrt(self.n_bs)))
         lo = np.array([self.extent.xmin, self.extent.ymin])
         span = np.array([self.extent.width, self.extent.height])
@@ -184,8 +189,7 @@ class Topology:
         cells, bs = np.nonzero(np.concatenate(keep))     # by cell, then index
         cand = np.full((n * n, np.bincount(cells).max()), self.n_bs)
         cand[cells, np.arange(len(cells)) - np.searchsorted(cells, cells)] = bs
-        bx, by = np.append(self.bs_xy, [[np.inf, np.inf]], axis=0).T.copy()
-        return lo, n / np.where(span > 0, span, 1.0), n, cand, bx, by
+        return n, cand
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,18 +288,25 @@ def generate_topology(kind, count, extent, rng=None, *, sectors_per_bs=1):
 
 
 def scale_topology(t: Topology, factor) -> Topology:
-    """Scale every coordinate by factor, preserving the relative layout."""
+    """Scale every coordinate by factor, preserving the relative layout;
+    the copy shares t's nearest-BS cell lists, which do not depend on it."""
     factor = float(factor)
     if factor <= 0:
         raise ValueError("scale factor must be positive")
-    return replace(t, bs_xy=t.bs_xy * factor,
-                   extent=t.extent.scaled(factor),
-                   reference_zone=t.reference_zone.scaled(factor))
+    scaled = replace(t, bs_xy=t.bs_xy * factor,
+                     extent=t.extent.scaled(factor),
+                     reference_zone=t.reference_zone.scaled(factor))
+    object.__setattr__(scaled, "_grids", t._grids)
+    return scaled
 
 
 def mobile_count(t: Topology, density) -> int:
     """Mobiles of a trial: round(density * area), at least one."""
-    m = int(round(density * t.extent.area))
+    expected = density * t.extent.area
+    if not expected <= np.iinfo(np.intp).max:      # also inf and NaN
+        raise ValueError(f"density_per_km2 = {density:g} times the extent "
+                         f"area {t.extent.area:g} km^2 is too many mobiles")
+    m = int(round(expected))
     if m < 1:
         raise ValueError("density times extent area rounds to zero mobiles")
     return m

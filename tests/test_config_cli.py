@@ -295,6 +295,17 @@ def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["extent_km = 1e200", "density_per_km2 = 1e300"])
+def test_campaign_rejects_too_many_mobiles(line, tmp_path, capsys):
+    # finite inputs whose mobile count overflows an array index
+    out = tmp_path / "out.csv"
+    cfg = _write_cfg(tmp_path, f"bs_count = 16\n{line}\n")
+    assert cli.main(["campaign", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "density_per_km2" in err, err
+    assert "extent area" in err and not out.exists()
+
+
 @pytest.mark.parametrize("extent", ["inf", "0", "-2"])
 def test_gen_topo_rejects_a_bad_extent(extent, tmp_path, capsys):
     out = tmp_path / "bs.txt"

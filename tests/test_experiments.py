@@ -1,8 +1,11 @@
+import concurrent.futures
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from fhuplink import experiments
-from fhuplink.config import ConfigError, RunConfig
+from fhuplink import cli, experiments
+from fhuplink.config import ConfigError, RunConfig, serialize
 from fhuplink.experiments import (TRIAL_BLOCK, TRIAL_DTYPE, cm_ratio_of,
                                   code_rate, densification_sweep,
                                   per_link_rate_curves, run_campaign,
@@ -106,12 +109,56 @@ def test_campaign_single_trial_mean():
     assert stats.halfwidth95 == 0.0
 
 
-def test_campaign_thread_invariance():
+def test_campaign_thread_invariance(tmp_path):
     t = _topo(SMALL)
     s1, r1 = run_campaign(t, SMALL, n_trials=8, threads=1)
     s2, r2 = run_campaign(t, SMALL, n_trials=8, threads=2)
     assert np.array_equal(r1, r2)
     assert s1 == s2
+
+    # one pool runs every ratio of a sweep; capacity 2 a sector makes
+    # sequential admission run inside the workers' blocks
+    full = SMALL.replace(zeta=1, ref_block_channels=50, sector_block_channels=50)
+    for cfg in (SMALL, full):
+        t = _topo(cfg)
+        rows = [densification_sweep(t, cfg, ratios=(1.0, 0.25, 0.1),
+                                    n_trials=8, threads=threads)
+                for threads in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
+
+    path = tmp_path / "small.cfg"
+    path.write_text(serialize(SMALL))
+    for threads in ("1", "2"):
+        assert cli.main(["densify", "--config", str(path), "--ratios",
+                         "1,0.25,0.1", "--trials", "6", "--threads", threads,
+                         "--out", str(tmp_path / f"{threads}.csv")]) == 0
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+def test_densification_sweep_opens_one_pool(monkeypatch):
+    pools = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        pools.append(executor(*args, **kwargs))
+        return pools[-1]
+    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor",
+                        counted)
+    densification_sweep(_topo(SMALL), SMALL, ratios=(1.0, 0.25, 0.1),
+                        n_trials=4, threads=2)
+    assert len(pools) == 1
+
+
+def test_densify_worker_error_exits_2_and_leaves_no_worker(tmp_path, capsys):
+    # no mobile falls in a 1 mm reference zone, so a worker raises
+    path = tmp_path / "empty_zone.cfg"
+    path.write_text(serialize(SMALL.replace(ref_zone_km=1e-6)))
+    assert cli.main(["densify", "--config", str(path), "--ratios", "1,0.25",
+                     "--trials", "4", "--threads", "2",
+                     "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "reference zone" in err, err
+    assert multiprocessing.active_children() == []
 
 
 def _one_trial_records(t, cfg, n, d_r_override=None):

@@ -210,10 +210,14 @@ def test_nearest_bs_matches_brute_force():
         xy = _edge_points(t, rng)
         for k in (1, 2, 4, 12, t.n_bs, t.n_bs + 5):
             _check_nearest(t, xy, k)
-    # grid points between BSs sit at equal distance from two or four BSs
+    # grid points between BSs sit at equal distance from two or four BSs,
+    # also on scaled copies, which search the grid's own cell lists
     xy = np.array([[2.0, 2.0], [1.0, 2.0], [2.0, 1.5], [0.5, 2.0]])
-    for k in (1, 2, 3, 4, 5):
-        _check_nearest(grid, xy, k)
+    for factor in (1.0, 0.1, 3.7):
+        scaled = scale_topology(grid, factor)
+        for k in (1, 2, 3, 4, 5):
+            _check_nearest(scaled, xy * factor, k)
+        _check_nearest(scaled, _edge_points(scaled, rng), 4)
     with pytest.raises(ValueError):
         uniform.nearest_bs(xy, 0)
     with pytest.raises(ValueError):
@@ -235,11 +239,31 @@ def test_nearest_bs_single_bs_file_extent_and_scaling(tmp_path):
     for k in (1, 10, 40):
         _check_nearest(t, xy, k)
 
-    # a scaled topology builds its own grid rather than reuse a stale one
+    # scaled copies reuse the grid built on t: its cell lists are in cell
+    # units, and each copy places points with its own extent and BSs
     t.nearest_bs(xy, 10)
     for factor in (0.25, 3.0):
         scaled = scale_topology(t, factor)
         _check_nearest(scaled, _edge_points(scaled, rng), 10)
+
+
+def test_scaled_copies_build_one_grid(monkeypatch):
+    builds = []
+    cell_grid = Topology._cell_grid
+
+    def counted(self, k):
+        builds.append(k)
+        return cell_grid(self, k)
+    monkeypatch.setattr(Topology, "_cell_grid", counted)
+    rng = np.random.default_rng(13)
+    base = generate_topology("uniform-random", 132, 2.0, rng)
+    # built first on a scaled copy, then used by the base, by another
+    # copy and by a copy of the copy
+    first = scale_topology(base, 0.3)
+    for t in (first, base, scale_topology(base, 7.0), scale_topology(first, 2.5)):
+        for k in (12, 3):
+            _check_nearest(t, _edge_points(t, rng), k)
+    assert builds == [12, 3]
 
 
 def test_place_mobiles_count_and_exclusion():
