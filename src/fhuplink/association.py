@@ -45,7 +45,9 @@ class ShadowingTable:
     seed: np.ndarray = (0,)    # (trials,); one trial by default
 
     def toward_sector(self, mobile_idx, sector_id):
-        """Shadowing in dB of the link(s) from mobile row(s) to sector(s)."""
+        """Shadowing in dB of the link(s) from mobile row(s) to sector(s);
+        link_profiles reads only the links toward a reference sector here,
+        and a serving link as xi_db[row, Association.slot[row]]."""
         i, sector = np.broadcast_arrays(mobile_idx, sector_id)
         shape, i, sector = i.shape, i.ravel(), sector.ravel()
         bs = sector // self.t.sectors_per_bs
@@ -87,10 +89,13 @@ class Association:
     """Result of the admission pass: serving sector per mobile and loads.
 
     It holds its trials' mobiles one trial after another and one row of
-    loads per trial.
+    loads per trial.  The serving sector covers the mobile from BS
+    near[row, slot[row]] of the shadowing table, so xi_db[row, slot[row]]
+    is the serving link's shadowing in either shadowing_per mode.
     """
 
     serving: np.ndarray    # (R,) sector index within the trial, -1 if denied
+    slot: np.ndarray       # (R,) candidate column of the serving BS, -1 if denied
     loads: np.ndarray      # (trials, n_sectors) admitted
     denied: np.ndarray     # row indices of unserved mobiles
     sequential: bool = False   # the one-by-one admission loop ran
@@ -121,7 +126,7 @@ def associate(shadow: ShadowingTable, capacity: int, rngs) -> Association:
     xy = shadow.mobile_xy[:, None, :]
     rank = shadow.xi_db + 10.0 * np.log10(path_loss(shadow.dist, shadow.cfg))
     best = rank.argmax(axis=1)[:, None]
-    serving = t.covering_sector(shadow.near[rows, best], xy)[:, 0]
+    serving, slot = t.covering_sector(shadow.near[rows, best], xy)[:, 0], best[:, 0]
     loads = np.bincount(rows[:, 0] // m * t.n_sectors + serving,
                         minlength=len(rngs) * t.n_sectors).reshape(len(rngs), -1)
     full = np.flatnonzero(loads.max(axis=1) > capacity)
@@ -129,14 +134,14 @@ def associate(shadow: ShadowingTable, capacity: int, rngs) -> Association:
         cand_sec = t.covering_sector(shadow.near, xy)
         pref = np.argsort(-rank, axis=1, kind="stable")
     for b in full:
-        own, load = serving[b * m:(b + 1) * m], loads[b]
-        own[:], load[:] = -1, 0
+        own, took, load = serving[b * m:(b + 1) * m], slot[b * m:(b + 1) * m], loads[b]
+        own[:], took[:], load[:] = -1, -1, 0
         for i in orders[b]:
-            for slot in pref[b * m + i]:
-                s = cand_sec[b * m + i, slot]
+            for col in pref[b * m + i]:
+                s = cand_sec[b * m + i, col]
                 if load[s] < capacity:
-                    own[i] = s
+                    own[i], took[i] = s, col
                     load[s] += 1
                     break
-    return Association(serving, loads, np.flatnonzero(serving < 0),
+    return Association(serving, slot, loads, np.flatnonzero(serving < 0),
                        sequential=bool(full.size))

@@ -240,10 +240,13 @@ def scale_to_cm(t: Topology, density, ratio) -> Topology:
     """Rescale the whole network to a BS-per-mobile ratio at fixed density.
 
     The BS layout is kept, so the mobile count follows the scaled area.
-    ratio must be positive and finite.
+    ratio and the layout's area must be positive and finite.
     """
     if not 0 < ratio < math.inf:
         raise ValueError(f"C/M ratio must be positive and finite, got {ratio}")
+    if not 0 < t.extent.area < math.inf:
+        raise ValueError(f"extent_km gives a layout area of {t.extent.area:g} "
+                         "km^2; a C/M rescale needs it positive and finite")
     target_area = t.n_bs / (density * ratio)
     return scale_topology(t, math.sqrt(target_area / t.extent.area))
 

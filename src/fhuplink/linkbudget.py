@@ -292,11 +292,10 @@ def link_profiles(t: Topology, cfg: RunConfig, mobile_xy,
     g_sec, xy_i, j_i = assoc.serving[row], xy[row], j[ref]
     pos_g = t.sector_position(g_sec)
     d_ij, d_ig = distance(xy_i, pos_j[ref]), distance(xy_i, pos_g)
-    xi = shadow.toward_sector(np.concatenate([refs, row, row]),
-                              np.concatenate([j, j_i, g_sec]))
-    xi_ij, xi_ig = xi[n:n + len(row)], xi[n + len(row):]
+    xi_ij = shadow.toward_sector(row, j_i)
+    xi_ig = shadow.xi_db[row, assoc.slot[row]]
     if not typical:
-        xi_ref = xi[:n]
+        xi_ref = shadow.xi_db[refs, assoc.slot[refs]]
     # mobile beams point at their serving BS; sector j's wedge is fixed
     mob_level = bm.mobile_gain_toward(xy_i, pos_j[ref], pos_g, cfg)
     in_wedge = t.covering_sector(j_i // t.sectors_per_bs, xy_i) == j_i

@@ -148,6 +148,8 @@ class Topology:
         1-Lipschitz, so that covers every BS within d_k(p) of any point p
         of the cell.  The grid is cached per k in cell units, which scaled
         copies share: its test scales with the layout, to well within 1e-9.
+        Distances round as in distance(); a row is sorted by distance alone
+        unless its first k + 1 hold an exact tie, which the index breaks.
         """
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         k = min(int(k), self.n_bs)
@@ -165,13 +167,20 @@ class Topology:
         near = cand[cell[:, 0] * n + cell[:, 1]]
         bx, by = np.append(self.bs_xy, [[np.inf, np.inf]], axis=0).T.copy()
         dx, dy = bx[near], by[near]
-        np.subtract(xy[:, :1], dx, out=dx)     # the arithmetic of distance()
+        np.subtract(xy[:, :1], dx, out=dx)     # distance()'s arithmetic, in place
         np.subtract(xy[:, 1:], dy, out=dy)
-        d = np.sqrt(dx * dx + dy * dy)
-        # cells list their BSs by index, so a stable sort breaks ties by it
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        order += np.arange(len(d))[:, None] * d.shape[1]    # flat positions
-        return near.ravel()[order], d.ravel()[order]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        d = np.sqrt(dx, out=dx)
+        # cells list their BSs by index, so a stable sort breaks ties by it;
+        # only a row with a tie among its first k + 1 needs that sort
+        at = np.arange(len(d))[:, None] * d.shape[1]    # flat positions
+        order = np.argsort(d, axis=1)[:, :k + 1] + at
+        top = d.ravel()[order]
+        tie = np.flatnonzero((top[:, 1:] == top[:, :-1]).any(axis=1))
+        order[tie] = np.argsort(d[tie], axis=1, kind="stable")[:, :k + 1] + at[tie]
+        return near.ravel()[order[:, :k]], d.ravel()[order[:, :k]]
 
     def _cell_grid(self, k):
         """Cells per side and each cell's BS list (by index, padded with C,
@@ -316,9 +325,10 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
                   max_tries=10_000) -> MobilePlacement:
     """Place round(density * area) mobiles by uniform clustering.
 
-    Candidates are drawn uniformly over the extent; a candidate within
-    r_ex of an accepted mobile is rejected and redrawn.  Fails after
-    max_tries consecutive rejections for a single mobile.
+    The M candidates are drawn uniformly over the extent, x then y; one
+    within r_ex of an earlier accepted one is rejected, then redrawn, x
+    then y, until it lies r_ex or more from every mobile accepted so far.
+    Fails after max_tries consecutive rejections for a single mobile.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -332,13 +342,14 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
         return MobilePlacement(cand)
 
     # the first candidate is always accepted, so acc is never empty
-    acc = np.delete(cand, sorted(_exclusion_conflicts(cand, r_ex)), axis=0)
-    for _ in range(m - len(acc)):
+    gone = sorted(_exclusion_conflicts(cand, r_ex))
+    acc = np.concatenate([np.delete(cand, gone, axis=0), np.empty((len(gone), 2))])
+    for n in range(m - len(gone), m):
         for _ in range(max_tries):
-            p = np.array([rng.uniform(ext.xmin, ext.xmax),
-                          rng.uniform(ext.ymin, ext.ymax)])
-            if np.min(np.sum((acc - p) ** 2, axis=1)) >= r_ex * r_ex:
-                acc = np.vstack([acc, p])
+            px = rng.uniform(ext.xmin, ext.xmax)
+            py = rng.uniform(ext.ymin, ext.ymax)
+            if np.min((acc[:n, 0] - px) ** 2 + (acc[:n, 1] - py) ** 2) >= r_ex * r_ex:
+                acc[n] = px, py
                 break
         else:
             raise RuntimeError(
@@ -353,20 +364,20 @@ def _exclusion_conflicts(cand, r_ex):
 
     A candidate conflicts only with earlier candidates that were accepted.
     Pairs closer than r_ex are found with a sorted-x sweep, so the common
-    no-conflict case costs O(M log M).
+    no-conflict case costs O(M log M).  Equal x may sort in any order: that
+    only turns a found pair round, which leaves its squared distance.
     """
-    m = len(cand)
-    order = np.argsort(cand[:, 0], kind="stable")
-    xs = cand[order]
+    order = np.argsort(cand[:, 0])
+    x, y = cand[order].T.copy()
     pairs = []
-    for off in range(1, m):
-        dx = xs[off:, 0] - xs[:-off, 0]
-        near = dx < r_ex
-        if not near.any():
+    for off in range(1, len(cand)):
+        dx = x[off:] - x[:-off]
+        rows = np.flatnonzero(dx < r_ex)
+        if not rows.size:
             break
-        rows = np.flatnonzero(near)
-        d2 = np.sum((xs[rows + off] - xs[rows]) ** 2, axis=1)
-        hit = rows[d2 < r_ex * r_ex]
+        dy = y[rows + off] - y[rows]
+        dx = dx[rows]
+        hit = rows[dx * dx + dy * dy < r_ex * r_ex]
         for r in hit:
             a, b = order[r], order[r + off]
             pairs.append((min(a, b), max(a, b)))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from fhuplink.propagation import path_loss
-from fhuplink.topology import distance_matrix
+from fhuplink.topology import distance_matrix, mobile_count
 
 
 def g_coeff(ell, q, omega, c, m, beta0):
@@ -176,3 +176,43 @@ def associate_sequential(shadow, capacity, rng):
                 loads[s] += 1
                 break
     return serving, loads, np.flatnonzero(serving < 0)
+
+
+def _clear(acc, x, y, r2):
+    """Whether (x, y) lies at least sqrt(r2) from every point of acc."""
+    return all((x - ax) * (x - ax) + (y - ay) * (y - ay) >= r2
+               for ax, ay in acc)
+
+
+def exclusion_sequential(cand, r_ex):
+    """Indices of the candidates rejected one at a time, in O(M^2): a
+    candidate is rejected when it lies closer than r_ex to a candidate
+    accepted before it."""
+    acc, rejected = [], set()
+    for i, (x, y) in enumerate(np.asarray(cand, dtype=float).tolist()):
+        if _clear(acc, x, y, r_ex * r_ex):
+            acc.append((x, y))
+        else:
+            rejected.add(i)
+    return rejected
+
+
+def place_sequential(t, density, r_ex, rng):
+    """Uniform clustering checked one candidate at a time.
+
+    Draws all M candidate x, then all M y, from rng and keeps those that
+    exclusion_sequential accepts; then, for each rejected one, redraws x
+    then y until the point lies at least r_ex from every mobile accepted
+    so far, and appends it.  Returns the (M, 2) positions.
+    """
+    ext, m = t.extent, mobile_count(t, density)
+    cand = np.column_stack([rng.uniform(ext.xmin, ext.xmax, size=m),
+                            rng.uniform(ext.ymin, ext.ymax, size=m)])
+    rejected = exclusion_sequential(cand, r_ex)
+    acc = [p for i, p in enumerate(cand.tolist()) if i not in rejected]
+    while len(acc) < m:
+        x = rng.uniform(ext.xmin, ext.xmax)
+        y = rng.uniform(ext.ymin, ext.ymax)
+        if _clear(acc, x, y, r_ex * r_ex):
+            acc.append((x, y))
+    return np.array(acc)

@@ -187,6 +187,20 @@ def test_one_link_one_shadowing_value(per):
         assert len(np.unique(per_link)) == per_link.size
 
 
+@pytest.mark.parametrize("per", ["bs", "sector"])
+@pytest.mark.parametrize("capacity", [1000, 2])
+def test_slot_names_the_serving_link(per, capacity):
+    # capacity 2 overflows sectors, so the sequential admission loop runs
+    t, xy, shadow = _scene(37, per=per, k=4)
+    assoc = associate(shadow, capacity, [np.random.default_rng(0)])
+    assert assoc.sequential == (capacity == 2)
+    served = np.flatnonzero(assoc.served_mask)
+    assert np.array_equal(shadow.xi_db[served, assoc.slot[served]],
+                          shadow.toward_sector(served, assoc.serving[served]))
+    assert np.all(assoc.slot[assoc.denied] == -1)
+    assert (len(assoc.denied) > 0) == (capacity == 2)
+
+
 def _against_oracle(shadow, capacity, seed):
     """associate vs the sequential oracle from equal rng states; the path taken."""
     rng_new = np.random.default_rng(seed)

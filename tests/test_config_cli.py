@@ -306,6 +306,18 @@ def test_campaign_rejects_too_many_mobiles(line, tmp_path, capsys):
     assert "extent area" in err and not out.exists()
 
 
+@pytest.mark.parametrize("command", [["campaign", "--cm", "0.3"],
+                                     ["densify", "--trials", "2"]])
+def test_cm_rescale_rejects_an_infinite_area(command, tmp_path, capsys):
+    # a finite extent whose area overflows: the rescale factor would be 0
+    out = tmp_path / "out.csv"
+    cfg = _write_cfg(tmp_path, "bs_count = 16\nextent_km = 1e200\n")
+    assert cli.main([*command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "extent_km" in err, err
+    assert "area of inf km^2" in err and not out.exists()
+
+
 @pytest.mark.parametrize("extent", ["inf", "0", "-2"])
 def test_gen_topo_rejects_a_bad_extent(extent, tmp_path, capsys):
     out = tmp_path / "bs.txt"

@@ -76,10 +76,11 @@ def test_collision_probability():
 
 
 def _toy_association():
-    # sectors: 0 holds {0,1}; 1 holds {2,3,4}; 2 holds {5}; mobile 6 denied
+    # sectors: 0 holds {0,1}; 1 holds {2,3,4}; 2 holds {5}; mobile 6 denied;
+    # each served mobile's serving BS is its nearest candidate (column 0)
     serving = np.array([0, 0, 1, 1, 1, 2, -1])
     loads = np.array([[2, 3, 1]])
-    return Association(serving, loads, np.array([6]))
+    return Association(serving, np.where(serving >= 0, 0, -1), loads, np.array([6]))
 
 
 def test_build_interferer_sets():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fhuplink.topology import (MobilePlacement, Rect, Topology, central_zone,
+from fhuplink.topology import (MobilePlacement, Rect, Topology,
+                               _exclusion_conflicts, central_zone,
                                distance_matrix, generate_topology,
                                load_topology, pick_reference_mobile,
                                place_mobiles, save_coordinates, scale_topology,
                                square)
+from oracles import exclusion_sequential, place_sequential
 
 
 def test_rect_basics():
@@ -294,6 +296,43 @@ def test_place_mobiles_zero_exclusion_and_determinism():
     b = place_mobiles(t, 50.0, 0.0, np.random.default_rng(2))
     assert np.array_equal(a.xy, b.xy)
     assert a.n_mobiles == 50
+
+
+@pytest.mark.parametrize("n_bs, side, density, r_ex", [
+    (4, 2.0, 100.0, 0.004),     # 400 mobiles, 1 or 2 redrawn
+    (1, 0.2, 2500.0, 0.005),    # 3 to 8 of 100 candidates redrawn
+    (4, 2.0, 100.0, 0.0)])
+def test_place_mobiles_matches_sequential_oracle(n_bs, side, density, r_ex):
+    t = generate_topology("grid", n_bs, side)
+    for seed in range(3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(place_mobiles(t, density, r_ex, rng).xy,
+                              place_sequential(t, density, r_ex, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("cand, r_ex, rejected", [
+    # equal x: a pair is found whichever way round the sort puts it
+    ([[0.5, 0.0], [0.5, 0.3], [0.5, 0.05], [0.2, 0.2], [0.5, 0.35]], 0.1, {2, 4}),
+    # exactly r_ex apart (a 3-4-5 triangle, exact in binary): kept
+    ([[0.0, 0.0], [0.375, 0.5], [2.0, 0.0], [2.0, 0.625], [4.0, 0.0],
+      [4.625, 0.0]], 0.625, set()),
+    # a - b - c: b is rejected by a, so c, which only b is near, is kept
+    ([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0]], 1.0, {1}),
+    ([[1.2, 0.0], [0.6, 0.0], [0.0, 0.0]], 1.0, {1})])
+def test_exclusion_conflicts_hand_built(cand, r_ex, rejected):
+    assert _exclusion_conflicts(np.array(cand), r_ex) == rejected
+    assert exclusion_sequential(cand, r_ex) == rejected
+
+
+def test_exclusion_conflicts_with_many_equal_x():
+    # x on a lattice of 8 values: long runs of equal x, in no set order
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        cand = np.column_stack([rng.integers(0, 8, 400) / 8, rng.uniform(size=400)])
+        want = exclusion_sequential(cand, 0.01)
+        assert len(want) > 5
+        assert _exclusion_conflicts(cand, 0.01) == want
 
 
 def test_place_mobiles_packing_failure():
