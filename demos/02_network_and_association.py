@@ -23,8 +23,8 @@ def main():
     cfg = RunConfig(seed=3)
     topo = build_topology(cfg)
     rng = derive_rng(cfg.seed, DOMAIN_TRIAL, 0)
-    placement, shadow, assoc = realize_network(topo, cfg, [rng])
-    m = placement.n_mobiles
+    xy, shadow, assoc = realize_network(topo, cfg, [rng])
+    m = len(xy)
 
     print(f"\nmobiles: {m} (density {cfg.density_per_km2}/km^2, "
           f"exclusion {cfg.r_ex_km*1000:.0f} m)")
@@ -34,13 +34,13 @@ def main():
     print(f"loaded sectors: {len(loads)}; max load {loads.max()}; "
           f"mean load {loads.mean():.2f}")
 
-    nearest = topo.nearest_bs(placement.xy, 1)[0][:, 0]
+    nearest = topo.nearest_bs(xy, 1)[0][:, 0]
     serving_bs = assoc.serving // topo.sectors_per_bs
     flipped = np.mean(serving_bs[assoc.served_mask]
                       != nearest[assoc.served_mask])
     print(f"\nshadowing sends {flipped:.1%} of mobiles to a BS that is not "
           "their nearest")
-    d_serving = distance(placement.xy, topo.bs_xy[serving_bs.clip(min=0)])
+    d_serving = distance(xy, topo.bs_xy[serving_bs.clip(min=0)])
     print(f"serving-link length: median {np.median(d_serving)*1000:.0f} m, "
           f"90th pct {np.percentile(d_serving, 90)*1000:.0f} m")
 

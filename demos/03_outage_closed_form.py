@@ -12,8 +12,7 @@ same SINR directly and should agree to sampling noise.
 import numpy as np
 
 from fhuplink import (InterferenceProfile, fractional_durations,
-                      outage_closed_form, outage_monte_carlo,
-                      outage_no_hopping)
+                      outage_closed_form, outage_monte_carlo)
 from fhuplink.outage import random_profile
 
 
@@ -52,7 +51,7 @@ def main():
     for beta_db in (0.0, 3.0, 6.0, 9.0):
         beta = 10 ** (beta_db / 10)
         hop = outage_closed_form(prof, beta=beta)
-        no_hop = outage_no_hopping(prof, beta=beta)
+        no_hop = outage_closed_form(prof, beta=beta, hopping=False)
         print(f"  beta = {beta_db:+.0f} dB: hopping {hop:.5f}  "
               f"constant-fading {no_hop:.5f}")
 

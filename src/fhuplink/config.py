@@ -39,14 +39,14 @@ def db_to_linear(x_db):
 class RunConfig:
     """Every tunable of a simulation run, with the standard defaults."""
 
-    # propagation (urban preset resolved into explicit values)
+    # propagation: the urban preset's values, unless given explicitly
     preset: str = "newyork"
-    alpha_min: float = 2.3
-    alpha_max: float = 4.7
-    sigma_min_db: float = 6.1
-    sigma_max_db: float = 12.6
-    m_min: float = 1.0                  # Nakagami shape at long range
-    m_max: float = 2.0                  # Nakagami shape at short range
+    alpha_min: float | None = None
+    alpha_max: float | None = None
+    sigma_min_db: float | None = None
+    sigma_max_db: float | None = None
+    m_min: float | None = None          # Nakagami shape at long range
+    m_max: float | None = None          # Nakagami shape at short range
     mu_per_km: float = 20.0             # transition rate of the tanh ramp
     d0_km: float = 0.004                # reference distance; path gain 1 there
 
@@ -94,6 +94,10 @@ class RunConfig:
     cm_ratios: tuple = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0)
 
     def __post_init__(self):
+        _check_key("preset", self.preset, None)
+        for key, value in PRESETS[self.preset].items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         validate_config(self)
 
     # --- derived views -------------------------------------------------
@@ -111,6 +115,10 @@ class RunConfig:
         return self.hopset_channels // self.sector_block_channels
 
     def replace(self, **kw) -> "RunConfig":
+        """A copy with kw set; a preset in kw also resets the values it
+        sets that kw does not."""
+        if "preset" in kw:
+            kw = {**dict.fromkeys(PRESETS[self.preset]), **kw}
         return dataclasses.replace(self, **kw)
 
 
@@ -199,11 +207,6 @@ def _check_key(key, value, line):
                               f"finite ratios{where}")
 
 
-def _preset_keys(name) -> dict:
-    """RunConfig values set by a named propagation preset."""
-    return dict(PRESETS[name], preset=name)
-
-
 def set_key(cfg: RunConfig, key, text) -> RunConfig:
     """cfg with one key set from its text form, checked as in a config file.
 
@@ -213,12 +216,12 @@ def set_key(cfg: RunConfig, key, text) -> RunConfig:
         raise ConfigError(f"unknown key '{key}'")
     value = _cast(key, str(text), None)
     _check_key(key, value, None)
-    return cfg.replace(**(_preset_keys(value) if key == "preset"
-                          else {key: value}))
+    return cfg.replace(**{key: value})
 
 
 def parse_config_text(text, source="<config>") -> RunConfig:
-    """Parse config text; omitted keys keep their defaults."""
+    """Parse config text; omitted keys keep their defaults (the preset's
+    values, for the propagation keys)."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -235,15 +238,7 @@ def parse_config_text(text, source="<config>") -> RunConfig:
         entries[key] = (value, lineno)
 
     kwargs = {}
-    # preset first so explicit propagation values override it regardless
-    # of the order they appear in the file
-    if "preset" in entries:
-        text_v, line = entries["preset"]
-        _check_key("preset", text_v, line)
-        kwargs.update(_preset_keys(text_v))
-    for key in _FIELDS:
-        if key == "preset" or key not in entries:
-            continue
+    for key in [k for k in _FIELDS if k in entries]:
         text_v, line = entries[key]
         value = _cast(key, text_v, line)
         _check_key(key, value, line)

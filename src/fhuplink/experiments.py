@@ -5,10 +5,10 @@ association) and builds the reference link's interference profile, and
 the campaign averages the trials' conditional outages into outage,
 throughput, and area spectral efficiency.  A realization is a block of
 trials, one generator per trial, each derived from (master seed, trial
-index); run_trial is the block of one.  A block runs the arithmetic
-between draws once as stacked arrays; a trial's record does not depend
-on which trials share its block, and results are reduced in index
-order, so campaigns are bit-for-bit the same for any worker count.
+index).  A block runs the arithmetic between draws once as stacked
+arrays; a trial's record does not depend on which trials share its
+block, and results are reduced in index order, so campaigns are
+bit-for-bit the same for any worker count.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .config import RunConfig, build_topology, set_key
 from .linkbudget import link_profiles
 from .outage import outage_batch
 from .seeding import DOMAIN_LINKS, DOMAIN_TRIAL, derive_rng
-from .topology import (MobilePlacement, Topology, mobile_count,
-                       pick_reference_mobile, place_mobiles, scale_topology)
+from .topology import (Topology, mobile_count, pick_reference_mobile,
+                       place_mobiles, scale_topology)
 
 
 # trials whose profiles are held at once and evaluated in one call
@@ -78,14 +78,14 @@ TRIAL_DTYPE = np.dtype([
 
 def realize_network(t: Topology, cfg: RunConfig, rngs):
     """Draw the network realizations of a block of trials, one generator
-    per trial in rngs: placement, shadowing, association."""
-    placement = MobilePlacement(np.concatenate([
-        place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, r).xy
-        for r in rngs]))
-    near, dist = t.nearest_bs(placement.xy, cfg.candidate_bs)
-    shadow = draw_shadowing_table(t, placement.xy, near, dist, cfg, rngs)
+    per trial in rngs: placement, shadowing, association.  Returns (xy,
+    shadow, assoc), the trials' mobiles one trial after another."""
+    xy = np.concatenate([place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, r)
+                         for r in rngs])
+    near, dist = t.nearest_bs(xy, cfg.candidate_bs)
+    shadow = draw_shadowing_table(t, xy, near, dist, cfg, rngs)
     assoc = associate(shadow, cfg.sector_capacity, rngs)
-    return placement, shadow, assoc
+    return xy, shadow, assoc
 
 
 def _run_block(t: Topology, cfg: RunConfig, rngs, d_r_override):
@@ -99,13 +99,13 @@ def _run_block(t: Topology, cfg: RunConfig, rngs, d_r_override):
     todo = np.arange(len(rngs))
     for _ in range(100):
         gens = [rngs[b] for b in todo]
-        placement, shadow, assoc = realize_network(t, cfg, gens)
-        ref = pick_reference_mobile(placement, t, gens, assoc.served_mask)
+        xy, shadow, assoc = realize_network(t, cfg, gens)
+        ref = pick_reference_mobile(xy, t, gens, assoc.served_mask)
         ok = np.flatnonzero(ref >= 0)
         if ok.size:
-            refs = ok * (len(placement.xy) // len(gens)) + ref[ok]
-            block, info = link_profiles(t, cfg, placement.xy, shadow, assoc,
-                                        refs, [gens[b] for b in ok], d_r_override)
+            refs = ok * (len(xy) // len(gens)) + ref[ok]
+            block, info = link_profiles(t, cfg, xy, shadow, assoc, refs,
+                                        [gens[b] for b in ok], d_r_override)
             denied = assoc.serving.reshape(len(gens), -1)[ok] < 0
             records = np.empty(len(ok), dtype=TRIAL_DTYPE)
             records["epsilon"] = records["epsilon_no_hop"] = np.nan
@@ -119,20 +119,6 @@ def _run_block(t: Topology, cfg: RunConfig, rngs, d_r_override):
             return
     raise RuntimeError("no served mobile fell inside the reference zone; "
                        "check density and reference-zone size")
-
-
-def run_trial(t: Topology, cfg: RunConfig, rng: np.random.Generator,
-              d_r_override=None):
-    """One simulation trial, as a block of one; returns (row, profile).
-
-    row is a tuple of the TRIAL_DTYPE fields after the two outages, in
-    order, and profile its InterferenceProfile; run_trials evaluates the
-    outages.  Fully deterministic given the rng state.  d_r_override
-    switches the reference link to the typical length used in
-    densification studies.
-    """
-    ((_, records, block),) = _run_block(t, cfg, [rng], d_r_override)
-    return tuple(records[0])[2:], block.profile(0)
 
 
 def run_trials(t: Topology, cfg: RunConfig, seed, lo, hi, d_r_override=None):
@@ -358,15 +344,15 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
         raise ValueError("n_links must be >= 1")
     seed = cfg.seed if seed is None else int(seed)
     rng = derive_rng(seed, DOMAIN_LINKS)
-    placement, shadow, assoc = realize_network(t, cfg, [rng])
+    xy, shadow, assoc = realize_network(t, cfg, [rng])
     served = np.flatnonzero(assoc.served_mask)
     if len(served) == 0:
         raise RuntimeError("realization has no served mobiles")
     n_links = min(int(n_links), len(served))
     chosen = np.sort(rng.choice(served, size=n_links, replace=False))
 
-    size = max(1, ROW_BUDGET // len(placement.xy))
-    profiles = [link_profiles(t, cfg, placement.xy, shadow, assoc, refs,
+    size = max(1, ROW_BUDGET // len(xy))
+    profiles = [link_profiles(t, cfg, xy, shadow, assoc, refs,
                               [rng] * len(refs))[0]
                 for refs in np.split(served, range(size, len(served), size))]
 

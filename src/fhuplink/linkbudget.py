@@ -6,9 +6,8 @@ and one record per interferer holding its interference-to-signal ratio,
 real fading shape, collision probabilities, and the fractional durations
 of the four asynchronous-overlap periods of a subframe.  link_profiles
 builds the profiles of a block of reference uplinks, one generator per
-reference; reference_link_profile is the block of one.  The model values,
-the hopping layout among them, are read from a RunConfig, ``cfg``, which
-checks them.
+reference.  The model values, the hopping layout among them, are read
+from a RunConfig, ``cfg``, which checks them.
 """
 
 from __future__ import annotations
@@ -198,13 +197,6 @@ class ProfileBlock(namedtuple("ProfileBlock", "gamma0 m0 beta n_interferers "
         return cls(*(np.concatenate([np.atleast_1d(getattr(p, name)) for p in parts])
                      for name in cls._fields))
 
-    def profile(self, b) -> InterferenceProfile:
-        """Profile b as an InterferenceProfile."""
-        rows = slice(self.n_interferers[:b].sum(), self.n_interferers[:b + 1].sum())
-        return InterferenceProfile(self.gamma0[b], self.m0[b], self.beta[b],
-                                   self.omega[rows], self.m[rows], self.q[rows],
-                                   self.c[rows])
-
 
 def empty_profile(gamma0_value, m0, beta) -> InterferenceProfile:
     """Profile of an interference-free reference link."""
@@ -321,15 +313,3 @@ def link_profiles(t: Topology, cfg: RunConfig, mobile_xy,
         m_of(d_ij, cfg), np.repeat(q1[:, None], 4, axis=1), c)
     return block.checked(), info
 
-
-def reference_link_profile(t: Topology, cfg: RunConfig, mobile_xy,
-                           shadow: ShadowingTable, assoc: Association,
-                           ref_idx: int, rng: np.random.Generator,
-                           d_r: float | None = None):
-    """The InterferenceProfile of one reference uplink, and its info.
-
-    The one-reference case of link_profiles, with the same arguments.
-    """
-    block, info = link_profiles(t, cfg, mobile_xy, shadow, assoc, [ref_idx],
-                                [rng], d_r)
-    return block.profile(0), {key: value[0] for key, value in info.items()}

@@ -24,7 +24,9 @@ import math
 
 import numpy as np
 
-from .linkbudget import InterferenceProfile, ProfileBlock, check_threshold
+from .linkbudget import (InterferenceProfile, ProfileBlock, check_threshold,
+                         fractional_durations)
+from .seeding import DOMAIN_VALIDATE, derive_rng
 
 
 # term rows per evaluator call, so each temporary holds at most
@@ -213,25 +215,18 @@ def h_t_all(profile: InterferenceProfile, beta0, t_max):
     return pmf[0] / beta0 ** t
 
 
-def outage_closed_form(profile: InterferenceProfile, beta=None) -> float:
-    """Exact conditional outage probability with frequency hopping.
+def outage_closed_form(profile: InterferenceProfile, beta=None,
+                       hopping=True) -> float:
+    """Exact conditional outage probability of one profile.
 
-    The two independently faded slots double the effective fading shape of
-    the desired signal to 2*m0.  beta overrides the profile's threshold.
+    With hopping the two independently faded slots double the effective
+    fading shape of the desired signal to 2*m0; without, the desired gain
+    is a single unit-mean gamma of shape m0, and the interference model
+    keeps its per-period structure.  beta overrides the profile's
+    threshold.
     """
     beta = None if beta is None else [beta]
-    return float(outage_batch([profile], [2], beta)[0, 0])
-
-
-def outage_no_hopping(profile: InterferenceProfile, beta=None) -> float:
-    """Outage with the desired signal fading constant over the subframe.
-
-    Without hopping there is no slot diversity: the desired gain is a
-    single unit-mean gamma of shape m0.  The interference model keeps its
-    per-period structure.
-    """
-    beta = None if beta is None else [beta]
-    return float(outage_batch([profile], [1], beta)[0, 0])
+    return float(outage_batch([profile], [2 if hopping else 1], beta)[0, 0])
 
 
 def _pack(a, keep):
@@ -300,8 +295,6 @@ def random_profile(rng: np.random.Generator, beta, *, max_interferers=30,
     the reference shape 1 or 2, and the period durations follow a random
     timing offset.
     """
-    from .linkbudget import fractional_durations
-
     n = int(rng.integers(1, max_interferers + 1))
     m0 = int(rng.integers(1, 3))
     g0 = 10.0 ** rng.uniform(0.0, 7.0)
@@ -322,8 +315,6 @@ def run_validation(n_profiles, n_samples, seed, beta):
     error implied by the closed-form value, which is the standard
     one-sample proportion test.  Returns (records, all_ok).
     """
-    from .seeding import DOMAIN_VALIDATE, derive_rng
-
     if n_profiles < 1:
         raise ValueError("validation needs at least one profile")
     n_samples = int(n_samples)

@@ -4,8 +4,9 @@ Base stations sit at fixed coordinates inside a square network extent and
 are split into equal angular sectors.  Mobiles are re-placed every trial
 with a uniform clustering rule: sequential uniform draws, rejecting any
 candidate that lands within the exclusion radius of an already accepted
-mobile.  Coordinates are in km.  The reference pick runs on a block of
-trials, one generator per trial.
+mobile.  Coordinates are in km, and a trial's mobiles are a bare (M, 2)
+array.  The reference pick runs on a block of trials, one generator per
+trial.
 """
 
 from __future__ import annotations
@@ -201,17 +202,6 @@ class Topology:
         return n, cand
 
 
-@dataclass(frozen=True, eq=False)
-class MobilePlacement:
-    """One trial's mobile positions under the uniform clustering rule."""
-
-    xy: np.ndarray             # (M, 2) in km
-
-    @property
-    def n_mobiles(self) -> int:
-        return len(self.xy)
-
-
 def load_topology(path, *, extent=None, sectors_per_bs=1):
     """Read BS coordinates from a text file: one "x y" pair (km) per line.
 
@@ -322,8 +312,8 @@ def mobile_count(t: Topology, density) -> int:
 
 
 def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
-                  max_tries=10_000) -> MobilePlacement:
-    """Place round(density * area) mobiles by uniform clustering.
+                  max_tries=10_000) -> np.ndarray:
+    """Place round(density * area) mobiles by uniform clustering; (M, 2).
 
     The M candidates are drawn uniformly over the extent, x then y; one
     within r_ex of an earlier accepted one is rejected, then redrawn, x
@@ -339,7 +329,7 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
     cand = np.column_stack([rng.uniform(ext.xmin, ext.xmax, size=m),
                             rng.uniform(ext.ymin, ext.ymax, size=m)])
     if r_ex == 0.0:
-        return MobilePlacement(cand)
+        return cand
 
     # the first candidate is always accepted, so acc is never empty
     gone = sorted(_exclusion_conflicts(cand, r_ex))
@@ -356,7 +346,7 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
                 f"uniform clustering failed: {max_tries} rejections while "
                 f"packing {m} mobiles with r_ex={r_ex} km into "
                 f"{ext.area:g} km^2")
-    return MobilePlacement(acc)
+    return acc
 
 
 def _exclusion_conflicts(cand, r_ex):
@@ -402,16 +392,15 @@ def distance_matrix(a, b):
     return distance(np.asarray(a, dtype=float)[:, None], b)
 
 
-def pick_reference_mobile(placement: MobilePlacement, t: Topology, rngs,
-                          eligible=None):
+def pick_reference_mobile(mobile_xy, t: Topology, rngs, eligible=None):
     """Uniformly pick a mobile inside the reference zone of each trial.
 
-    placement holds the trials' mobiles one trial after another and rngs
+    mobile_xy holds the trials' mobiles one trial after another and rngs
     one generator per trial; eligible optionally restricts the draw (e.g.
     to served mobiles).  Returns each trial's pick, as an index within its
     trial, or -1 for an empty zone.
     """
-    mask = t.reference_zone.contains(placement.xy).reshape(len(rngs), -1)
+    mask = t.reference_zone.contains(mobile_xy).reshape(len(rngs), -1)
     if eligible is not None:
         mask = mask & np.asarray(eligible, dtype=bool).reshape(mask.shape)
     return np.array([int(idx[r.integers(len(idx))]) if len(idx) else -1

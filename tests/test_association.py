@@ -28,23 +28,23 @@ def _table(t, xy, rng=None, k=12, per="bs", xi=None):
 def test_no_shadowing_gives_nearest_bs():
     rng = np.random.default_rng(5)
     t = generate_topology("uniform-random", 9, 2.0, rng, sectors_per_bs=4)
-    pl = place_mobiles(t, 50.0, 0.0, rng)
-    shadow = _table(t, pl.xy, xi=0.0)
+    xy = place_mobiles(t, 50.0, 0.0, rng)
+    shadow = _table(t, xy, xi=0.0)
     assoc = associate(shadow, capacity=1000, rngs=[rng])
     assert len(assoc.denied) == 0
-    nearest = np.argmin(distance_matrix(pl.xy, t.bs_xy), axis=1)
-    expected = t.covering_sector(nearest, pl.xy)
+    nearest = np.argmin(distance_matrix(xy, t.bs_xy), axis=1)
+    expected = t.covering_sector(nearest, xy)
     assert np.array_equal(assoc.serving, expected)
     # every served mobile is covered by its sector's mainlobe wedge
     assert np.array_equal(
-        t.covering_sector(assoc.serving // 4, pl.xy), assoc.serving)
+        t.covering_sector(assoc.serving // 4, xy), assoc.serving)
 
 
 def test_loads_consistent_and_capacity_respected():
     rng = np.random.default_rng(6)
     t = generate_topology("uniform-random", 6, 1.0, rng, sectors_per_bs=3)
-    pl = place_mobiles(t, 200.0, 0.0, rng)
-    shadow = _table(t, pl.xy, rng)
+    xy = place_mobiles(t, 200.0, 0.0, rng)
+    shadow = _table(t, xy, rng)
     cap = 5
     assoc = associate(shadow, cap, [rng])
     assert np.all(assoc.loads <= cap)
@@ -93,8 +93,8 @@ def test_strong_shadowing_flips_to_far_bs():
 def test_deterministic_given_seed():
     rng = np.random.default_rng(12)
     t = generate_topology("uniform-random", 8, 1.0, rng, sectors_per_bs=6)
-    pl = place_mobiles(t, 150.0, 0.0, rng)
-    shadow = _table(t, pl.xy, rng)
+    xy = place_mobiles(t, 150.0, 0.0, rng)
+    shadow = _table(t, xy, rng)
     a = associate(shadow, 3, [np.random.default_rng(42)])
     b = associate(shadow, 3, [np.random.default_rng(42)])
     assert np.array_equal(a.serving, b.serving)
@@ -104,11 +104,11 @@ def test_deterministic_given_seed():
 def test_candidate_restriction_k_nearest():
     rng = np.random.default_rng(2)
     t = generate_topology("uniform-random", 30, 2.0, rng, sectors_per_bs=1)
-    pl = place_mobiles(t, 30.0, 0.0, rng)
+    xy = place_mobiles(t, 30.0, 0.0, rng)
     # without shadowing the nearest BS always wins, so k=1 and k=30 agree
-    a1 = associate(_table(t, pl.xy, k=1, xi=0.0), 1000,
+    a1 = associate(_table(t, xy, k=1, xi=0.0), 1000,
                    [np.random.default_rng(0)])
-    a30 = associate(_table(t, pl.xy, k=30, xi=0.0), 1000,
+    a30 = associate(_table(t, xy, k=30, xi=0.0), 1000,
                     [np.random.default_rng(0)])
     assert np.array_equal(a1.serving, a30.serving)
 
@@ -116,19 +116,19 @@ def test_candidate_restriction_k_nearest():
 def test_sector_mode_shadowing():
     rng = np.random.default_rng(7)
     t = generate_topology("uniform-random", 4, 1.0, rng, sectors_per_bs=3)
-    pl = place_mobiles(t, 100.0, 0.0, rng)
-    shadow = _table(t, pl.xy, rng, per="sector")
-    assert shadow.xi_db.shape == (pl.n_mobiles, 4)
+    xy = place_mobiles(t, 100.0, 0.0, rng)
+    shadow = _table(t, xy, rng, per="sector")
+    assert shadow.xi_db.shape == (len(xy), 4)
     assoc = associate(shadow, 10, [rng])
     assert np.all(assoc.loads <= 10)
     # a candidate link is the covering sector of the candidate BS
     bs = shadow.near[0, 1]
-    covering = t.covering_sector(bs, pl.xy[0])
+    covering = t.covering_sector(bs, xy[0])
     assert shadow.toward_sector(0, covering) == shadow.xi_db[0, 1]
     # another sector of the same BS gets its own draw, not the ranked value
     other = bs * 3 + (covering + 1) % 3
-    d = distance_matrix(pl.xy[:1], t.bs_xy[bs:bs + 1])[0, 0]
-    want = derive_rng(shadow.seed[0], other).standard_normal(pl.n_mobiles)[0]
+    d = distance_matrix(xy[:1], t.bs_xy[bs:bs + 1])[0, 0]
+    want = derive_rng(shadow.seed[0], other).standard_normal(len(xy))[0]
     assert shadow.toward_sector(0, other) == want * sigma_of(d, NY)
     assert shadow.toward_sector(0, other) != shadow.xi_db[0, 1]
 
@@ -154,8 +154,8 @@ def test_draw_shadowing_table_stddev_tracks_distance():
 def _scene(seed, n_bs=12, zeta=4, per="bs", k=12, density=150.0):
     rng = np.random.default_rng(seed)
     t = generate_topology("uniform-random", n_bs, 1.0, rng, sectors_per_bs=zeta)
-    pl = place_mobiles(t, density, 0.0, rng)
-    return t, pl.xy, _table(t, pl.xy, rng, k=k, per=per)
+    xy = place_mobiles(t, density, 0.0, rng)
+    return t, xy, _table(t, xy, rng, k=k, per=per)
 
 
 @pytest.mark.parametrize("per", ["bs", "sector"])
@@ -236,7 +236,7 @@ def test_associate_ties_give_the_oracle_answer_on_either_path():
     ext = square(4.0)
     t = generate_topology("grid", 16, ext, sectors_per_bs=3)
     rng = np.random.default_rng(8)
-    xy = np.vstack([[[2.0, 2.0], [1.0, 2.0]], place_mobiles(t, 20.0, 0.0, rng).xy])
+    xy = np.vstack([[[2.0, 2.0], [1.0, 2.0]], place_mobiles(t, 20.0, 0.0, rng)])
     dist = distance_matrix(xy, t.bs_xy)
     assert dist[0, 5] == dist[0, 6] == dist[0, 9] == dist[0, 10]
     for capacity, sequential in ((1000, False), (1, True)):

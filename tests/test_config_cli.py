@@ -68,6 +68,26 @@ def test_preset_with_explicit_override_any_order():
     assert a.alpha_max == 5.0 and a.alpha_min == 1.9
 
 
+def test_preset_expands_on_direct_construction():
+    austin = parse_config_text("preset = austin\n")
+    assert RunConfig(preset="austin") == austin
+    assert (austin.alpha_min, austin.alpha_max) == (1.9, 3.3)
+    assert RunConfig(preset="austin", alpha_max=5.0) == \
+        parse_config_text("alpha_max = 5.0\npreset = austin\n")
+    with pytest.raises(ConfigError, match="preset must be one of"):
+        RunConfig(preset="paris")
+
+
+def test_preset_expands_on_replace():
+    austin = parse_config_text("preset = austin\n")
+    assert RunConfig().replace(preset="austin") == austin
+    assert austin.replace(preset="newyork") == RunConfig()
+    # values given with the preset win; without a preset, values stay
+    assert RunConfig().replace(preset="austin", alpha_max=5.0) == \
+        parse_config_text("preset = austin\nalpha_max = 5.0\n")
+    assert austin.replace(delta=0.2).alpha_max == 3.3
+
+
 def test_round_trip():
     cfg = parse_config_text("""
 preset = austin

@@ -6,12 +6,11 @@ import pytest
 
 from fhuplink import cli, experiments
 from fhuplink.config import ConfigError, RunConfig, serialize
-from fhuplink.experiments import (TRIAL_BLOCK, TRIAL_DTYPE, cm_ratio_of,
-                                  code_rate, densification_sweep,
+from fhuplink.experiments import (TRIAL_BLOCK, TRIAL_DTYPE, _run_block,
+                                  cm_ratio_of, code_rate, densification_sweep,
                                   per_link_rate_curves, run_campaign,
-                                  run_trial, scale_to_cm, sweep)
+                                  run_trials, scale_to_cm, sweep)
 from fhuplink.linkbudget import InterferenceProfile, ProfileBlock
-from fhuplink.outage import outage_batch
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
 
 from oracles import noise_only_outage
@@ -36,29 +35,31 @@ def test_code_rate():
 
 def test_run_trial_deterministic():
     t = _topo(SMALL)
-    a, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0))
-    b, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0))
-    assert a == b
-    assert len(a) == len(TRIAL_DTYPE.names) - 2     # all but the outages
-    c, _ = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 1))
-    assert c != a  # different trial index, different realization
+    a = run_trials(t, SMALL, 3, 0, 1)
+    b = run_trials(t, SMALL, 3, 0, 1)
+    assert a.dtype == TRIAL_DTYPE and a.tobytes() == b.tobytes()
+    c = run_trials(t, SMALL, 3, 1, 2)
+    assert c.tobytes() != a.tobytes()  # different trial index, different realization
 
 
 @pytest.mark.parametrize("d_r_override", [None, 0.05])
 def test_run_trial_checks_each_object_once(monkeypatch, d_r_override):
     # the config was checked when SMALL was built; a trial reads it, builds
-    # no other config, and builds (and checks) its one profile once
+    # no other config and no InterferenceProfile, and checks its block once
     t = _topo(SMALL)
-    built = {}
+    built, sizes = {}, []
     for cls in (InterferenceProfile, RunConfig):
         def counted(self, _init=cls.__post_init__, _name=cls.__name__):
             built[_name] = built.get(_name, 0) + 1
             _init(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    _, profile = run_trial(t, SMALL, derive_rng(3, DOMAIN_TRIAL, 0),
-                           d_r_override)
-    assert profile.n_interferers > 0
-    assert built == {"InterferenceProfile": 1}
+    checked = ProfileBlock.checked
+    monkeypatch.setattr(ProfileBlock, "checked",
+                        lambda self: sizes.append(len(self.m0)) or checked(self))
+    ((_, _, block),) = _run_block(t, SMALL, [derive_rng(3, DOMAIN_TRIAL, 0)],
+                                  d_r_override)
+    assert block.n_interferers[0] > 0
+    assert built == {} and sizes == [1]
 
 
 def test_campaign_checks_each_profile_once(monkeypatch):
@@ -79,13 +80,14 @@ def test_single_mobile_reduces_to_noise_only():
     cfg = RunConfig(bs_count=4, extent_km=0.1, density_per_km2=100.0,
                     r_ex_km=0.0, ref_zone_km=0.0, trials=1, seed=9)
     t = _topo(cfg, 9)
-    _, profile = run_trial(t, cfg, derive_rng(9, DOMAIN_TRIAL, 0))
+    ((_, _, block),) = _run_block(t, cfg, [derive_rng(9, DOMAIN_TRIAL, 0)],
+                                  None)
     _, (result,) = run_campaign(t, cfg)
-    assert profile.n_interferers == 0
+    assert block.n_interferers[0] == 0
     assert result["n_interferers"] == 0
-    want = noise_only_outage(profile.gamma0, profile.m0, cfg.beta_linear)
+    want = noise_only_outage(block.gamma0[0], block.m0[0], cfg.beta_linear)
     assert result["epsilon"] == pytest.approx(want, abs=1e-12)
-    want_nh = noise_only_outage(profile.gamma0, profile.m0, cfg.beta_linear,
+    want_nh = noise_only_outage(block.gamma0[0], block.m0[0], cfg.beta_linear,
                                 hopping=False)
     assert result["epsilon_no_hop"] == pytest.approx(want_nh, abs=1e-12)
 
@@ -163,12 +165,8 @@ def test_densify_worker_error_exits_2_and_leaves_no_worker(tmp_path, capsys):
 
 def _one_trial_records(t, cfg, n, d_r_override=None):
     """The records of trials 0 .. n - 1, each run as a block of one."""
-    records = np.empty(n, dtype=TRIAL_DTYPE)
-    for i in range(n):
-        row, profile = run_trial(t, cfg, derive_rng(cfg.seed, DOMAIN_TRIAL, i),
-                                 d_r_override)
-        records[i] = (*outage_batch([profile])[:, 0], *row)
-    return records
+    return np.concatenate([run_trials(t, cfg, cfg.seed, i, i + 1, d_r_override)
+                           for i in range(n)])
 
 
 def test_block_size_does_not_change_a_record(monkeypatch):

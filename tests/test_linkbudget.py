@@ -6,10 +6,9 @@ from fhuplink.beams import mobile_levels, sector_levels
 from fhuplink.config import ConfigError, RunConfig
 from fhuplink.linkbudget import (InterferenceProfile, build_interferer_sets,
                                  collision_probability, empty_profile,
-                                 fractional_durations, gamma0,
-                                 power_control_ratio, reference_link_profile,
-                                 spectral_factor, timing_offset,
-                                 truncate_strongest)
+                                 fractional_durations, gamma0, link_profiles,
+                                 power_control_ratio, spectral_factor,
+                                 timing_offset, truncate_strongest)
 from fhuplink.propagation import (SPEED_OF_LIGHT_KM_S, path_loss,
                                   round_integer_m, sample_shadowing)
 from fhuplink.topology import Topology, generate_topology, place_mobiles, square
@@ -190,23 +189,24 @@ def test_power_control_ratio_delta_zero_ignores_own_link():
 def _small_scene(zeta=4, seed=3):
     rng = np.random.default_rng(seed)
     t = generate_topology("uniform-random", 12, 1.0, rng, sectors_per_bs=zeta)
-    pl = place_mobiles(t, 300.0, 0.002, rng)
-    near, dist = t.nearest_bs(pl.xy, 12)
-    shadow = draw_shadowing_table(t, pl.xy, near, dist, NY, [rng])
+    xy = place_mobiles(t, 300.0, 0.002, rng)
+    near, dist = t.nearest_bs(xy, 12)
+    shadow = draw_shadowing_table(t, xy, near, dist, NY, [rng])
     # New York propagation, 100 channels in blocks of 10, delta 0.1, K 30
     cfg = RunConfig(zeta=zeta, p_over_n_db=70.0, beta_db=3.0)
     assoc = associate(shadow, cfg.sector_capacity, [rng])
     served = np.flatnonzero(assoc.served_mask)
     ref = int(served[0])
-    return t, pl, shadow, assoc, cfg, ref
+    return t, xy, shadow, assoc, cfg, ref
 
 
-def test_reference_link_profile_invariants():
-    t, pl, shadow, assoc, cfg, ref = _small_scene()
+def test_one_reference_link_invariants():
+    # a block of one reference: its profile is row 0 of the block and info
+    t, xy, shadow, assoc, cfg, ref = _small_scene()
     rng = np.random.default_rng(10)
-    prof, info = reference_link_profile(t, cfg, pl.xy, shadow, assoc, ref, rng)
-    assert prof.gamma0 > 0 and prof.m0 >= 1
-    assert prof.n_interferers <= 30
+    prof, info = link_profiles(t, cfg, xy, shadow, assoc, [ref], [rng])
+    assert prof.gamma0[0] > 0 and prof.m0[0] >= 1
+    assert prof.n_interferers[0] <= 30
     assert np.all(prof.omega >= 0)
     assert np.all((prof.q >= 0) & (prof.q <= 1))
     assert np.allclose(prof.c.sum(axis=1), 1.0)
@@ -214,31 +214,31 @@ def test_reference_link_profile_invariants():
     assert np.array_equal(prof.c[:, 1], prof.c[:, 3])
     # realized reference distance matches the geometry
     j = assoc.serving[ref]
-    assert info["d_r"] == pytest.approx(
-        np.linalg.norm(pl.xy[ref] - t.sector_position(j)))
-    assert info["serving_sector"] == j
+    assert info["d_r"][0] == pytest.approx(
+        np.linalg.norm(xy[ref] - t.sector_position(j)))
+    assert info["serving_sector"][0] == j
     # the reference link's shadowing is the value association ranked it by
     slot = list(shadow.near[ref]).index(j // t.sectors_per_bs)
-    assert prof.gamma0 == gamma0(1e7, shadow.xi_db[ref, slot],
-                                 path_loss(info["d_r"], NY))
-    assert prof.beta == cfg.beta_linear
+    assert prof.gamma0[0] == gamma0(1e7, shadow.xi_db[ref, slot],
+                                    path_loss(info["d_r"][0], NY))
+    assert prof.beta[0] == cfg.beta_linear
 
 
-def test_reference_link_profile_typical_override():
-    t, pl, shadow, assoc, cfg, ref = _small_scene()
-    prof, info = reference_link_profile(t, cfg, pl.xy, shadow, assoc, ref,
-                                        np.random.default_rng(10), d_r=0.05)
-    assert info["d_r"] == 0.05
+def test_one_reference_link_typical_override():
+    t, xy, shadow, assoc, cfg, ref = _small_scene()
+    prof, info = link_profiles(t, cfg, xy, shadow, assoc, [ref],
+                               [np.random.default_rng(10)], 0.05)
+    assert info["d_r"][0] == 0.05
     # the typical link's shadowing is the rng's first draw, at length d_r
     xi = float(sample_shadowing(0.05, NY, np.random.default_rng(10)))
-    assert prof.gamma0 == gamma0(1e7, xi, path_loss(0.05, NY))
+    assert prof.gamma0[0] == gamma0(1e7, xi, path_loss(0.05, NY))
     for d_r in (0.0, -0.05):
         with pytest.raises(ValueError, match="length must be positive"):
-            reference_link_profile(t, cfg, pl.xy, shadow, assoc, ref,
-                                   np.random.default_rng(10), d_r=d_r)
+            link_profiles(t, cfg, xy, shadow, assoc, [ref],
+                          [np.random.default_rng(10)], d_r)
 
 
-def test_reference_link_profile_without_interferers():
+def test_one_reference_link_without_interferers():
     # one single-sector BS serves every mobile, so no sector interferes
     ext = square(1.0)
     t = Topology(np.array([[0.5, 0.5]]), ext, ext)
@@ -249,26 +249,27 @@ def test_reference_link_profile_without_interferers():
     cfg = RunConfig(zeta=1)
     assoc = associate(shadow, cfg.sector_capacity,
                       [np.random.default_rng(1)])
-    prof, info = reference_link_profile(t, cfg, xy, shadow, assoc, 1,
-                                        np.random.default_rng(2))
+    prof, info = link_profiles(t, cfg, xy, shadow, assoc, [1],
+                               [np.random.default_rng(2)])
+    d_r = info["d_r"][0]
     want = empty_profile(gamma0(cfg.p_over_n_linear, shadow.xi_db[1, 0],
-                                path_loss(info["d_r"], NY)),
-                         round_integer_m(info["d_r"], NY), cfg.beta_linear)
-    assert info["n_potential"] == prof.n_interferers == 0
-    assert (prof.gamma0, prof.m0, prof.beta) == (want.gamma0, want.m0, want.beta)
+                                path_loss(d_r, NY)),
+                         round_integer_m(d_r, NY), cfg.beta_linear)
+    assert info["n_potential"][0] == prof.n_interferers[0] == 0
+    assert (prof.gamma0[0], prof.m0[0], prof.beta[0]) == (want.gamma0, want.m0,
+                                                          want.beta)
     for name in ("omega", "m", "q", "c"):
         assert getattr(prof, name).shape == getattr(want, name).shape
 
 
-def test_reference_link_profile_keeps_the_strongest_rows():
-    t, pl, shadow, assoc, cfg, ref = _small_scene()
-    full, _ = reference_link_profile(t, cfg.replace(k_strongest=10**6), pl.xy,
-                                     shadow, assoc, ref,
-                                     np.random.default_rng(10))
-    cut, info = reference_link_profile(t, cfg, pl.xy, shadow, assoc, ref,
-                                       np.random.default_rng(10))
-    assert full.n_interferers == info["n_potential"] > 30
+def test_one_reference_link_keeps_the_strongest_rows():
+    t, xy, shadow, assoc, cfg, ref = _small_scene()
+    full, _ = link_profiles(t, cfg.replace(k_strongest=10**6), xy, shadow,
+                            assoc, [ref], [np.random.default_rng(10)])
+    cut, info = link_profiles(t, cfg, xy, shadow, assoc, [ref],
+                              [np.random.default_rng(10)])
+    assert full.n_interferers[0] == info["n_potential"][0] > 30
     top = np.sort(np.argsort(-full.omega)[:30])
-    assert (cut.gamma0, cut.m0) == (full.gamma0, full.m0)
+    assert (cut.gamma0[0], cut.m0[0]) == (full.gamma0[0], full.m0[0])
     for name in ("omega", "m", "q", "c"):
         assert np.array_equal(getattr(cut, name), getattr(full, name)[top])

@@ -4,11 +4,11 @@ import pytest
 from scipy import special
 
 from fhuplink.config import RunConfig, build_topology
-from fhuplink.experiments import run_trial, scale_to_cm
+from fhuplink.experiments import _run_block, scale_to_cm
 from fhuplink.linkbudget import InterferenceProfile, empty_profile, fractional_durations
 from fhuplink.outage import (h_t_all, outage_batch, outage_closed_form,
-                             outage_monte_carlo, outage_no_hopping,
-                             random_profile, run_validation)
+                             outage_monte_carlo, random_profile,
+                             run_validation)
 from oracles import (g_coeff, h_t_enumeration, noise_only_outage,
                      outage_g_series_mpmath, plain_outage_monte_carlo,
                      single_pair_outage_quadrature)
@@ -102,7 +102,7 @@ def test_noise_only_closed_form_matches_gamma_cdf():
         prof = empty_profile(g0, m0, beta)
         assert outage_closed_form(prof) == pytest.approx(
             noise_only_outage(g0, m0, beta), abs=1e-12)
-        assert outage_no_hopping(prof) == pytest.approx(
+        assert outage_closed_form(prof, hopping=False) == pytest.approx(
             noise_only_outage(g0, m0, beta, hopping=False), abs=1e-12)
 
 
@@ -111,7 +111,8 @@ def test_noise_only_worked_values():
     assert outage_closed_form(empty_profile(10.0, 1, 2.0)) == pytest.approx(
         0.061551935550105, abs=1e-12)
     # without hopping: 1 - e^-0.2
-    assert outage_no_hopping(empty_profile(10.0, 1, 2.0)) == pytest.approx(
+    assert outage_closed_form(empty_profile(10.0, 1, 2.0),
+                              hopping=False) == pytest.approx(
         0.18126924692201818, abs=1e-12)
 
 
@@ -127,9 +128,9 @@ def test_limits():
 def test_beta_override_is_checked(bad):
     prof = empty_profile(10.0, 1, 2.0)
     msg = "SINR threshold must be positive and finite"
-    for closed_form in (outage_closed_form, outage_no_hopping):
+    for hopping in (True, False):
         with pytest.raises(ValueError, match=msg):
-            closed_form(prof, beta=bad)
+            outage_closed_form(prof, beta=bad, hopping=hopping)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match=msg):
@@ -148,9 +149,8 @@ def test_noise_only_relative_accuracy_down_to_1e_250():
     for m0 in (1, 2, 3):
         for log_g0 in (1, 3, 6, 12, 25, 50, 90, 125, 250):
             prof = empty_profile(10.0 ** log_g0, m0, 2.0)
-            for shape, closed_form in ((2 * m0, outage_closed_form),
-                                       (m0, outage_no_hopping)):
-                got = closed_form(prof)
+            for shape, hopping in ((2 * m0, True), (m0, False)):
+                got = outage_closed_form(prof, hopping=hopping)
                 with mpmath.workdps(50):
                     want = mpmath.gammainc(shape, 0, 2.0 * shape / mpmath.mpf(
                         prof.gamma0), regularized=True)
@@ -179,13 +179,16 @@ def test_relative_accuracy_against_g_series():
                  _trial_like_profile(rng, 1e12, 2)]
     cfg = RunConfig(seed=29)
     topo = scale_to_cm(build_topology(cfg, cfg.seed), cfg.density_per_km2, 1.0)
-    profiles.append(run_trial(topo, cfg, np.random.default_rng(0))[1])
+    ((_, _, trial),) = _run_block(topo, cfg, [np.random.default_rng(0)], None)
+    profiles.append(InterferenceProfile(trial.gamma0[0], trial.m0[0],
+                                        trial.beta[0], trial.omega, trial.m,
+                                        trial.q, trial.c))
     worst, smallest = 0.0, 1.0
     for prof in profiles:
-        for hopping, closed_form in ((True, outage_closed_form),
-                                     (False, outage_no_hopping)):
+        for hopping in (True, False):
             want = outage_g_series_mpmath(prof, hopping, dps=320)
-            worst = max(worst, _relative_error(closed_form(prof), want))
+            got = outage_closed_form(prof, hopping=hopping)
+            worst = max(worst, _relative_error(got, want))
             smallest = min(smallest, float(want))
     assert smallest < 1e-20
     assert worst <= 1e-10
@@ -242,7 +245,7 @@ def test_batch_partners_do_not_change_a_row():
     assert shuffled[:, k:].tobytes() == alone[::-1, :3].tobytes()
     for p, hop, no_hop in zip(profiles, *alone):
         assert outage_closed_form(p) == hop
-        assert outage_no_hopping(p) == no_hop
+        assert outage_closed_form(p, hopping=False) == no_hop
     # a threshold per setting, as the links command evaluates a beta grid
     betas = [0.5, 2.0, 8.0]
     grid = outage_batch(profiles, [2, 2, 2], betas)
@@ -299,7 +302,7 @@ def test_no_hopping_dominates_hopping_in_operating_regime():
     checked = 0
     for _ in range(60):
         prof = random_profile(rng, beta=10 ** 0.3, max_interferers=10)
-        no_hop = outage_no_hopping(prof)
+        no_hop = outage_closed_form(prof, hopping=False)
         if no_hop <= 0.6:
             assert no_hop >= outage_closed_form(prof) - 1e-12
             checked += 1
@@ -312,7 +315,7 @@ def test_hopping_ordering_reverses_in_deep_outage():
     # match the gamma CDF oracle exactly
     prof = empty_profile(1.0, 1, 2.0)  # beta * z = 2: hopeless link
     hop = outage_closed_form(prof)
-    no_hop = outage_no_hopping(prof)
+    no_hop = outage_closed_form(prof, hopping=False)
     assert hop == pytest.approx(noise_only_outage(1.0, 1, 2.0), abs=1e-12)
     assert no_hop == pytest.approx(noise_only_outage(1.0, 1, 2.0, hopping=False),
                                    abs=1e-12)
@@ -324,7 +327,7 @@ def test_variants_converge_for_mild_fading():
     # doubling stops mattering
     prof = empty_profile(4.0, 60, 2.0)  # beta * z = 0.5
     hop = outage_closed_form(prof)
-    no_hop = outage_no_hopping(prof)
+    no_hop = outage_closed_form(prof, hopping=False)
     assert hop == pytest.approx(noise_only_outage(4.0, 60, 2.0), abs=1e-12)
     assert no_hop == pytest.approx(noise_only_outage(4.0, 60, 2.0, hopping=False),
                                    abs=1e-12)
@@ -351,7 +354,7 @@ def test_monte_carlo_matches_closed_form():
 def test_monte_carlo_no_hopping_oracle():
     rng = np.random.default_rng(37)
     prof = random_profile(rng, beta=10 ** 0.3, max_interferers=5)
-    eps_cf = outage_no_hopping(prof)
+    eps_cf = outage_closed_form(prof, hopping=False)
     eps_mc, se = outage_monte_carlo(prof, 40000, rng, hopping=False)
     se_cf = np.sqrt(eps_cf * (1 - eps_cf) / 40000)
     assert abs(eps_cf - eps_mc) <= 4 * max(se, se_cf) + 1e-9
@@ -370,8 +373,7 @@ def test_monte_carlo_agrees_with_plain_sampler():
              (always, None, True), (always, None, False),
              (empty_profile(10.0, 1, 2.0), None, True)]
     for k, (prof, beta, hopping) in enumerate(cases):
-        closed_form = outage_closed_form if hopping else outage_no_hopping
-        eps_cf = closed_form(prof, beta=beta)
+        eps_cf = outage_closed_form(prof, beta=beta, hopping=hopping)
         floor = np.sqrt(eps_cf * (1 - eps_cf) / n)
         fast_rng, plain_rng = _streams(k)
         eps_a, se_a = outage_monte_carlo(prof, n, fast_rng, beta, hopping)

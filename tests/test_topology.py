@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fhuplink.topology import (MobilePlacement, Rect, Topology,
-                               _exclusion_conflicts, central_zone,
-                               distance_matrix, generate_topology,
-                               load_topology, pick_reference_mobile,
-                               place_mobiles, save_coordinates, scale_topology,
-                               square)
+from fhuplink.topology import (Rect, Topology, _exclusion_conflicts,
+                               central_zone, distance_matrix,
+                               generate_topology, load_topology,
+                               pick_reference_mobile, place_mobiles,
+                               save_coordinates, scale_topology, square)
 from oracles import exclusion_sequential, place_sequential
 
 
@@ -271,21 +270,21 @@ def test_scaled_copies_build_one_grid(monkeypatch):
 def test_place_mobiles_count_and_exclusion():
     t = generate_topology("grid", 4, 2.0)
     rng = np.random.default_rng(11)
-    pl = place_mobiles(t, 100.0, 0.004, rng)
-    assert pl.n_mobiles == 400  # round(100 * 4 km^2)
-    d = np.linalg.norm(pl.xy[:, None] - pl.xy[None, :], axis=2)
+    xy = place_mobiles(t, 100.0, 0.004, rng)
+    assert xy.shape == (400, 2)  # round(100 * 4 km^2)
+    d = np.linalg.norm(xy[:, None] - xy[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= 0.004
-    assert np.all(t.extent.contains(pl.xy))
+    assert np.all(t.extent.contains(xy))
 
 
 def test_place_mobiles_dense_exclusion():
     # hard enough that rejections actually happen
     t = generate_topology("grid", 1, 0.2)
     rng = np.random.default_rng(8)
-    pl = place_mobiles(t, 2500.0, 0.005, rng)
-    assert pl.n_mobiles == 100
-    d = np.linalg.norm(pl.xy[:, None] - pl.xy[None, :], axis=2)
+    xy = place_mobiles(t, 2500.0, 0.005, rng)
+    assert len(xy) == 100
+    d = np.linalg.norm(xy[:, None] - xy[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= 0.005
 
@@ -294,8 +293,8 @@ def test_place_mobiles_zero_exclusion_and_determinism():
     t = generate_topology("grid", 1, 1.0)
     a = place_mobiles(t, 50.0, 0.0, np.random.default_rng(2))
     b = place_mobiles(t, 50.0, 0.0, np.random.default_rng(2))
-    assert np.array_equal(a.xy, b.xy)
-    assert a.n_mobiles == 50
+    assert np.array_equal(a, b)
+    assert len(a) == 50
 
 
 @pytest.mark.parametrize("n_bs, side, density, r_ex", [
@@ -306,7 +305,7 @@ def test_place_mobiles_matches_sequential_oracle(n_bs, side, density, r_ex):
     t = generate_topology("grid", n_bs, side)
     for seed in range(3):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(place_mobiles(t, density, r_ex, rng).xy,
+        assert np.array_equal(place_mobiles(t, density, r_ex, rng),
                               place_sequential(t, density, r_ex, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -347,9 +346,9 @@ def test_place_mobiles_uniform_chi2():
     rng = np.random.default_rng(77)
     counts = np.zeros((10, 10))
     for _ in range(50):
-        pl = place_mobiles(t, 100.0, 0.004, rng)
-        ix = np.minimum((pl.xy[:, 0] / 0.2).astype(int), 9)
-        iy = np.minimum((pl.xy[:, 1] / 0.2).astype(int), 9)
+        xy = place_mobiles(t, 100.0, 0.004, rng)
+        ix = np.minimum((xy[:, 0] / 0.2).astype(int), 9)
+        iy = np.minimum((xy[:, 1] / 0.2).astype(int), 9)
         np.add.at(counts, (ix, iy), 1)
     res = stats.chisquare(counts.ravel())
     assert res.pvalue > 0.01
@@ -359,21 +358,20 @@ def test_pick_reference_mobile():
     ext = square(2.0)
     t = Topology(np.array([[1.0, 1.0]]), ext, central_zone(ext, 1.0))
     xy = np.array([[1.0, 1.0], [0.1, 0.1], [1.2, 0.8], [1.9, 1.9]])
-    pl = MobilePlacement(xy)
     rng = np.random.default_rng(0)
-    picks = {pick_reference_mobile(pl, t, [rng])[0] for _ in range(200)}
+    picks = {pick_reference_mobile(xy, t, [rng])[0] for _ in range(200)}
     assert picks == {0, 2}  # only the in-zone mobiles
 
     # exactly one candidate -> always chosen
-    only = MobilePlacement(np.array([[0.1, 0.1], [1.0, 1.0]]))
+    only = np.array([[0.1, 0.1], [1.0, 1.0]])
     assert all(pick_reference_mobile(only, t, [rng])[0] == 1 for _ in range(20))
 
     # none inside -> -1
-    none = MobilePlacement(np.array([[0.1, 0.1]]))
+    none = np.array([[0.1, 0.1]])
     assert pick_reference_mobile(none, t, [rng])[0] == -1
 
     # eligibility mask is honored
-    assert pick_reference_mobile(pl, t, [rng],
+    assert pick_reference_mobile(xy, t, [rng],
                                  eligible=[False, True, True, True])[0] == 2
 
 
@@ -382,11 +380,10 @@ def test_pick_reference_uniform_frequency():
     t = Topology(np.array([[1.0, 1.0]]), ext, central_zone(ext, 1.0))
     xy = np.vstack([np.full((7, 2), 1.0) + np.linspace(0, 0.4, 7)[:, None],
                     [[0.1, 0.1]]])
-    pl = MobilePlacement(xy)
     rng = np.random.default_rng(13)
     counts = np.zeros(8)
     for _ in range(10**5):
-        counts[pick_reference_mobile(pl, t, [rng])[0]] += 1
+        counts[pick_reference_mobile(xy, t, [rng])[0]] += 1
     assert counts[7] == 0
     res = stats.chisquare(counts[:7])
     assert res.pvalue > 0.01
