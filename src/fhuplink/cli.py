@@ -18,9 +18,9 @@ import numpy as np
 
 from .config import (ConfigError, RunConfig, build_topology, config_sha256,
                      parse_config, provenance_lines)
-from .experiments import (_sweep_row, cm_ratio_of, densification_sweep,
+from .experiments import (cm_ratio_of, densification_sweep,
                           per_link_rate_curves, resolve_dr_override,
-                          run_campaign, scale_to_cm, sweep)
+                          run_campaign, scale_to_cm, summary_row, sweep)
 from .outage import run_validation
 from .topology import generate_topology, save_coordinates
 
@@ -41,11 +41,10 @@ def _csv_text(header_lines, rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _header(command, cfg: RunConfig, seed, extra=None):
+def _header(command, cfg: RunConfig, extra):
     lines = [f"fhuplink {command}"]
-    for key, val in (extra or {}).items():
-        lines.append(f"{key} = {val}")
-    lines.append(f"seed = {seed}")
+    lines.extend(f"{key} = {val}" for key, val in extra.items())
+    lines.append(f"seed = {cfg.seed}")
     lines.append(f"config_sha256 = {config_sha256(cfg)}")
     lines.append("config:")
     lines.extend(f"  {ln}" for ln in provenance_lines(cfg))
@@ -118,10 +117,9 @@ def cmd_campaign(args) -> int:
     cm = cm_ratio_of(topo, cfg.density_per_km2)
     override = resolve_dr_override(cfg, cm, sweep_default="realized")
     stats, _ = run_campaign(topo, cfg, d_r_override=override)
-    row = {**_sweep_row(cm, stats), "mean_interferers": stats.mean_interferers,
+    row = {**summary_row(cm, stats), "mean_interferers": stats.mean_interferers,
            "mean_denied": stats.mean_denied}
-    _emit(_csv_text(_header("campaign", cfg, cfg.seed, extra), [row]),
-          args.out)
+    _emit(_csv_text(_header("campaign", cfg, extra), [row]), args.out)
     return 0
 
 
@@ -130,8 +128,7 @@ def cmd_densify(args) -> int:
     ratios = _list_option(args, "ratios") or cfg.cm_ratios
     rows = densification_sweep(build_topology(cfg), cfg, ratios)
     extra = {"ratios": ",".join(_fmt(r) for r in ratios)}
-    _emit(_csv_text(_header("densify", cfg, cfg.seed, extra), rows),
-          args.out)
+    _emit(_csv_text(_header("densify", cfg, extra), rows), args.out)
     return 0
 
 
@@ -140,7 +137,7 @@ def cmd_sweep(args) -> int:
     rows = sweep(cfg, args.axis, _list_option(args, "values", str),
                  ratios=_list_option(args, "ratios"))
     extra = {"axis": args.axis, "values": args.values}
-    _emit(_csv_text(_header("sweep", cfg, cfg.seed, extra), rows), args.out)
+    _emit(_csv_text(_header("sweep", cfg, extra), rows), args.out)
     return 0
 
 
@@ -150,7 +147,7 @@ def cmd_links(args) -> int:
     topo = _cm_topology(args, cfg, extra)
     rows = per_link_rate_curves(topo, cfg, args.links,
                                 _list_option(args, "beta_db"))
-    _emit(_csv_text(_header("links", cfg, cfg.seed, extra), rows), args.out)
+    _emit(_csv_text(_header("links", cfg, extra), rows), args.out)
     return 0
 
 
@@ -168,10 +165,8 @@ def cmd_validate(args) -> int:
               f"{status}")
     print(f"{n_ok}/{len(records)} within 4 standard errors")
     if args.out:
-        _emit(_csv_text(_header("validate", cfg, cfg.seed,
-                                {"profiles": args.profiles,
-                                 "samples": args.samples}), records),
-              args.out)
+        extra = {"profiles": args.profiles, "samples": args.samples}
+        _emit(_csv_text(_header("validate", cfg, extra), records), args.out)
     return 0 if all_ok else 1
 
 

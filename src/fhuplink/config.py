@@ -85,7 +85,7 @@ class RunConfig:
     k_strongest: int = 30
     dr_mode: str = "auto"               # auto | typical | realized
     dr0_km: float = 0.025
-    shannon_loss: float = 0.794
+    shannon_loss: float = 0.794         # a 1 dB implementation loss
 
     # campaign control
     trials: int = 100000
@@ -113,6 +113,11 @@ class RunConfig:
     def sector_capacity(self) -> int:
         """Mobiles with orthogonal patterns a sector can hold: L / L_l."""
         return self.hopset_channels // self.sector_block_channels
+
+    @property
+    def L_over_Lj(self) -> int:
+        """Hopset size over reference block size, L / L_j; set_key sets it."""
+        return self.hopset_channels // self.ref_block_channels
 
     def replace(self, **kw) -> "RunConfig":
         """A copy with kw set; a preset in kw also resets the values it
@@ -210,8 +215,16 @@ def _check_key(key, value, line):
 def set_key(cfg: RunConfig, key, text) -> RunConfig:
     """cfg with one key set from its text form, checked as in a config file.
 
-    Setting preset also resets the propagation values it names.
+    Setting preset also resets the propagation values it names.  L_over_Lj,
+    not a config key, sets both block sizes to the hopset size over it.
     """
+    if key == "L_over_Lj":
+        ratio = int(text) if str(text).strip().isdecimal() else 0
+        if ratio < 1 or cfg.hopset_channels % ratio:
+            raise ConfigError(f"L_over_Lj must be an integer that divides "
+                              f"hopset_channels, got {text!r}")
+        block = cfg.hopset_channels // ratio
+        return cfg.replace(ref_block_channels=block, sector_block_channels=block)
     if key not in _FIELDS:
         raise ConfigError(f"unknown key '{key}'")
     value = _cast(key, str(text), None)

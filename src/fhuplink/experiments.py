@@ -35,12 +35,11 @@ TRIAL_BLOCK = 64
 ROW_BUDGET = 2 ** 11
 
 
-def code_rate(beta_linear, shannon_loss=0.794) -> float:
+def code_rate(beta_linear, shannon_loss) -> float:
     """Code rate in bpcu supported by an SINR threshold.
 
-    shannon_loss discounts the Shannon bound for a practical modem; the
-    default corresponds to a 1 dB implementation loss.  Domain:
-    beta_linear > 0, 0 < shannon_loss <= 1.
+    shannon_loss discounts the Shannon bound for a practical modem.
+    Domain: beta_linear > 0, 0 < shannon_loss <= 1.
     """
     return math.log2(1.0 + shannon_loss * beta_linear)
 
@@ -217,8 +216,16 @@ def _stats_from_records(records, cfg: RunConfig) -> OutageStats:
         mean_denied=float(np.sum(records["n_denied"]) / n))
 
 
+def _area_error(t: Topology) -> ValueError:
+    return ValueError(f"extent_km gives a layout area of {t.extent.area:g} "
+                      "km^2; a C/M ratio needs it positive and finite")
+
+
 def cm_ratio_of(t: Topology, density) -> float:
-    """BS-per-mobile ratio of a topology at the given mobile density."""
+    """BS-per-mobile ratio of a topology at the given mobile density; 0
+    for an infinite area, whose mobile count run_trials rejects."""
+    if not t.extent.area > 0:
+        raise _area_error(t)
     return t.n_bs / (density * t.extent.area)
 
 
@@ -231,20 +238,15 @@ def scale_to_cm(t: Topology, density, ratio) -> Topology:
     if not 0 < ratio < math.inf:
         raise ValueError(f"C/M ratio must be positive and finite, got {ratio}")
     if not 0 < t.extent.area < math.inf:
-        raise ValueError(f"extent_km gives a layout area of {t.extent.area:g} "
-                         "km^2; a C/M rescale needs it positive and finite")
+        raise _area_error(t)
     target_area = t.n_bs / (density * ratio)
     return scale_topology(t, math.sqrt(target_area / t.extent.area))
 
 
 def resolve_dr_override(cfg: RunConfig, cm, sweep_default="typical"):
     """Typical reference-link length for the mode, or None for realized."""
-    mode = cfg.dr_mode
-    if mode == "auto":
-        mode = sweep_default
-    if mode == "typical":
-        return cfg.dr0_km / math.sqrt(cm)
-    return None
+    mode = sweep_default if cfg.dr_mode == "auto" else cfg.dr_mode
+    return cfg.dr0_km / math.sqrt(cm) if mode == "typical" else None
 
 
 def densification_sweep(t: Topology, cfg: RunConfig, ratios=None, *,
@@ -263,14 +265,14 @@ def densification_sweep(t: Topology, cfg: RunConfig, ratios=None, *,
         if not (0.05 <= ratio <= 1.0):
             warnings.warn(f"C/M ratio {ratio} outside the calibrated range "
                           "[0.05, 1]; computing anyway")
-        points.append((scaled, resolve_dr_override(cfg, ratio,
-                                                   sweep_default="typical")))
+        points.append((scaled, resolve_dr_override(cfg, ratio)))
     runs = run_points(points, cfg, n_trials, seed, threads)
-    return [_sweep_row(ratio, _stats_from_records(records, cfg))
+    return [summary_row(ratio, _stats_from_records(records, cfg))
             for ratio, records in zip(ratios, runs)]
 
 
-def _sweep_row(ratio, stats: OutageStats) -> dict:
+def summary_row(ratio, stats: OutageStats) -> dict:
+    """The summary columns of a campaign at one C/M ratio, as a CSV row."""
     return {
         "cm_ratio": ratio,
         "d_r_km": stats.mean_d_r,
@@ -285,30 +287,17 @@ def _sweep_row(ratio, stats: OutageStats) -> dict:
     }
 
 
-def _set_l_over_lj(cfg: RunConfig, value):
-    try:
-        ratio = int(str(value))
-    except ValueError:
-        raise ValueError(f"L/L_j must be an integer, got {value!r}") from None
-    if ratio < 1 or cfg.hopset_channels % ratio:
-        raise ValueError(f"L/L_j = {value} must divide the hopset size "
-                         f"{cfg.hopset_channels}")
-    block = cfg.hopset_channels // ratio
-    return cfg.replace(ref_block_channels=block,
-                       sector_block_channels=block), ratio
-
-
 def sweep(cfg: RunConfig, axis, values, *, ratios=None, n_trials=None,
           seed=None, threads=None):
     """Nested sweep: for each axis value, run the densification sweep.
 
-    Every RunConfig key but cm_ratios, which ratios sets, is an axis, its
-    values parsed and checked as in a config file; L_over_Lj sets both
-    block sizes from the hopset size.  The topology is rebuilt per value
-    (the axis may change the sector count) from the value's master seed,
-    so BS positions stay comparable across values; seed, when given,
-    replaces the config's seed before the axis applies.  Returns row
-    dicts tagged with (axis, value as cast).
+    Every RunConfig key but cm_ratios, which ratios sets, is an axis, and
+    so is L_over_Lj; set_key parses and checks each value as in a config
+    file.  The topology is rebuilt per value (the axis may change the
+    sector count) from the value's master seed, so BS positions stay
+    comparable across values; seed, when given, replaces the config's
+    seed before the axis applies.  Returns row dicts tagged with (axis,
+    value as cast).
     """
     if axis != "L_over_Lj" and axis not in RunConfig.__dataclass_fields__:
         raise ValueError(f"unknown sweep axis {axis!r}; choose a config key "
@@ -319,15 +308,11 @@ def sweep(cfg: RunConfig, axis, values, *, ratios=None, n_trials=None,
     cfg = cfg if seed is None else cfg.replace(seed=int(seed))
     rows = []
     for value in values:
-        if axis == "L_over_Lj":
-            cfg_v, value = _set_l_over_lj(cfg, value)
-        else:
-            cfg_v = set_key(cfg, axis, value)
-            value = getattr(cfg_v, axis)
+        cfg_v = set_key(cfg, axis, value)
         t = build_topology(cfg_v)
         for row in densification_sweep(t, cfg_v, ratios, n_trials=n_trials,
                                        threads=threads):
-            rows.append({"axis": axis, "value": value, **row})
+            rows.append({"axis": axis, "value": getattr(cfg_v, axis), **row})
     return rows
 
 
@@ -360,12 +345,10 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
     eps = outage_batch(profiles, [2] * len(betas), betas)
     rows = []
     for beta_db, beta, eps_all in zip(beta_db_grid, betas, eps):
-        rate = code_rate(beta, cfg.shannon_loss)
-        for rank, idx in enumerate(chosen, start=1):
-            rows.append({"link": f"link{rank}", "mobile_index": int(idx),
-                         "beta_db": float(beta_db), "code_rate_bpcu": rate,
-                         "epsilon": float(eps_all[np.searchsorted(served, idx)])})
-        rows.append({"link": "average", "mobile_index": -1,
-                     "beta_db": float(beta_db), "code_rate_bpcu": rate,
-                     "epsilon": float(np.sum(eps_all) / len(eps_all))})
+        series = [(f"link{rank}", int(idx), eps_all[np.searchsorted(served, idx)])
+                  for rank, idx in enumerate(chosen, start=1)]
+        series.append(("average", -1, np.sum(eps_all) / len(eps_all)))
+        rows += [{"link": link, "mobile_index": idx, "beta_db": float(beta_db),
+                  "code_rate_bpcu": code_rate(beta, cfg.shannon_loss),
+                  "epsilon": float(e)} for link, idx, e in series]
     return rows

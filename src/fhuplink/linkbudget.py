@@ -4,16 +4,16 @@ For each reference uplink this module collects everything the outage
 expression needs: the no-fading SNR, the integer reference fading shape,
 and one record per interferer holding its interference-to-signal ratio,
 real fading shape, collision probabilities, and the fractional durations
-of the four asynchronous-overlap periods of a subframe.  link_profiles
-builds the profiles of a block of reference uplinks, one generator per
-reference.  The model values, the hopping layout among them, are read
-from a RunConfig, ``cfg``, which checks them.
+of the four asynchronous-overlap periods of a subframe.  A ProfileBlock,
+the one profile type, holds them for one link or many: link_profiles
+builds one for a block of reference uplinks, one generator per reference.
+The model values, the hopping layout among them, are read from a
+RunConfig, ``cfg``, which checks them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,54 +114,25 @@ def check_threshold(beta) -> float:
     return beta
 
 
-@dataclass(frozen=True, eq=False)
-class InterferenceProfile:
-    """Everything the outage expressions need for one reference link.
-
-    omega holds the interference-to-signal power ratios after power
-    control, beam discrimination, and spectral overlap; m the real-valued
-    fading shapes of the interfering links; q and c the per-period
-    collision probabilities and fractional durations, shaped (n, 4).
-    """
-
-    gamma0: float
-    m0: int
-    beta: float            # SINR threshold, linear
-    omega: np.ndarray      # (n,)
-    m: np.ndarray          # (n,)
-    q: np.ndarray          # (n, 4)
-    c: np.ndarray          # (n, 4)
-
-    def __post_init__(self):
-        omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "m", np.atleast_1d(np.asarray(self.m, dtype=float)))
-        for name in ("q", "c"):
-            object.__setattr__(self, name, np.asarray(
-                getattr(self, name), dtype=float).reshape(len(omega), 4))
-        ProfileBlock(*(np.atleast_1d(getattr(self, name))
-                       for name in ProfileBlock._fields)).checked()
-        object.__setattr__(self, "m0", int(self.m0))
-
-    @property
-    def n_interferers(self) -> int:
-        return len(self.omega)
-
-    @property
-    def z(self) -> float:
-        return 1.0 / self.gamma0
-
-
 class ProfileBlock(namedtuple("ProfileBlock", "gamma0 m0 beta n_interferers "
                                                "omega m q c")):
-    """Many InterferenceProfiles.
+    """What the outage expressions need for one or more reference links.
 
-    Profile b has gamma0[b], m0[b] and beta[b] and its n_interferers[b]
-    interferers are the rows of omega, m (N,), q and c (N, 4) after those
-    of profile b - 1.  A named tuple, as it is cheap to define.
+    Profile b has the no-fading SNR gamma0[b], fading shape m0[b] and SINR
+    threshold beta[b] (linear).  Its n_interferers[b] interferers are the
+    rows of omega, m (N,), q and c (N, 4) after those of profile b - 1:
+    their interference-to-signal power ratios after power control, beam
+    discrimination, and spectral overlap; real fading shapes; per-period
+    collision probabilities and fractional durations.  The block that
+    InterferenceProfile builds holds one profile, its first four fields as
+    Python scalars.  A named tuple, as it is cheap to define.
     """
 
     __slots__ = ()
+
+    @property
+    def z(self):
+        return 1.0 / self.gamma0
 
     def checked(self):
         """self, if every value is valid, else the first check's ValueError.
@@ -192,17 +163,26 @@ class ProfileBlock(namedtuple("ProfileBlock", "gamma0 m0 beta n_interferers "
 
     @classmethod
     def concat(cls, parts):
-        """The profiles of checked parts, ProfileBlocks or
-        InterferenceProfiles, in order."""
+        """The profiles of checked blocks, in order."""
         return cls(*(np.concatenate([np.atleast_1d(getattr(p, name)) for p in parts])
                      for name in cls._fields))
 
 
-def empty_profile(gamma0_value, m0, beta) -> InterferenceProfile:
+def InterferenceProfile(gamma0, m0, beta, omega, m, q, c) -> ProfileBlock:
+    """The checked one-profile ProfileBlock of one reference link.
+
+    omega and m hold one value per interferer, q and c one row of four.
+    """
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    q, c = (np.asarray(a, dtype=float).reshape(len(omega), 4) for a in (q, c))
+    block = ProfileBlock(float(gamma0), m0, float(beta), len(omega), omega,
+                         np.atleast_1d(np.asarray(m, dtype=float)), q, c)
+    return block.checked()._replace(m0=int(m0))
+
+
+def empty_profile(gamma0_value, m0, beta) -> ProfileBlock:
     """Profile of an interference-free reference link."""
-    return InterferenceProfile(gamma0_value, m0, beta,
-                               np.empty(0), np.empty(0),
-                               np.empty((0, 4)), np.empty((0, 4)))
+    return InterferenceProfile(gamma0_value, m0, beta, [], [], [], [])
 
 
 def truncate_strongest(omega, k: int, group=None):

@@ -296,6 +296,8 @@ def test_cli_error_reporting(tmp_path, capsys):
     ("densify --ratios ,", "--ratios"),
     ("sweep --axis delta --values ,", "--values"),
     ("sweep --axis cm_ratios --values 1", "cm_ratios"),
+    ("sweep --axis L_over_Lj --values 3", "L_over_Lj"),
+    ("extent_km=1e-300 campaign", "extent_km"),
     ("links --beta-db=,", "--beta-db"),
     ("FHUPLINK_SEED=abc campaign", "FHUPLINK_SEED must be an integer, got 'abc'"),
     ("FHUPLINK_THREADS=2x densify", "FHUPLINK_THREADS must be an integer, got '2x'"),
@@ -306,9 +308,16 @@ def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys,
     # an empty list would leave a CSV without rows, so without a column line
     out = tmp_path / "out.csv"
     args = args.split()
-    while "=" in args[0]:       # leading NAME=value words are the environment
-        monkeypatch.setenv(*args.pop(0).split("=", 1))
-    assert cli.main(args + ["--config", _write_cfg(tmp_path),
+    cfg = dict(line.split(" = ") for line in SMALL_CFG.split("\n") if line)
+    # leading NAME=value words are the environment, key=value ones config
+    while "=" in args[0]:
+        name, value = args.pop(0).split("=", 1)
+        if name.isupper():
+            monkeypatch.setenv(name, value)
+        else:
+            cfg[name] = value
+    text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
+    assert cli.main(args + ["--config", _write_cfg(tmp_path, text),
                             "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err, err

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from fhuplink import cli, experiments
-from fhuplink.config import ConfigError, RunConfig, serialize
+from fhuplink.config import (ConfigError, RunConfig, parse_config_text,
+                             serialize, set_key)
 from fhuplink.experiments import (TRIAL_BLOCK, TRIAL_DTYPE, _run_block,
                                   cm_ratio_of, code_rate, densification_sweep,
                                   per_link_rate_curves, run_campaign,
                                   run_trials, scale_to_cm, sweep)
-from fhuplink.linkbudget import InterferenceProfile, ProfileBlock
+from fhuplink.linkbudget import ProfileBlock
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
 
 from oracles import noise_only_outage
@@ -45,21 +46,19 @@ def test_run_trial_deterministic():
 @pytest.mark.parametrize("d_r_override", [None, 0.05])
 def test_run_trial_checks_each_object_once(monkeypatch, d_r_override):
     # the config was checked when SMALL was built; a trial reads it, builds
-    # no other config and no InterferenceProfile, and checks its block once
+    # no other config, and checks its block once
     t = _topo(SMALL)
-    built, sizes = {}, []
-    for cls in (InterferenceProfile, RunConfig):
-        def counted(self, _init=cls.__post_init__, _name=cls.__name__):
-            built[_name] = built.get(_name, 0) + 1
-            _init(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    built, sizes = [], []
+    init = RunConfig.__post_init__
+    monkeypatch.setattr(RunConfig, "__post_init__",
+                        lambda self: built.append(self) or init(self))
     checked = ProfileBlock.checked
     monkeypatch.setattr(ProfileBlock, "checked",
                         lambda self: sizes.append(len(self.m0)) or checked(self))
     ((_, _, block),) = _run_block(t, SMALL, [derive_rng(3, DOMAIN_TRIAL, 0)],
                                   d_r_override)
     assert block.n_interferers[0] > 0
-    assert built == {} and sizes == [1]
+    assert built == [] and sizes == [1]
 
 
 def test_campaign_checks_each_profile_once(monkeypatch):
@@ -286,6 +285,15 @@ def test_sweep_bandwidth_axis_sets_blocks():
     cfg = SMALL.replace(trials=2)
     rows = sweep(cfg, "L_over_Lj", [1, 10], ratios=[1.0], n_trials=2)
     assert len(rows) == 2
+    assert [r["value"] for r in rows] == [1, 10]
+    assert all(type(r["value"]) is int for r in rows)
+    # set_key is the one setter: L_over_Lj sets both block sizes, but it
+    # is no config key
+    wide = set_key(cfg.replace(ref_block_channels=20), "L_over_Lj", "10")
+    assert (wide.ref_block_channels, wide.sector_block_channels) == (10, 10)
+    assert wide.L_over_Lj == 10 and "L_over_Lj" not in serialize(wide)
+    with pytest.raises(ConfigError, match="unknown key 'L_over_Lj'"):
+        parse_config_text("L_over_Lj = 10")
     with pytest.raises(ValueError, match="divide"):
         sweep(cfg, "L_over_Lj", [3], ratios=[1.0], n_trials=2)
 

@@ -246,6 +246,22 @@ def test_batch_partners_do_not_change_a_row():
     for p, hop, no_hop in zip(profiles, *alone):
         assert outage_closed_form(p) == hop
         assert outage_closed_form(p, hopping=False) == no_hop
+    # a lone one-profile block, and a campaign block among one-profile ones
+    lone = np.hstack([outage_batch(p) for p in profiles])
+    assert lone.tobytes() == alone.tobytes()
+    cfg = RunConfig(bs_count=16, extent_km=0.8, candidate_bs=8, seed=3)
+    gens = [np.random.default_rng(i) for i in range(4)]
+    _, _, trial = next(_run_block(build_topology(cfg), cfg, gens, None))
+    assert len(trial.m0) > 1 and trial.n_interferers.min() > 0
+    stop = np.cumsum(trial.n_interferers)
+    rows = [InterferenceProfile(*(f[b] for f in trial[:3]),
+                                *(f[s - k:s] for f in trial[4:]))
+            for b, (s, k) in enumerate(zip(stop, trial.n_interferers))]
+    mixed = outage_batch(profiles[:4] + [trial] + profiles[4:])
+    per_row = [[outage_closed_form(r, hopping=h) for r in rows]
+               for h in (True, False)]
+    want = np.hstack([alone[:, :4], per_row, alone[:, 4:]])
+    assert mixed.tobytes() == want.tobytes()
     # a threshold per setting, as the links command evaluates a beta grid
     betas = [0.5, 2.0, 8.0]
     grid = outage_batch(profiles, [2, 2, 2], betas)
