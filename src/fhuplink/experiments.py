@@ -120,8 +120,8 @@ def _run_block(t: Topology, cfg: RunConfig, rngs, d_r_override):
                        "check density and reference-zone size")
 
 
-def run_trials(t: Topology, cfg: RunConfig, seed, lo, hi, d_r_override=None):
-    """TRIAL_DTYPE records of trials lo .. hi - 1.
+def run_trials(t: Topology, cfg: RunConfig, lo, hi, d_r_override=None):
+    """TRIAL_DTYPE records of trials lo .. hi - 1 of cfg.seed.
 
     A block of TRIAL_BLOCK trials is realized and linked in even
     sub-blocks of at most ROW_BUDGET mobiles (or one trial), and its
@@ -134,7 +134,7 @@ def run_trials(t: Topology, cfg: RunConfig, seed, lo, hi, d_r_override=None):
         size = -(-len(block) // -(-len(block) // cap))
         profiles, order = [], []
         for sub in range(0, len(block), size):
-            rngs = [derive_rng(seed, DOMAIN_TRIAL, start + i)
+            rngs = [derive_rng(cfg.seed, DOMAIN_TRIAL, start + i)
                     for i in range(sub, min(sub + size, len(block)))]
             for trials, rows, profile in _run_block(t, cfg, rngs, d_r_override):
                 block[sub + trials] = rows
@@ -149,50 +149,55 @@ def run_trials(t: Topology, cfg: RunConfig, seed, lo, hi, d_r_override=None):
 _WORKER = {}
 
 
-def _init_worker(points, cfg, seed):
-    _WORKER["args"] = (points, cfg, seed)
+def _init_worker(points):
+    _WORKER["points"] = points
 
 
 def _run_chunk(task):
-    points, cfg, seed = _WORKER["args"]
     point, lo, hi = task
-    t, d_r_override = points[point]
-    return run_trials(t, cfg, seed, lo, hi, d_r_override)
+    t, cfg, d_r_override = _WORKER["points"][point]
+    return run_trials(t, cfg, lo, hi, d_r_override)
 
 
-def run_points(points, cfg: RunConfig, n_trials=None, seed=None, threads=None):
+def run_points(points, threads):
     """Each point's TRIAL_DTYPE records, in trial order; a point is a
-    (topology, d_r_override) pair.  With threads > 1 one process pool
-    gets the point list once and runs chunks of trials point by point, so
-    the first points start first and the last ones fill the tail."""
-    n = int(cfg.trials if n_trials is None else n_trials)
-    if n < 1:
-        raise ValueError("need at least one trial")
-    seed = cfg.seed if seed is None else int(seed)
-    threads = cfg.threads if threads is None else int(threads)
-    if threads <= 1 or n * len(points) <= 1:
-        return [run_trials(t, cfg, seed, 0, n, d_r) for t, d_r in points]
+    (topology, RunConfig, d_r_override) triple, run for cfg.trials trials
+    of cfg.seed.  With threads > 1 one process pool gets the point list
+    once and runs chunks of trials point by point, so the first points
+    start first and the last ones fill the tail."""
+    if threads <= 1 or sum(cfg.trials for _, cfg, _ in points) <= 1:
+        return [run_trials(t, cfg, 0, cfg.trials, d_r)
+                for t, cfg, d_r in points]
 
-    chunk = max(1, -(-n // (threads * 8)))
-    tasks = [(point, lo, min(lo + chunk, n)) for point in range(len(points))
-             for lo in range(0, n, chunk)]
+    chunk = max(1, -(-max(cfg.trials for _, cfg, _ in points) // (threads * 8)))
+    tasks = [(point, lo, min(lo + chunk, cfg.trials))
+             for point, (_, cfg, _) in enumerate(points)
+             for lo in range(0, cfg.trials, chunk)]
+    runs = [[] for _ in points]
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(threads, len(tasks)), initializer=_init_worker,
-            initargs=(points, cfg, seed)) as pool:
-        rows = list(pool.map(_run_chunk, tasks))
-    per = len(rows) // len(points)
-    return [np.concatenate(rows[i:i + per]) for i in range(0, len(rows), per)]
+            initargs=(points,)) as pool:
+        for (point, _, _), rows in zip(tasks, pool.map(_run_chunk, tasks)):
+            runs[point].append(rows)
+    return [np.concatenate(rows) for rows in runs]
+
+
+def _with_run(cfg: RunConfig, n_trials, seed, threads) -> RunConfig:
+    """cfg with its trials, seed and threads set from those given."""
+    given = {"trials": n_trials, "seed": seed, "threads": threads}
+    return cfg.replace(**{k: v for k, v in given.items() if v is not None})
 
 
 def run_campaign(t: Topology, cfg: RunConfig, n_trials=None, seed=None,
                  threads=None, d_r_override=None):
-    """Average n_trials independent realizations; returns (stats, records).
+    """Average cfg.trials independent realizations; returns (stats, records).
 
     The per-trial records come back in trial order and the reduction is a
     fixed-order pairwise sum, so the result does not depend on the number
     of workers.
     """
-    (records,) = run_points([(t, d_r_override)], cfg, n_trials, seed, threads)
+    cfg = _with_run(cfg, n_trials, seed, threads)
+    (records,) = run_points([(t, cfg, d_r_override)], cfg.threads)
     return _stats_from_records(records, cfg), records
 
 
@@ -222,10 +227,11 @@ def _area_error(t: Topology) -> ValueError:
 
 
 def cm_ratio_of(t: Topology, density) -> float:
-    """BS-per-mobile ratio of a topology at the given mobile density; 0
-    for an infinite area, whose mobile count run_trials rejects."""
+    """BS-per-mobile ratio of a topology at the given mobile density,
+    whose mobile count must be one or more and fit an array index."""
     if not t.extent.area > 0:
         raise _area_error(t)
+    mobile_count(t, density)
     return t.n_bs / (density * t.extent.area)
 
 
@@ -249,6 +255,22 @@ def resolve_dr_override(cfg: RunConfig, cm, sweep_default="typical"):
     return cfg.dr0_km / math.sqrt(cm) if mode == "typical" else None
 
 
+def _ratio_rows(layouts, ratios, threads):
+    """The summary rows of each (topology, cfg) layout at every C/M
+    ratio; one run_points call runs every rescaled point."""
+    points = []
+    for t, cfg in layouts:
+        for ratio in ratios:
+            scaled = scale_to_cm(t, cfg.density_per_km2, ratio)
+            if not (0.05 <= ratio <= 1.0):
+                warnings.warn(f"C/M ratio {ratio} outside the calibrated "
+                              "range [0.05, 1]; computing anyway")
+            points.append((scaled, cfg, resolve_dr_override(cfg, ratio)))
+    runs = iter(run_points(points, threads))
+    return [[summary_row(ratio, _stats_from_records(next(runs), cfg))
+             for ratio in ratios] for _, cfg in layouts]
+
+
 def densification_sweep(t: Topology, cfg: RunConfig, ratios=None, *,
                         n_trials=None, seed=None, threads=None):
     """Re-run the campaign over BS-per-mobile ratios C/M.
@@ -258,17 +280,9 @@ def densification_sweep(t: Topology, cfg: RunConfig, ratios=None, *,
     ratio.  Every ratio is rescaled first, then one run_points call runs
     them all.  Returns one row dict per ratio.
     """
+    cfg = _with_run(cfg, n_trials, seed, threads)
     ratios = cfg.cm_ratios if ratios is None else tuple(ratios)
-    points = []
-    for ratio in ratios:
-        scaled = scale_to_cm(t, cfg.density_per_km2, ratio)
-        if not (0.05 <= ratio <= 1.0):
-            warnings.warn(f"C/M ratio {ratio} outside the calibrated range "
-                          "[0.05, 1]; computing anyway")
-        points.append((scaled, resolve_dr_override(cfg, ratio)))
-    runs = run_points(points, cfg, n_trials, seed, threads)
-    return [summary_row(ratio, _stats_from_records(records, cfg))
-            for ratio, records in zip(ratios, runs)]
+    return _ratio_rows([(t, cfg)], ratios, cfg.threads)[0]
 
 
 def summary_row(ratio, stats: OutageStats) -> dict:
@@ -287,17 +301,15 @@ def summary_row(ratio, stats: OutageStats) -> dict:
     }
 
 
-def sweep(cfg: RunConfig, axis, values, *, ratios=None, n_trials=None,
-          seed=None, threads=None):
-    """Nested sweep: for each axis value, run the densification sweep.
+def sweep(cfg: RunConfig, axis, values, *, ratios=None):
+    """Nested sweep: for each axis value, the densification sweep.
 
     Every RunConfig key but cm_ratios, which ratios sets, is an axis, and
-    so is L_over_Lj; set_key parses and checks each value as in a config
-    file.  The topology is rebuilt per value (the axis may change the
-    sector count) from the value's master seed, so BS positions stay
-    comparable across values; seed, when given, replaces the config's
-    seed before the axis applies.  Returns row dicts tagged with (axis,
-    value as cast).
+    so is L_over_Lj; set_key checks every value, as in a config file,
+    before any trial runs.  The topology is rebuilt per value (the axis
+    may change the sector count) from the value's master seed.  One
+    run_points call on cfg.threads workers runs every (value, ratio)
+    point.  Returns row dicts tagged with (axis, value as cast).
     """
     if axis != "L_over_Lj" and axis not in RunConfig.__dataclass_fields__:
         raise ValueError(f"unknown sweep axis {axis!r}; choose a config key "
@@ -305,19 +317,15 @@ def sweep(cfg: RunConfig, axis, values, *, ratios=None, n_trials=None,
     if axis == "cm_ratios":
         raise ValueError("cm_ratios is not a sweep axis: every value sweeps "
                          "the C/M ratios, set them with --ratios")
-    cfg = cfg if seed is None else cfg.replace(seed=int(seed))
-    rows = []
-    for value in values:
-        cfg_v = set_key(cfg, axis, value)
-        t = build_topology(cfg_v)
-        for row in densification_sweep(t, cfg_v, ratios, n_trials=n_trials,
-                                       threads=threads):
-            rows.append({"axis": axis, "value": getattr(cfg_v, axis), **row})
-    return rows
+    ratios = cfg.cm_ratios if ratios is None else tuple(ratios)
+    cfgs = [set_key(cfg, axis, value) for value in values]
+    tables = _ratio_rows([(build_topology(c), c) for c in cfgs], ratios,
+                         cfg.threads)
+    return [{"axis": axis, "value": getattr(c, axis), **row}
+            for c, rows in zip(cfgs, tables) for row in rows]
 
 
-def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
-                         seed=None):
+def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid):
     """Outage versus code rate for sampled uplinks of one realization.
 
     Draws a single network realization, picks n_links served uplinks
@@ -327,8 +335,7 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid,
     """
     if n_links < 1:
         raise ValueError("n_links must be >= 1")
-    seed = cfg.seed if seed is None else int(seed)
-    rng = derive_rng(seed, DOMAIN_LINKS)
+    rng = derive_rng(cfg.seed, DOMAIN_LINKS)
     xy, shadow, assoc = realize_network(t, cfg, [rng])
     served = np.flatnonzero(assoc.served_mask)
     if len(served) == 0:

@@ -311,14 +311,13 @@ def mobile_count(t: Topology, density) -> int:
     return m
 
 
-def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
-                  max_tries=10_000) -> np.ndarray:
+def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator) -> np.ndarray:
     """Place round(density * area) mobiles by uniform clustering; (M, 2).
 
     The M candidates are drawn uniformly over the extent, x then y; one
     within r_ex of an earlier accepted one is rejected, then redrawn, x
     then y, until it lies r_ex or more from every mobile accepted so far.
-    Fails after max_tries consecutive rejections for a single mobile.
+    Fails after 10,000 consecutive rejections for a single mobile.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -335,7 +334,7 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
     gone = sorted(_exclusion_conflicts(cand, r_ex))
     acc = np.concatenate([np.delete(cand, gone, axis=0), np.empty((len(gone), 2))])
     for n in range(m - len(gone), m):
-        for _ in range(max_tries):
+        for _ in range(10_000):
             px = rng.uniform(ext.xmin, ext.xmax)
             py = rng.uniform(ext.ymin, ext.ymax)
             if np.min((acc[:n, 0] - px) ** 2 + (acc[:n, 1] - py) ** 2) >= r_ex * r_ex:
@@ -343,7 +342,7 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator,
                 break
         else:
             raise RuntimeError(
-                f"uniform clustering failed: {max_tries} rejections while "
+                "uniform clustering failed: 10000 rejections while "
                 f"packing {m} mobiles with r_ex={r_ex} km into "
                 f"{ext.area:g} km^2")
     return acc

@@ -298,6 +298,7 @@ def test_cli_error_reporting(tmp_path, capsys):
     ("sweep --axis cm_ratios --values 1", "cm_ratios"),
     ("sweep --axis L_over_Lj --values 3", "L_over_Lj"),
     ("extent_km=1e-300 campaign", "extent_km"),
+    ("dr_mode=typical extent_km=1e200 campaign", "density_per_km2"),
     ("links --beta-db=,", "--beta-db"),
     ("FHUPLINK_SEED=abc campaign", "FHUPLINK_SEED must be an integer, got 'abc'"),
     ("FHUPLINK_THREADS=2x densify", "FHUPLINK_THREADS must be an integer, got '2x'"),

@@ -36,10 +36,10 @@ def test_code_rate():
 
 def test_run_trial_deterministic():
     t = _topo(SMALL)
-    a = run_trials(t, SMALL, 3, 0, 1)
-    b = run_trials(t, SMALL, 3, 0, 1)
+    a = run_trials(t, SMALL, 0, 1)
+    b = run_trials(t, SMALL, 0, 1)
     assert a.dtype == TRIAL_DTYPE and a.tobytes() == b.tobytes()
-    c = run_trials(t, SMALL, 3, 1, 2)
+    c = run_trials(t, SMALL, 1, 2)
     assert c.tobytes() != a.tobytes()  # different trial index, different realization
 
 
@@ -122,10 +122,15 @@ def test_campaign_thread_invariance(tmp_path):
     full = SMALL.replace(zeta=1, ref_block_channels=50, sector_block_channels=50)
     for cfg in (SMALL, full):
         t = _topo(cfg)
-        rows = [densification_sweep(t, cfg, ratios=(1.0, 0.25, 0.1),
-                                    n_trials=8, threads=threads)
+        rows = [densification_sweep(t, cfg.replace(trials=8, threads=threads),
+                                    ratios=(1.0, 0.25, 0.1))
                 for threads in (1, 2, 3)]
         assert rows[0] == rows[1] == rows[2]
+    # points of different trial counts and seeds share one pool
+    for axis in ("trials", "seed"):
+        rows = [sweep(SMALL.replace(trials=4, threads=threads), axis, [3, 6],
+                      ratios=(1.0, 0.25)) for threads in (1, 2)]
+        assert rows[0] == rows[1]
 
     path = tmp_path / "small.cfg"
     path.write_text(serialize(SMALL))
@@ -145,9 +150,20 @@ def test_densification_sweep_opens_one_pool(monkeypatch):
         return pools[-1]
     monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor",
                         counted)
-    densification_sweep(_topo(SMALL), SMALL, ratios=(1.0, 0.25, 0.1),
-                        n_trials=4, threads=2)
+    densification_sweep(_topo(SMALL), SMALL.replace(trials=4, threads=2),
+                        ratios=(1.0, 0.25, 0.1))
     assert len(pools) == 1
+    # a sweep runs every (value, ratio) point in one pool too
+    sweep(SMALL.replace(trials=2, threads=2), "delta", [0.0, 0.5],
+          ratios=(1.0, 0.25))
+    assert len(pools) == 2
+    # and checks every value before any trial runs
+    calls = []
+    monkeypatch.setattr(experiments, "run_trials",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="zeta: expected int"):
+        sweep(SMALL.replace(trials=2), "zeta", [8, 8.5], ratios=[1.0])
+    assert calls == []
 
 
 def test_densify_worker_error_exits_2_and_leaves_no_worker(tmp_path, capsys):
@@ -164,7 +180,7 @@ def test_densify_worker_error_exits_2_and_leaves_no_worker(tmp_path, capsys):
 
 def _one_trial_records(t, cfg, n, d_r_override=None):
     """The records of trials 0 .. n - 1, each run as a block of one."""
-    return np.concatenate([run_trials(t, cfg, cfg.seed, i, i + 1, d_r_override)
+    return np.concatenate([run_trials(t, cfg, i, i + 1, d_r_override)
                            for i in range(n)])
 
 
@@ -218,7 +234,7 @@ def test_campaign_seed_sensitivity():
 
 def test_densification_sweep_typical_lengths():
     t = _topo(SMALL)
-    rows = densification_sweep(t, SMALL, ratios=[1.0, 0.25], n_trials=4)
+    rows = densification_sweep(t, SMALL.replace(trials=4), ratios=[1.0, 0.25])
     assert [r["cm_ratio"] for r in rows] == [1.0, 0.25]
     # typical link length: 25 m at C/M = 1, 50 m at C/M = 0.25
     assert rows[0]["d_r_km"] == pytest.approx(0.025, rel=1e-12)
@@ -239,13 +255,13 @@ def test_densification_scaling_keeps_density():
 def test_densification_warns_outside_range():
     t = _topo(SMALL)
     with pytest.warns(UserWarning, match="outside"):
-        densification_sweep(t, SMALL, ratios=[0.01], n_trials=2)
+        densification_sweep(t, SMALL.replace(trials=2), ratios=[0.01])
 
 
 def test_densification_realized_mode():
-    cfg = SMALL.replace(dr_mode="realized")
+    cfg = SMALL.replace(dr_mode="realized", trials=4)
     t = _topo(cfg)
-    rows = densification_sweep(t, cfg, ratios=[1.0], n_trials=4)
+    rows = densification_sweep(t, cfg, ratios=[1.0])
     # realized link lengths vary; the mean cannot equal the typical value
     assert rows[0]["d_r_km"] != pytest.approx(0.025, rel=1e-9)
 
@@ -272,18 +288,18 @@ def test_per_link_rate_curves():
 
 def test_sweep_axes():
     cfg = SMALL.replace(trials=3)
-    rows = sweep(cfg, "delta", [0.0, 0.5], ratios=[0.5, 1.0], n_trials=3)
+    rows = sweep(cfg, "delta", [0.0, 0.5], ratios=[0.5, 1.0])
     assert len(rows) == 4
     assert {(r["axis"], r["value"]) for r in rows} == {("delta", 0.0),
                                                        ("delta", 0.5)}
-    assert sweep(cfg, "delta", [], n_trials=2) == []
+    assert sweep(cfg, "delta", []) == []
     with pytest.raises(ValueError, match="unknown sweep axis"):
         sweep(cfg, "warp_factor", [1.0])
 
 
 def test_sweep_bandwidth_axis_sets_blocks():
     cfg = SMALL.replace(trials=2)
-    rows = sweep(cfg, "L_over_Lj", [1, 10], ratios=[1.0], n_trials=2)
+    rows = sweep(cfg, "L_over_Lj", [1, 10], ratios=[1.0])
     assert len(rows) == 2
     assert [r["value"] for r in rows] == [1, 10]
     assert all(type(r["value"]) is int for r in rows)
@@ -295,24 +311,25 @@ def test_sweep_bandwidth_axis_sets_blocks():
     with pytest.raises(ConfigError, match="unknown key 'L_over_Lj'"):
         parse_config_text("L_over_Lj = 10")
     with pytest.raises(ValueError, match="divide"):
-        sweep(cfg, "L_over_Lj", [3], ratios=[1.0], n_trials=2)
+        sweep(cfg, "L_over_Lj", [3], ratios=[1.0])
 
 
 def test_sweep_zeta_rebuilds_topology():
     cfg = SMALL.replace(trials=2)
-    rows = sweep(cfg, "zeta", [8, "24"], ratios=[1.0], n_trials=2)
+    rows = sweep(cfg, "zeta", [8, "24"], ratios=[1.0])
     assert [r["value"] for r in rows] == [8, 24]
     assert all(type(r["value"]) is int for r in rows)
 
 
 def test_sweep_integer_axes_reject_fractions():
     # a fractional value used to be truncated while the rows kept its label
+    cfg = SMALL.replace(trials=2)
     with pytest.raises(ConfigError, match="zeta: expected int"):
-        sweep(SMALL, "zeta", [8.5], ratios=[1.0], n_trials=2)
+        sweep(cfg, "zeta", [8.5], ratios=[1.0])
     with pytest.raises(ConfigError, match="k_strongest"):
-        sweep(SMALL, "k_strongest", ["2.5"], ratios=[1.0], n_trials=2)
+        sweep(cfg, "k_strongest", ["2.5"], ratios=[1.0])
     with pytest.raises(ValueError, match="integer"):
-        sweep(SMALL, "L_over_Lj", [2.5], ratios=[1.0], n_trials=2)
+        sweep(cfg, "L_over_Lj", [2.5], ratios=[1.0])
 
 
 def test_sweep_any_config_key_is_an_axis():
@@ -325,7 +342,7 @@ def test_sweep_any_config_key_is_an_axis():
     rows = sweep(SMALL, "seed", [1, 2], ratios=[1.0])
     assert rows[0]["epsilon_bar"] != rows[1]["epsilon_bar"]
     assert sweep(SMALL, "seed", [1], ratios=[1.0]) == rows[:1]
-    # an explicit seed argument is the base the axis overrides
-    assert sweep(SMALL, "seed", [1, 2], ratios=[1.0], seed=7) == rows
+    # the base config's seed is what the axis overrides
+    assert sweep(SMALL.replace(seed=7), "seed", [1, 2], ratios=[1.0]) == rows
     with pytest.raises(ValueError, match="unknown sweep axis"):
         sweep(SMALL, "beta_linear", [1.0])

@@ -338,7 +338,7 @@ def test_place_mobiles_packing_failure():
     t = generate_topology("grid", 1, 0.1)
     rng = np.random.default_rng(1)
     with pytest.raises(RuntimeError, match="packing|rejections"):
-        place_mobiles(t, 1000.0, 0.2, rng, max_tries=200)
+        place_mobiles(t, 1000.0, 0.2, rng)
 
 
 def test_place_mobiles_uniform_chi2():
