@@ -10,6 +10,7 @@ and the master seed, so any run can be reproduced from its output alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -101,13 +102,18 @@ def _cm_topology(args, cfg: RunConfig, extra):
     return scale_to_cm(topo, cfg.density_per_km2, args.cm)
 
 
-def _add_run_options(p, trials=True):
+def _run_command(sub, name, func, summary, trials=True,
+                 out="output CSV path (stdout when omitted)"):
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
     p.add_argument("--config", help="run-config file (defaults when omitted)")
     p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--threads", type=int, help="worker process count")
+    p.add_argument("--threads", type=int, help="worker process count" if trials
+                   else "ignored: this command runs in one process")
     if trials:
         p.add_argument("--trials", type=int, help="trials per campaign point")
-    p.add_argument("--out", help="output CSV path (stdout when omitted)")
+    p.add_argument("--out", help=out)
+    return p
 
 
 def cmd_campaign(args) -> int:
@@ -180,25 +186,23 @@ def cmd_gen_topo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fhuplink",
         description="Frequency-hopping mmWave uplink outage/ASE simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("campaign", help="average outage over one topology")
-    _add_run_options(p)
+    p = _run_command(sub, "campaign", cmd_campaign,
+                     "average outage over one topology")
     p.add_argument("--cm", type=float,
                    help="rescale the topology to this BS-per-mobile ratio")
-    p.set_defaults(func=cmd_campaign)
 
-    p = sub.add_parser("densify", help="sweep the BS-per-mobile ratio")
-    _add_run_options(p)
+    p = _run_command(sub, "densify", cmd_densify, "sweep the BS-per-mobile ratio")
     p.add_argument("--ratios", help="comma-separated C/M ratios")
-    p.set_defaults(func=cmd_densify)
 
-    p = sub.add_parser("sweep", help="sweep a named parameter")
-    _add_run_options(p)
+    p = _run_command(sub, "sweep", cmd_sweep, "sweep a named parameter")
     p.add_argument("--axis", required=True,
                    help="config key to sweep, or L_over_Lj (hopset over "
                         "block size)")
@@ -206,24 +210,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated values, written as in a config "
                         "file (integer keys take integers)")
     p.add_argument("--ratios", help="comma-separated C/M ratios")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("links", help="per-uplink outage vs code rate")
-    _add_run_options(p, trials=False)
+    p = _run_command(sub, "links", cmd_links, "per-uplink outage vs code rate",
+                     trials=False)
     p.add_argument("--links", type=int, default=8,
                    help="number of sampled uplinks")
     p.add_argument("--beta-db", default="-3,0,3,6,9", dest="beta_db",
                    help="comma-separated SINR thresholds in dB")
     p.add_argument("--cm", type=float,
                    help="rescale the topology to this BS-per-mobile ratio")
-    p.set_defaults(func=cmd_links)
 
-    p = sub.add_parser("validate",
-                       help="closed form vs Monte Carlo agreement report")
-    _add_run_options(p, trials=False)
-    p.add_argument("--profiles", type=int, default=50)
-    p.add_argument("--samples", type=int, default=100000)
-    p.set_defaults(func=cmd_validate)
+    p = _run_command(sub, "validate", cmd_validate,
+                     "closed form vs Monte Carlo agreement report", trials=False,
+                     out="report CSV path (no CSV when omitted)")
+    p.add_argument("--profiles", type=int, default=50,
+                   help="random interference profiles to check")
+    p.add_argument("--samples", type=int, default=100000,
+                   help="Monte Carlo samples per profile")
 
     p = sub.add_parser("gen-topo", help="write a synthetic BS coordinate file")
     p.add_argument("--kind", default="uniform-random",
@@ -238,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():     # a warning, like an error, is one line
         warnings.showwarning = lambda message, *_: print(
             f"fhuplink {args.command}: {message}", file=sys.stderr)

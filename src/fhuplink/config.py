@@ -32,7 +32,8 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    with np.errstate(over="ignore"):    # inf: a dB key's check rejects it
+        return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,8 @@ def _check_key(key, value, line):
         raise ConfigError(f"{key} must be positive{where}")
     if key in _NONNEG and value < 0:
         raise ConfigError(f"{key} must be non-negative{where}")
+    if key in ("beta_db", "p_over_n_db") and not 0 < db_to_linear(value) < np.inf:
+        raise ConfigError(f"{key} must have a positive, finite linear value{where}")
     if key in _MIN_ONE and value < 1:
         raise ConfigError(f"{key} must be >= 1{where}")
     if key == "ref_zone_km" and value is not None and value < 0:

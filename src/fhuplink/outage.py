@@ -260,27 +260,29 @@ def outage_monte_carlo(profile: ProfileBlock, n_samples: int,
     # interference, in place, so no long-lived array is reallocated
     left = _pack(gbar, gbar > beta * z)
     interference = np.zeros(left)
-    (q, w, m), _ = _live_pairs(profile)
-    q, w, m = q[:, 0], w[:, 0], m[:, 0]
+    draws, mask = np.empty(left), np.empty(left, dtype=bool)
+    q, w, m = (col[:, 0] for col in _live_pairs(profile)[0])
     for j in np.argsort(-(q * w), kind="stable"):
         if not left:
             break
         g, total = gbar[:left], interference[:left]
-        hit = rng.random(left) < q[j]
-        # in place, one temporary at a time: each step rounds as
-        # interference + w gain and beta (z + interference) would
-        grown = rng.gamma(m[j], 1.0 / m[j], np.count_nonzero(hit))
+        hit_mask = np.less(rng.random(out=draws[:left]), q[j], out=mask[:left])
+        hit = np.flatnonzero(hit_mask)
+        # in place in one buffer: each step rounds as gamma(m, 1/m) (1/m
+        # times a standard gamma), total + w gain and beta (z + total) would
+        grown = rng.standard_gamma(m[j], out=draws[:len(hit)])
+        grown *= 1.0 / m[j]
         grown *= w[j]
-        grown += total[hit]
-        total[hit] = grown
+        grown += total.take(hit)
+        total.put(hit, grown)
         grown += z
         grown *= beta
-        out = g[hit] <= grown
+        out = g.take(hit) <= grown
         if out.any():
-            hit[hit] = out                  # the samples just decided
-            keep = np.logical_not(hit, out=hit)
-            _pack(total, keep)
-            left = _pack(g, keep)
+            hit_mask.put(hit, out)          # the samples just decided
+            undecided = np.logical_not(hit_mask, out=hit_mask)
+            _pack(total, undecided)
+            left = _pack(g, undecided)
     eps_hat = (n_samples - left) / n_samples
     stderr = math.sqrt(eps_hat * (1.0 - eps_hat) / n_samples)
     return eps_hat, stderr

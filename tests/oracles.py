@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 from scipy import integrate, stats
 
+from fhuplink.linkbudget import check_threshold
 from fhuplink.propagation import path_loss
 from fhuplink.topology import distance_matrix, mobile_count
 
@@ -141,6 +142,60 @@ def plain_outage_monte_carlo(profile, n_samples, rng, beta=None,
             interference += hit * (w * gain)
     outage = gbar <= beta * (profile.z + interference)
     eps_hat = float(np.mean(outage))
+    stderr = math.sqrt(eps_hat * (1.0 - eps_hat) / n_samples)
+    return eps_hat, stderr
+
+
+def _pack(a, keep):
+    """Move a[keep] to the front of a, in order; returns its length."""
+    kept = a[keep]
+    a[:len(kept)] = kept
+    return len(kept)
+
+
+def frozen_outage_monte_carlo(profile, n_samples, rng, beta=None,
+                              hopping=True):
+    """The early-stopping sampler with boolean-mask bookkeeping, frozen as
+    the reference for its draws: fhuplink's outage_monte_carlo must
+    return the same estimate and leave rng in the same state.
+
+    A verbatim copy of that sampler, except that the live pairs of the
+    one profile, in interferer-major order, are read here rather than
+    from fhuplink, so a change there cannot move the reference.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    beta = profile.beta if beta is None else check_threshold(beta)
+    shape = 2 * profile.m0 if hopping else profile.m0
+    gbar = rng.gamma(shape, 1.0 / shape, n_samples)
+    z = profile.z
+    # the undecided samples are packed at the front of gbar and
+    # interference, in place, so no long-lived array is reallocated
+    left = _pack(gbar, gbar > beta * z)
+    interference = np.zeros(left)
+    w = profile.omega[:, None] * profile.c
+    live = (profile.q > 0) & (w > 0)
+    q, w, m = profile.q[live], w[live], np.repeat(profile.m, 4)[live.ravel()]
+    for j in np.argsort(-(q * w), kind="stable"):
+        if not left:
+            break
+        g, total = gbar[:left], interference[:left]
+        hit = rng.random(left) < q[j]
+        # in place, one temporary at a time: each step rounds as
+        # interference + w gain and beta (z + interference) would
+        grown = rng.gamma(m[j], 1.0 / m[j], np.count_nonzero(hit))
+        grown *= w[j]
+        grown += total[hit]
+        total[hit] = grown
+        grown += z
+        grown *= beta
+        out = g[hit] <= grown
+        if out.any():
+            hit[hit] = out                  # the samples just decided
+            keep = np.logical_not(hit, out=hit)
+            _pack(total, keep)
+            left = _pack(g, keep)
+    eps_hat = (n_samples - left) / n_samples
     stderr = math.sqrt(eps_hat * (1.0 - eps_hat) / n_samples)
     return eps_hat, stderr
 

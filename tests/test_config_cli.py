@@ -272,6 +272,32 @@ def test_cli_validate(tmp_path, capsys):
     assert out.exists()
 
 
+def test_cli_validate_help_says_what_each_option_does(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["validate", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--out OUT report CSV path (no CSV when omitted)" in text
+    assert "--profiles PROFILES random interference profiles to check" in text
+    assert "--samples SAMPLES Monte Carlo samples per profile" in text
+    # validate runs in one process; --threads is kept for a command line
+    # shared with the commands that run trials
+    assert "--threads THREADS ignored: this command runs in one process" in text
+
+
+def test_cli_parser_is_built_once_and_keeps_no_options(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.delenv("FHUPLINK_SEED", raising=False)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    argv = ["validate", "--profiles", "1", "--samples", "100"]
+    assert cli.main(argv + ["--seed", "5", "--out", str(first)]) == 0
+    built = cli.build_parser.cache_info().misses
+    assert cli.main(argv + ["--out", str(second)]) == 0
+    assert cli.build_parser.cache_info().misses == built
+    assert "# seed = 5\n" in first.read_text()
+    assert f"# seed = {RunConfig().seed}\n" in second.read_text()
+
+
 def test_cli_error_reporting(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("delta = 3\n")
@@ -303,7 +329,13 @@ def test_cli_error_reporting(tmp_path, capsys):
     ("FHUPLINK_SEED=abc campaign", "FHUPLINK_SEED must be an integer, got 'abc'"),
     ("FHUPLINK_THREADS=2x densify", "FHUPLINK_THREADS must be an integer, got '2x'"),
     ("FHUPLINK_THREADS=0 campaign", "FHUPLINK_THREADS=0: threads must be >= 1"),
-    ("FHUPLINK_SEED=-3 campaign", "FHUPLINK_SEED=-3: seed must be non-negative")])
+    ("FHUPLINK_SEED=-3 campaign", "FHUPLINK_SEED=-3: seed must be non-negative"),
+    # dB values whose linear value overflows or underflows
+    ("beta_db=1e200 campaign", "beta_db must have a positive"),
+    ("p_over_n_db=1e200 campaign", "p_over_n_db must have a positive"),
+    ("p_over_n_db=-1e200 campaign", "p_over_n_db must have a positive"),
+    ("beta_db=1e200 validate --profiles 1 --samples 10",
+     "beta_db must have a positive")])
 def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys,
                                              monkeypatch):
     # an empty list would leave a CSV without rows, so without a column line

@@ -9,9 +9,9 @@ from fhuplink.linkbudget import InterferenceProfile, empty_profile, fractional_d
 from fhuplink.outage import (h_t_all, outage_batch, outage_closed_form,
                              outage_monte_carlo, random_profile,
                              run_validation)
-from oracles import (g_coeff, h_t_enumeration, noise_only_outage,
-                     outage_g_series_mpmath, plain_outage_monte_carlo,
-                     single_pair_outage_quadrature)
+from oracles import (frozen_outage_monte_carlo, g_coeff, h_t_enumeration,
+                     noise_only_outage, outage_g_series_mpmath,
+                     plain_outage_monte_carlo, single_pair_outage_quadrature)
 
 
 def _profile(gamma0, m0, beta, omega, m, q, c):
@@ -417,6 +417,35 @@ def test_monte_carlo_draws_nothing_for_decided_samples():
     assert eps == np.count_nonzero(gbar <= 2.0 * silent.z) / 1000
     assert 0 < eps < 1
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_monte_carlo_draws_as_the_frozen_sampler():
+    # the same draws, in the same order, with the same rounding: an equal
+    # estimate and an equal generator state afterwards
+    profile_rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(100):
+        prof = random_profile(profile_rng, beta=10 ** 0.3)
+        cases += [(prof, 3000, None, True), (prof, 3000, None, False),
+                  (prof, 3000, float(profile_rng.uniform(0.1, 20.0)), True)]
+    c = fractional_durations(np.full(3, 0.2), 0.5)
+    certain = _profile(200.0, 1, 2.0, np.geomspace(0.01, 0.1, 3),
+                       np.full(3, 1.5), np.ones((3, 4)), c)
+    hopeless = _profile(1e-300, 2, 2.0, np.ones(3), np.ones(3),
+                        np.full((3, 4), 0.5), c)
+    silent = _profile(2.0, 1, 2.0, np.ones(3), np.ones(3), np.zeros((3, 4)), c)
+    # w gain is near the top of the float range: finite only when the gain
+    # is scaled by 1/m before w, as Generator.gamma(m, 1/m) scales
+    edge = _profile(1e3, 1, 1e-306, [1e306], [1000.0], [[1, 0, 0, 0]],
+                    [[1, 0, 0, 0]])
+    cases += [(cases[0][0], 1, None, True), (certain, 3000, None, True),
+              (certain, 3000, None, False), (hopeless, 3000, None, True),
+              (silent, 3000, None, True), (edge, 3000, None, True)]
+    for k, (prof, n, beta, hopping) in enumerate(cases):
+        rng, ref = np.random.default_rng(k), np.random.default_rng(k)
+        got = outage_monte_carlo(prof, n, rng, beta, hopping)
+        assert got == frozen_outage_monte_carlo(prof, n, ref, beta, hopping), k
+        assert rng.bit_generator.state == ref.bit_generator.state, k
 
 
 def test_run_validation_small():
