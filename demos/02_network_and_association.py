@@ -23,7 +23,8 @@ def main():
     cfg = RunConfig(seed=3)
     topo = build_topology(cfg)
     rng = derive_rng(cfg.seed, DOMAIN_TRIAL, 0)
-    xy, shadow, assoc = realize_network(topo, cfg, [rng])
+    shadow, assoc = realize_network(topo, cfg, [rng])
+    xy = shadow.mobile_xy
     m = len(xy)
 
     print(f"\nmobiles: {m} (density {cfg.density_per_km2}/km^2, "

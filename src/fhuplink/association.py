@@ -91,7 +91,8 @@ class Association:
     It holds its trials' mobiles one trial after another and one row of
     loads per trial.  The serving sector covers the mobile from BS
     near[row, slot[row]] of the shadowing table, so xi_db[row, slot[row]]
-    is the serving link's shadowing in either shadowing_per mode.
+    is the serving link's shadowing in either shadowing_per mode, and
+    dist[row, slot[row]] its length.
     """
 
     serving: np.ndarray    # (R,) sector index within the trial, -1 if denied

@@ -205,6 +205,9 @@ def _check_key(key, value, line):
         raise ConfigError(f"{key} must be non-negative{where}")
     if key in ("beta_db", "p_over_n_db") and not 0 < db_to_linear(value) < np.inf:
         raise ConfigError(f"{key} must have a positive, finite linear value{where}")
+    if key == "beta_db" and value > 300:
+        # the closed forms' products of beta overflow far below float's max
+        raise ConfigError(f"beta_db must be at most 300 dB{where}")
     if key in _MIN_ONE and value < 1:
         raise ConfigError(f"{key} must be >= 1{where}")
     if key == "ref_zone_km" and value is not None and value < 0:
@@ -230,9 +233,7 @@ def set_key(cfg: RunConfig, key, text) -> RunConfig:
         return cfg.replace(ref_block_channels=block, sector_block_channels=block)
     if key not in _FIELDS:
         raise ConfigError(f"unknown key '{key}'")
-    value = _cast(key, str(text), None)
-    _check_key(key, value, None)
-    return cfg.replace(**{key: value})
+    return cfg.replace(**{key: _cast(key, str(text), None)})
 
 
 def parse_config_text(text, source="<config>") -> RunConfig:

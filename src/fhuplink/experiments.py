@@ -77,14 +77,15 @@ TRIAL_DTYPE = np.dtype([
 
 def realize_network(t: Topology, cfg: RunConfig, rngs):
     """Draw the network realizations of a block of trials, one generator
-    per trial in rngs: placement, shadowing, association.  Returns (xy,
-    shadow, assoc), the trials' mobiles one trial after another."""
+    per trial in rngs: placement, shadowing, association.  Returns (shadow,
+    assoc); shadow.mobile_xy holds the trials' mobiles one trial after
+    another."""
     xy = np.concatenate([place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, r)
                          for r in rngs])
     near, dist = t.nearest_bs(xy, cfg.candidate_bs)
     shadow = draw_shadowing_table(t, xy, near, dist, cfg, rngs)
     assoc = associate(shadow, cfg.sector_capacity, rngs)
-    return xy, shadow, assoc
+    return shadow, assoc
 
 
 def _run_block(t: Topology, cfg: RunConfig, rngs, d_r_override):
@@ -98,18 +99,18 @@ def _run_block(t: Topology, cfg: RunConfig, rngs, d_r_override):
     todo = np.arange(len(rngs))
     for _ in range(100):
         gens = [rngs[b] for b in todo]
-        xy, shadow, assoc = realize_network(t, cfg, gens)
-        ref = pick_reference_mobile(xy, t, gens, assoc.served_mask)
+        shadow, assoc = realize_network(t, cfg, gens)
+        ref = pick_reference_mobile(shadow.mobile_xy, t, gens, assoc.served_mask)
         ok = np.flatnonzero(ref >= 0)
         if ok.size:
-            refs = ok * (len(xy) // len(gens)) + ref[ok]
-            block, info = link_profiles(t, cfg, xy, shadow, assoc, refs,
+            refs = ok * (len(shadow.mobile_xy) // len(gens)) + ref[ok]
+            block, info = link_profiles(cfg, shadow, assoc, refs,
                                         [gens[b] for b in ok], d_r_override)
             denied = assoc.serving.reshape(len(gens), -1)[ok] < 0
             records = np.empty(len(ok), dtype=TRIAL_DTYPE)
             records["epsilon"] = records["epsilon_no_hop"] = np.nan
             records["d_r"] = info["d_r"]
-            records["serving_sector"] = info["serving_sector"]
+            records["serving_sector"] = assoc.serving[refs]
             records["n_interferers"] = block.n_interferers
             records["n_denied"] = np.sum(denied, axis=1)
             yield todo[ok], records, block
@@ -123,19 +124,18 @@ def _run_block(t: Topology, cfg: RunConfig, rngs, d_r_override):
 def run_trials(t: Topology, cfg: RunConfig, lo, hi, d_r_override=None):
     """TRIAL_DTYPE records of trials lo .. hi - 1 of cfg.seed.
 
-    A block of TRIAL_BLOCK trials is realized and linked in even
-    sub-blocks of at most ROW_BUDGET mobiles (or one trial), and its
-    outages are one outage_batch call.
+    A block of TRIAL_BLOCK trials is realized and linked in sub-blocks
+    of at most ROW_BUDGET mobiles (or one trial), and its outages are one
+    outage_batch call.
     """
     records = np.empty(hi - lo, dtype=TRIAL_DTYPE)
     cap = max(1, ROW_BUDGET // mobile_count(t, cfg.density_per_km2))
     for start in range(lo, hi, TRIAL_BLOCK):
         block = records[start - lo:min(start + TRIAL_BLOCK, hi) - lo]
-        size = -(-len(block) // -(-len(block) // cap))
         profiles, order = [], []
-        for sub in range(0, len(block), size):
+        for sub in range(0, len(block), cap):
             rngs = [derive_rng(cfg.seed, DOMAIN_TRIAL, start + i)
-                    for i in range(sub, min(sub + size, len(block)))]
+                    for i in range(sub, min(sub + cap, len(block)))]
             for trials, rows, profile in _run_block(t, cfg, rngs, d_r_override):
                 block[sub + trials] = rows
                 order.append(sub + trials)
@@ -336,16 +336,15 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid):
     if n_links < 1:
         raise ValueError("n_links must be >= 1")
     rng = derive_rng(cfg.seed, DOMAIN_LINKS)
-    xy, shadow, assoc = realize_network(t, cfg, [rng])
+    shadow, assoc = realize_network(t, cfg, [rng])
     served = np.flatnonzero(assoc.served_mask)
     if len(served) == 0:
         raise RuntimeError("realization has no served mobiles")
     n_links = min(int(n_links), len(served))
     chosen = np.sort(rng.choice(served, size=n_links, replace=False))
 
-    size = max(1, ROW_BUDGET // len(xy))
-    profiles = [link_profiles(t, cfg, xy, shadow, assoc, refs,
-                              [rng] * len(refs))[0]
+    size = max(1, ROW_BUDGET // len(shadow.mobile_xy))
+    profiles = [link_profiles(cfg, shadow, assoc, refs, [rng] * len(refs))[0]
                 for refs in np.split(served, range(size, len(served), size))]
 
     betas = [float(10.0 ** (beta_db / 10.0)) for beta_db in beta_db_grid]

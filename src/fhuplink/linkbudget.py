@@ -22,7 +22,7 @@ from .association import Association, ShadowingTable
 from .config import RunConfig
 from .propagation import (SPEED_OF_LIGHT_KM_S, m_of, path_loss,
                           round_integer_m, sigma_of)
-from .topology import Topology, distance
+from .topology import distance
 
 
 def spectral_factor(l_j, l_l):
@@ -226,48 +226,44 @@ def power_control_ratio(xi_ij_db, xi_ig_db, xi_ref_db, f_ij, f_ig, f_dr,
                * bm.max_pair_gain(cfg)))
 
 
-def link_profiles(t: Topology, cfg: RunConfig, mobile_xy,
-                  shadow: ShadowingTable, assoc: Association, refs, rngs,
-                  d_r: float | None = None):
+def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,
+                  refs, rngs, d_r: float | None = None):
     """Assemble the ProfileBlock of the reference uplinks from rows refs.
 
-    shadow and assoc hold one or more trials, rows one trial after
-    another, and rngs one generator per reference, each drawn in turn.
-    cfg is the RunConfig whose propagation, beam, hopping and link-budget
-    values apply.  By default a link's length and shadowing come from the
-    realized geometry; a typical length d_r, as in densification studies,
-    replaces the length and draws the link's shadowing at it from its
-    generator, so the whole link model is consistent.  Returns (block,
-    info) where info holds, per reference, the link length, the serving
-    sector and the pre-truncation interferer count.
+    shadow and assoc are one realization of one or more trials, rows one
+    trial after another; its topology and mobiles are shadow's.  rngs holds
+    one generator per reference, each drawn in turn.  cfg is the RunConfig
+    whose propagation, beam, hopping and link-budget values apply.  By
+    default a link's length and shadowing are the table's serving-link
+    values; a typical length d_r, as in densification studies, replaces the
+    length and draws the link's shadowing at it from its generator, so the
+    whole link model is consistent.  Returns (block, info) where info holds,
+    per reference, the link length and the pre-truncation interferer count.
     """
-    refs, xy = np.asarray(refs), np.asarray(mobile_xy, dtype=float)
+    t, xy, refs = shadow.t, shadow.mobile_xy, np.asarray(refs)
     n = len(refs)
     trial = refs // (len(xy) // len(shadow.seed))
     j = assoc.serving[refs]
     if np.any(j < 0):
         raise ValueError("reference mobile is not served")
     pos_j = t.sector_position(j)
-    typical = d_r is not None
-    d_r = np.full(n, float(d_r)) if typical else distance(xy[refs], pos_j)
+    typical, slot = d_r is not None, assoc.slot[refs]
+    d_r = np.full(n, float(d_r)) if typical else shadow.dist[refs, slot]
     if np.any(d_r <= 0):
         raise ValueError("reference link length must be positive")
-    if typical:
-        xi_ref = np.array([r.normal(0.0, 1.0) for r in rngs]) * sigma_of(d_r, cfg)
+    xi_ref = (np.array([r.normal(0.0, 1.0) for r in rngs]) * sigma_of(d_r, cfg)
+              if typical else shadow.xi_db[refs, slot])
     ref, row = build_interferer_sets(assoc, cfg, j, rngs, trial)
-    info = {"d_r": d_r, "serving_sector": j,
-            "n_potential": np.bincount(ref, minlength=n)}
+    info = {"d_r": d_r, "n_potential": np.bincount(ref, minlength=n)}
 
     # a scalar power rounds unlike an array one: one call per link length
     f_dr = (np.full(n, path_loss(d_r[0], cfg)) if typical
             else np.array([path_loss(d, cfg) for d in d_r]))
-    g_sec, xy_i, j_i = assoc.serving[row], xy[row], j[ref]
+    g_sec, xy_i, j_i, own = assoc.serving[row], xy[row], j[ref], assoc.slot[row]
     pos_g = t.sector_position(g_sec)
-    d_ij, d_ig = distance(xy_i, pos_j[ref]), distance(xy_i, pos_g)
+    d_ij, d_ig = distance(xy_i, pos_j[ref]), shadow.dist[row, own]
     xi_ij = shadow.toward_sector(row, j_i)
-    xi_ig = shadow.xi_db[row, assoc.slot[row]]
-    if not typical:
-        xi_ref = shadow.xi_db[refs, assoc.slot[refs]]
+    xi_ig = shadow.xi_db[row, own]
     # mobile beams point at their serving BS; sector j's wedge is fixed
     mob_level = bm.mobile_gain_toward(xy_i, pos_j[ref], pos_g, cfg)
     in_wedge = t.covering_sector(j_i // t.sectors_per_bs, xy_i) == j_i

@@ -335,7 +335,11 @@ def test_cli_error_reporting(tmp_path, capsys):
     ("p_over_n_db=1e200 campaign", "p_over_n_db must have a positive"),
     ("p_over_n_db=-1e200 campaign", "p_over_n_db must have a positive"),
     ("beta_db=1e200 validate --profiles 1 --samples 10",
-     "beta_db must have a positive")])
+     "beta_db must have a positive"),
+    # finite linear values whose products in the closed forms overflow
+    ("beta_db=3082 validate --profiles 1 --samples 10",
+     "beta_db must be at most 300 dB"),
+    ("beta_db=3080 campaign", "beta_db must be at most 300 dB")])
 def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys,
                                              monkeypatch):
     # an empty list would leave a CSV without rows, so without a column line

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from fhuplink import cli, experiments
-from fhuplink.config import (ConfigError, RunConfig, parse_config_text,
-                             serialize, set_key)
+from fhuplink.config import (ConfigError, RunConfig, build_topology,
+                             parse_config_text, serialize, set_key)
 from fhuplink.experiments import (TRIAL_BLOCK, TRIAL_DTYPE, _run_block,
                                   cm_ratio_of, code_rate, densification_sweep,
                                   per_link_rate_curves, run_campaign,
                                   run_trials, scale_to_cm, sweep)
 from fhuplink.linkbudget import ProfileBlock
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
+from fhuplink.topology import distance
 
 from oracles import noise_only_outage
 
@@ -22,7 +23,6 @@ SMALL = RunConfig(bs_count=16, extent_km=0.8, trials=12, seed=3,
 
 
 def _topo(cfg, seed=3):
-    from fhuplink.config import build_topology
     return build_topology(cfg, seed)
 
 
@@ -223,6 +223,27 @@ def test_block_size_does_not_change_a_record(monkeypatch):
     assert sizes[0] == 12 and 0 < sizes[1] < 12
     monkeypatch.undo()
     assert got.tobytes() == _one_trial_records(t, sparse, 12).tobytes()
+
+
+@pytest.mark.parametrize("keys", [
+    {}, {"shadowing_per": "sector", "psi_offsets": "random"},
+    {"topology": "grid"}])
+@pytest.mark.parametrize("ratio", [0.05, 1.0])
+def test_the_table_holds_each_serving_link(ratio, keys):
+    # link_profiles reads serving-link lengths from the table, not from a
+    # second distance() call: the two must agree bit for bit.  The layout
+    # is the benchmark's, master seed 29
+    cfg = RunConfig(seed=29, **keys)
+    t = scale_to_cm(build_topology(cfg), cfg.density_per_km2, ratio)
+    rngs = [derive_rng(cfg.seed, DOMAIN_TRIAL, i) for i in range(2)]
+    shadow, assoc = experiments.realize_network(t, cfg, rngs)
+    r = np.flatnonzero(assoc.served_mask)
+    slot, serving, xy = assoc.slot[r], assoc.serving[r], shadow.mobile_xy[r]
+    assert len(r) > 200
+    assert np.array_equal(shadow.dist[r, slot],
+                          distance(xy, t.sector_position(serving)))
+    # the serving sector covers the mobile from the BS of its slot
+    assert np.array_equal(t.covering_sector(shadow.near[r, slot], xy), serving)
 
 
 def test_campaign_seed_sensitivity():

@@ -204,7 +204,7 @@ def test_one_reference_link_invariants():
     # a block of one reference: its profile is row 0 of the block and info
     t, xy, shadow, assoc, cfg, ref = _small_scene()
     rng = np.random.default_rng(10)
-    prof, info = link_profiles(t, cfg, xy, shadow, assoc, [ref], [rng])
+    prof, info = link_profiles(cfg, shadow, assoc, [ref], [rng])
     assert prof.gamma0[0] > 0 and prof.m0[0] >= 1
     assert prof.n_interferers[0] <= 30
     assert np.all(prof.omega >= 0)
@@ -216,7 +216,6 @@ def test_one_reference_link_invariants():
     j = assoc.serving[ref]
     assert info["d_r"][0] == pytest.approx(
         np.linalg.norm(xy[ref] - t.sector_position(j)))
-    assert info["serving_sector"][0] == j
     # the reference link's shadowing is the value association ranked it by
     slot = list(shadow.near[ref]).index(j // t.sectors_per_bs)
     assert prof.gamma0[0] == gamma0(1e7, shadow.xi_db[ref, slot],
@@ -226,7 +225,7 @@ def test_one_reference_link_invariants():
 
 def test_one_reference_link_typical_override():
     t, xy, shadow, assoc, cfg, ref = _small_scene()
-    prof, info = link_profiles(t, cfg, xy, shadow, assoc, [ref],
+    prof, info = link_profiles(cfg, shadow, assoc, [ref],
                                [np.random.default_rng(10)], 0.05)
     assert info["d_r"][0] == 0.05
     # the typical link's shadowing is the rng's first draw, at length d_r
@@ -234,7 +233,7 @@ def test_one_reference_link_typical_override():
     assert prof.gamma0[0] == gamma0(1e7, xi, path_loss(0.05, NY))
     for d_r in (0.0, -0.05):
         with pytest.raises(ValueError, match="length must be positive"):
-            link_profiles(t, cfg, xy, shadow, assoc, [ref],
+            link_profiles(cfg, shadow, assoc, [ref],
                           [np.random.default_rng(10)], d_r)
 
 
@@ -249,7 +248,7 @@ def test_one_reference_link_without_interferers():
     cfg = RunConfig(zeta=1)
     assoc = associate(shadow, cfg.sector_capacity,
                       [np.random.default_rng(1)])
-    prof, info = link_profiles(t, cfg, xy, shadow, assoc, [1],
+    prof, info = link_profiles(cfg, shadow, assoc, [1],
                                [np.random.default_rng(2)])
     d_r = info["d_r"][0]
     want = empty_profile(gamma0(cfg.p_over_n_linear, shadow.xi_db[1, 0],
@@ -264,9 +263,9 @@ def test_one_reference_link_without_interferers():
 
 def test_one_reference_link_keeps_the_strongest_rows():
     t, xy, shadow, assoc, cfg, ref = _small_scene()
-    full, _ = link_profiles(t, cfg.replace(k_strongest=10**6), xy, shadow,
-                            assoc, [ref], [np.random.default_rng(10)])
-    cut, info = link_profiles(t, cfg, xy, shadow, assoc, [ref],
+    full, _ = link_profiles(cfg.replace(k_strongest=10**6), shadow, assoc,
+                            [ref], [np.random.default_rng(10)])
+    cut, info = link_profiles(cfg, shadow, assoc, [ref],
                               [np.random.default_rng(10)])
     assert full.n_interferers[0] == info["n_potential"][0] > 30
     top = np.sort(np.argsort(-full.omega)[:30])
