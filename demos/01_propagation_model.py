@@ -9,8 +9,8 @@ has to be classified as LOS or NLOS.
 
 import numpy as np
 
-from fhuplink import (RunConfig, alpha_of, m_of, parse_config_text, path_loss,
-                      sigma_of)
+from fhuplink import (RunConfig, alpha_of, m_of, parse_config_text,
+                      path_gain_db, sigma_of)
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
         for d in distances:
             print(f"{d*1000:>8.0f} {alpha_of(d, p):>9.3f} "
                   f"{sigma_of(d, p):>12.2f} {m_of(d, p):>7.3f} "
-                  f"{10*np.log10(path_loss(d, p)):>13.1f}")
+                  f"{path_gain_db(d, p):>13.1f}")
 
     p = RunConfig()     # the New York preset
     print("\nThe ramp saturates within a couple hundred meters:")

@@ -19,8 +19,9 @@ from .linkbudget import (InterferenceProfile, build_interferer_sets,
                          spectral_factor, timing_offset, truncate_strongest)
 from .outage import (outage_batch, outage_closed_form, outage_monte_carlo,
                      random_profile, run_validation)
-from .propagation import (PRESETS, alpha_of, m_of, path_loss, round_integer_m,
-                          sample_power_gain, sample_shadowing, sigma_of)
+from .propagation import (PRESETS, alpha_of, m_of, path_gain_db,
+                          round_integer_m, sample_power_gain, sample_shadowing,
+                          sigma_of)
 from .topology import (Rect, Topology, central_zone, generate_topology,
                        load_topology, pick_reference_mobile, place_mobiles,
                        save_coordinates, scale_topology, square)

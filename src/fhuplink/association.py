@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .propagation import path_loss, sigma_of
+from .propagation import path_gain_db, sigma_of
 from .seeding import derive_rng
 from .topology import Topology, distance
 
@@ -125,7 +125,7 @@ def associate(shadow: ShadowingTable, capacity: int, rngs) -> Association:
     orders = [r.permutation(m) for r in rngs]
     rows = np.arange(len(shadow.near))[:, None]
     xy = shadow.mobile_xy[:, None, :]
-    rank = shadow.xi_db + 10.0 * np.log10(path_loss(shadow.dist, shadow.cfg))
+    rank = shadow.xi_db + path_gain_db(shadow.dist, shadow.cfg)
     best = rank.argmax(axis=1)[:, None]
     serving, slot = t.covering_sector(shadow.near[rows, best], xy)[:, 0], best[:, 0]
     loads = np.bincount(rows[:, 0] // m * t.n_sectors + serving,

@@ -2,9 +2,9 @@
 
 The config file is flat human-readable text, one ``key = value`` (or
 ``key: value``) per line, '#' comments, optional ``[section]`` headers
-that are purely cosmetic.  Keys match the RunConfig field names.  All
-dB-valued quantities stay in dB here and are converted once at this
-boundary; the simulation modules work in linear scale throughout.
+that are purely cosmetic.  Keys match the RunConfig field names.
+dB-valued keys stay in dB: link gains are dB sums, converted once per
+interference ratio and once per SNR, and beta_db once, by beta_linear.
 
 A RunConfig is the model's one parameter set: the propagation, beam,
 hopping and link-budget functions read their values from it, and it is
@@ -107,10 +107,6 @@ class RunConfig:
         return float(db_to_linear(self.beta_db))
 
     @property
-    def p_over_n_linear(self) -> float:
-        return float(db_to_linear(self.p_over_n_db))
-
-    @property
     def sector_capacity(self) -> int:
         """Mobiles with orthogonal patterns a sector can hold: L / L_l."""
         return self.hopset_channels // self.sector_block_channels
@@ -156,7 +152,7 @@ _RANGES = {
 _POSITIVE = {"mu_per_km", "d0_km", "density_per_km2", "slot_ms", "dr0_km",
              "alpha_min", "alpha_max", "sigma_min_db", "sigma_max_db",
              "m_max"}
-_NONNEG = {"r_ex_km", "extent_km", "seed", "beta_db"}
+_NONNEG = {"r_ex_km", "extent_km", "seed"}
 _MIN_ONE = _INT_KEYS - {"seed"}
 
 _LINE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*[:=]\s*(.*?)\s*$")

@@ -330,11 +330,14 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid):
 
     Draws a single network realization, picks n_links served uplinks
     uniformly at random, and evaluates each link's outage over the SINR
-    threshold grid; an 'average' row series averages over every served
-    uplink of the realization.  Link lengths are the realized ones.
+    thresholds in beta_db_grid, each checked as the beta_db key; an
+    'average' row series averages over every served uplink of the
+    realization.  Link lengths are the realized ones.
     """
     if n_links < 1:
         raise ValueError("n_links must be >= 1")
+    betas = [set_key(cfg, "beta_db", beta_db).beta_linear
+             for beta_db in beta_db_grid]
     rng = derive_rng(cfg.seed, DOMAIN_LINKS)
     shadow, assoc = realize_network(t, cfg, [rng])
     served = np.flatnonzero(assoc.served_mask)
@@ -347,7 +350,6 @@ def per_link_rate_curves(t: Topology, cfg: RunConfig, n_links, beta_db_grid):
     profiles = [link_profiles(cfg, shadow, assoc, refs, [rng] * len(refs))[0]
                 for refs in np.split(served, range(size, len(served), size))]
 
-    betas = [float(10.0 ** (beta_db / 10.0)) for beta_db in beta_db_grid]
     eps = outage_batch(profiles, [2] * len(betas), betas)
     rows = []
     for beta_db, beta, eps_all in zip(beta_db_grid, betas, eps):

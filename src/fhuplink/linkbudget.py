@@ -20,7 +20,7 @@ import numpy as np
 from . import beams as bm
 from .association import Association, ShadowingTable
 from .config import RunConfig
-from .propagation import (SPEED_OF_LIGHT_KM_S, m_of, path_loss,
+from .propagation import (SPEED_OF_LIGHT_KM_S, m_of, path_gain_db,
                           round_integer_m, sigma_of)
 from .topology import distance
 
@@ -100,10 +100,9 @@ def build_interferer_sets(assoc: Association, cfg: RunConfig, ref_sector,
     return ref[kept], row[kept]
 
 
-def gamma0(p_over_n, xi_db, f_dr):
-    """No-fading SNR of the reference link(s); p_over_n > 0, linear."""
-    # float_power rounds as a scalar power does, also on an array
-    return p_over_n * np.float_power(10.0, xi_db / 10.0) * f_dr
+def gamma0(p_over_n_db, gain_db):
+    """No-fading SNR of reference link(s) of gain_db: shadowing + path gain."""
+    return 10.0 ** ((p_over_n_db + gain_db) / 10.0)
 
 
 def check_threshold(beta) -> float:
@@ -208,22 +207,20 @@ def truncate_strongest(omega, k: int, group=None):
     return np.sort(order[rank < k])
 
 
-def power_control_ratio(xi_ij_db, xi_ig_db, xi_ref_db, f_ij, f_ig, f_dr,
-                        delta, spec_factor, mobile_level, sector_level,
-                        cfg: RunConfig):
+def power_control_ratio(g_ij_db, g_ig_db, g_ref_db, delta, spec_factor,
+                        mobile_level, sector_level, cfg: RunConfig):
     """Interference-to-signal power ratio of one (or many) interferers.
 
-    Fractional power control with parameter delta partially inverts each
-    interferer's own local-mean path loss and shadowing; the beam levels
-    enter relative to the maximum pair gain of cfg's patterns, so the
-    average antenna gains cancel exactly.  Domain: 0 <= delta <= 1.
+    g_ij_db, g_ig_db and g_ref_db are link gains, shadowing plus path
+    gain in dB: interferer to reference sector, interferer to its own
+    sector, reference link.  Fractional power control with parameter
+    delta partially inverts each interferer's own link gain; the beam
+    levels enter relative to the maximum pair gain of cfg's patterns, so
+    the average antenna gains cancel exactly.  Domain: 0 <= delta <= 1.
     """
-    xi_net = xi_ij_db - delta * xi_ig_db + (delta - 1.0) * xi_ref_db
-    # f_dr is one link's value, so its power rounds as a scalar's
-    return (10.0 ** (xi_net / 10.0) * f_ij * spec_factor
-            * mobile_level * sector_level
-            / (np.float_power(f_dr, 1.0 - delta) * f_ig ** delta
-               * bm.max_pair_gain(cfg)))
+    g_net = g_ij_db - delta * g_ig_db + (delta - 1.0) * g_ref_db
+    return (10.0 ** (g_net / 10.0) * spec_factor * mobile_level
+            * sector_level / bm.max_pair_gain(cfg))
 
 
 def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,
@@ -253,24 +250,21 @@ def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,
         raise ValueError("reference link length must be positive")
     xi_ref = (np.array([r.normal(0.0, 1.0) for r in rngs]) * sigma_of(d_r, cfg)
               if typical else shadow.xi_db[refs, slot])
+    g_ref = xi_ref + path_gain_db(d_r, cfg)
     ref, row = build_interferer_sets(assoc, cfg, j, rngs, trial)
     info = {"d_r": d_r, "n_potential": np.bincount(ref, minlength=n)}
 
-    # a scalar power rounds unlike an array one: one call per link length
-    f_dr = (np.full(n, path_loss(d_r[0], cfg)) if typical
-            else np.array([path_loss(d, cfg) for d in d_r]))
     g_sec, xy_i, j_i, own = assoc.serving[row], xy[row], j[ref], assoc.slot[row]
     pos_g = t.sector_position(g_sec)
-    d_ij, d_ig = distance(xy_i, pos_j[ref]), shadow.dist[row, own]
-    xi_ij = shadow.toward_sector(row, j_i)
-    xi_ig = shadow.xi_db[row, own]
+    d_ij = distance(xy_i, pos_j[ref])
+    g_ij = shadow.toward_sector(row, j_i) + path_gain_db(d_ij, cfg)
+    g_ig = shadow.xi_db[row, own] + path_gain_db(shadow.dist[row, own], cfg)
     # mobile beams point at their serving BS; sector j's wedge is fixed
     mob_level = bm.mobile_gain_toward(xy_i, pos_j[ref], pos_g, cfg)
     in_wedge = t.covering_sector(j_i // t.sectors_per_bs, xy_i) == j_i
     sec_level = np.where(in_wedge, *bm.sector_levels(cfg))
     omega = power_control_ratio(
-        xi_ij, xi_ig, xi_ref[ref], path_loss(d_ij, cfg), path_loss(d_ig, cfg),
-        f_dr[ref], cfg.delta,
+        g_ij, g_ig, g_ref[ref], cfg.delta,
         spectral_factor(cfg.ref_block_channels, cfg.sector_block_channels),
         mob_level, sec_level, cfg)
     # cut to the strongest K first: later columns are built for kept rows only
@@ -284,7 +278,7 @@ def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,
     c = fractional_durations(timing_offset(d_r[ref], d_ij, cfg.slot_ms),
                              cfg.slot_ms)
     block = ProfileBlock(
-        gamma0(cfg.p_over_n_linear, xi_ref, f_dr), round_integer_m(d_r, cfg),
+        gamma0(cfg.p_over_n_db, g_ref), round_integer_m(d_r, cfg),
         np.full(n, cfg.beta_linear), np.bincount(ref, minlength=n), omega[top],
         m_of(d_ij, cfg), np.repeat(q1[:, None], 4, axis=1), c)
     return block.checked(), info

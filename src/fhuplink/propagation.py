@@ -6,7 +6,7 @@ fading severity all drift with link length.  A single tanh ramp with
 transition rate ``mu_per_km`` carries all three between their
 short-range and long-range values.  Every function reads these values
 from a RunConfig, ``cfg``, which checks them.  Distances are in km,
-shadowing in dB, gains linear.
+shadowing and path gains in dB, fading gains linear.
 """
 
 from __future__ import annotations
@@ -53,15 +53,16 @@ def round_integer_m(d, cfg) -> int:
     return int(out) if np.ndim(d) == 0 else out
 
 
-def path_loss(d, cfg):
-    """Area-mean power gain (d/d0)^(-alpha(d)), clamped to 1 below d0.
+def path_gain_db(d, cfg):
+    """Area-mean power gain in dB, 10*alpha(d)*log10(d0/d), 0 below d0.
 
-    The attenuation law is only meaningful beyond the reference distance
-    d0_km; mobiles cannot get closer than the exclusion radius in normal
-    runs, so the clamp just guards synthetic geometries.  Domain: d >= 0 km.
+    The one path-loss law; unlike the linear gain it cannot underflow.
+    The clamp at the reference distance d0_km guards synthetic geometries
+    (mobiles keep the exclusion radius in normal runs), and d0/d makes
+    the gain +0.0 there.  Domain: d >= 0 km.
     """
     dd = np.maximum(d, cfg.d0_km)
-    return (dd / cfg.d0_km) ** (-alpha_of(dd, cfg))
+    return 10.0 * alpha_of(dd, cfg) * np.log10(cfg.d0_km / dd)
 
 
 def sample_shadowing(d, cfg, rng: np.random.Generator):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from fhuplink.linkbudget import check_threshold
-from fhuplink.propagation import path_loss
+from fhuplink.propagation import alpha_of
 from fhuplink.topology import distance_matrix, mobile_count
 
 
@@ -219,7 +219,10 @@ def associate_sequential(shadow, capacity, rng):
     rows = np.arange(m)[:, None]
     cand_sec = t.covering_sector(near, xy[:, None, :])
     xi = shadow.toward_sector(np.broadcast_to(rows, near.shape), cand_sec)
-    rank_db = xi + 10.0 * np.log10(path_loss(dist[rows, near], shadow.cfg))
+    # the linear law (d/d0)^(-alpha(d)), clamped at d0, then its dB value
+    cfg = shadow.cfg
+    d = np.maximum(dist[rows, near], cfg.d0_km)
+    rank_db = xi + 10.0 * np.log10((d / cfg.d0_km) ** -alpha_of(d, cfg))
     pref = np.argsort(-rank_db, axis=1, kind="stable")
     serving = np.full(m, -1, dtype=int)
     loads = np.zeros(t.n_sectors, dtype=int)

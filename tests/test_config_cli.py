@@ -123,6 +123,9 @@ def test_validation_errors():
     for ratios in (",", "0.5,inf"):
         with pytest.raises(ConfigError, match="cm_ratios"):
             parse_config_text(f"cm_ratios = {ratios}\n")
+    # a threshold below 0 dB is valid: links' default grid starts at -3 dB
+    assert parse_config_text("beta_db = -3\n").beta_linear == \
+        pytest.approx(0.5012, abs=1e-4)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -326,6 +329,9 @@ def test_cli_error_reporting(tmp_path, capsys):
     ("extent_km=1e-300 campaign", "extent_km"),
     ("dr_mode=typical extent_km=1e200 campaign", "density_per_km2"),
     ("links --beta-db=,", "--beta-db"),
+    # a threshold is checked as the beta_db key
+    ("links --beta-db 0,3082", "beta_db must be at most 300 dB"),
+    ("links --beta-db inf", "beta_db must be finite"),
     ("FHUPLINK_SEED=abc campaign", "FHUPLINK_SEED must be an integer, got 'abc'"),
     ("FHUPLINK_THREADS=2x densify", "FHUPLINK_THREADS must be an integer, got '2x'"),
     ("FHUPLINK_THREADS=0 campaign", "FHUPLINK_THREADS=0: threads must be >= 1"),
@@ -359,6 +365,20 @@ def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha_max", [160, 200])
+def test_campaign_with_a_steep_path_loss(alpha_max, tmp_path, capsys):
+    # the linear path gain underflows to 0 on these links; in dB it does not
+    out = tmp_path / "out.csv"
+    cfg = _write_cfg(tmp_path, f"bs_count = 20\nextent_km = 1.0\ntrials = 3\n"
+                               f"alpha_max = {alpha_max}\n")
+    assert cli.main(["campaign", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    columns, row = out.read_text().splitlines()[-2:]
+    eps = [float(v) for c, v in zip(columns.split(","), row.split(","))
+           if c.startswith("epsilon")]
+    assert len(eps) == 2 and all(0 <= e <= 1 for e in eps), eps
 
 
 @pytest.mark.parametrize("line", ["extent_km = 1e200", "density_per_km2 = 1e300"])

@@ -34,73 +34,73 @@ SATURATED = "zeta = 1\nref_block_channels = 50\nsector_block_channels = 50\n"
 
 CASES = {
     "campaign": (["campaign"],
-                 "b5e2b9a3e9020bc1afc1bb7dea91e071def9ee897f4a64c66e54aff498524ecb"),
+                 "eda91b9ba16ae09f9ea62e53d77ece2f1520d803eeda8547c9039d58e967b86e"),
     "campaign_cm": (["campaign", "--cm", "0.3"],
-                    "1446b394fa157ffc93e7fc77521a4810b28dfe3efca15ec6e2d6f3e6c66d13d3"),
+                    "4ec4b2c4c7fd2550a6bd7a11dccc00046f15b2e05bbc9d9d7c7f8445683af06d"),
     "densify": (["densify", "--ratios", "0.35,1"],
-                "8d3116613a3afaafbd425081a196d1a46062786cc531e3ce2cbcb9a945b6726e"),
+                "8b5be3718f9f4689673785bd4ba268bdff35d7644ef5ec220c1a178e42cf5105"),
     "sweep_delta": (["sweep", "--axis", "delta", "--values", "0,0.5",
                      "--ratios", "1", "--trials", "3"],
-                    "800ef65c52e6a79ac5adea0fe057be8e0365105bf754b43e9d0b918ffc52a9d1"),
+                    "3547bc4ed8ad967a3f6c42ceac6da5a0a6e604f1cffab025b3f1d403add54d01"),
     "sweep_zeta": (["sweep", "--axis", "zeta", "--values", "8,24",
                     "--ratios", "1", "--trials", "3"],
-                   "106383d74e74186a1c80a90703dc89eaf007cac3aebe49b68d865c2db6189624"),
+                   "acd1a250783151697a9f9df7181a494674fb70ec9c8f462fc6741dd325210853"),
     "sweep_preset": (["sweep", "--axis", "preset", "--values",
                       "newyork,austin", "--ratios", "1", "--trials", "3"],
-                     "fab254b30ff77dfe63018b76cebde6d5abdb19744714b15cf42963df0c3d246d"),
+                     "0dd46c59cc3b700138c3314c1cc19ef2b718f5e9f160a58f5f0f0762ab11e513"),
     "links_cm": (["links", "--cm", "0.3", "--links", "3",
                   "--beta-db", "0,3"],
-                 "fa92c00468e04de7aa146bd9ab175fcd9726cebb49ab7ad7944cb932f08ae391"),
+                 "ec9374829c1775e459ade0bd0b05383b8ea970b5fee03149c0aa2cbd0f3a0b3b"),
     "validate": (["validate", "--profiles", "4", "--samples", "2000"],
                  "84c96998ac7e13dd56f65c73566a2b3cbc443a138d1fcbdafb635c7a6c00e1d7"),
     "campaign_saturated": (
         ["campaign"],
-        "2751338c243ba635dad528a5cb1dd40d9948b803122ffd1d27b33a9e18b49b3f",
+        "191594e1f03a9c81e33405c44a83d71649ccf1d07b1f80886b184f2889f25fcd",
         SATURATED),
     "campaign_sector_shadowing": (
         ["campaign"],
-        "570474fff7b72c214ff7ace8c20d9d8d8d143d1d97378fcd9f1cfb8dc6aabbb1",
+        "fe74b0cc362ccab9ea97751bbfdb33b0ca1d1f450a17dd70a412fc4ac11cd24c",
         "shadowing_per = sector\n"),
     # the one case whose sector wedges do not start at angle 0
     "campaign_random_offsets": (
         ["campaign"],
-        "cf71ed62fe4a48a8b5df9d79e8254912d4cb61e31a2375b3498a41f3919bbffa",
+        "ef5edd2edb099efe2e4acf71534694d1893f23e5bd4a83a98bde7334a8366b7a",
         "psi_offsets = random\n"),
     "sweep_beta_db": (["sweep", "--axis", "beta_db", "--values", "0,6",
                        "--ratios", "1", "--trials", "3"],
                       "a03cbf833ccacfe8e0ed4abb162cea0a1eeb783fca8a10c2e3ad6b4225a4ffae"),
     "sweep_p_over_n_db": (["sweep", "--axis", "p_over_n_db", "--values",
                            "40,70", "--ratios", "0.35", "--trials", "3"],
-                          "fb15130c88e63c39cf60f266af32f8454abc376242e40c4b53e388f17c80c8e6"),
+                          "5af7a08a43b1a8ee1926794996fb785a1872028eccb1029091f0ed1feae7ca0e"),
     # no --ratios: the ratios come from cfg.cm_ratios
     "densify_default_ratios": (
         ["densify"],
-        "e73d43bc4363d92c38ae90b925c34820cf9f76721a0b80d6077e231d60c21566"),
+        "a5f6fc02666480f88b552353821e78f89639806bf8f27c061f92d72c33286ca9"),
     "links": (["links", "--links", "3", "--beta-db", "0,3"],
-              "a9bd84ad376af46c953f1b331881ed0523deef50f1046bb645c62ec725b15cdc"),
+              "4aa4b2198a2a902fc1febc72511648b7c913ba60962b37df8aeef92b9e0cb5f5"),
     "sweep_l_over_lj": (["sweep", "--axis", "L_over_Lj", "--values", "1,10",
                          "--ratios", "1", "--trials", "3"],
-                        "80f35c744fc82ae20ffc2e7275152adfe0f59132b3be361834156f913e563144"),
+                        "1a429bd1a588101592ddfdbe51f570146ee341986a73c721c483d58ba1ae4777"),
 }
 
 # the same cases at numpy's X86_V3 dispatch, pinned from the code the
 # default set was pinned on
 X86_V3 = {
-    "campaign": "ed56e18a8263df620c74eda6ad88ea41a73fef210413e1156bf98aed1eae5978",
-    "campaign_cm": "1446b394fa157ffc93e7fc77521a4810b28dfe3efca15ec6e2d6f3e6c66d13d3",
-    "campaign_random_offsets": "4dce5937e5dc69ade77e6d07ba893b11a73cb15dd84d10f0744d58e5e74f2e5b",
-    "campaign_saturated": "2b6c3c7d9ebca682b71e93e8b33352dadd7ec74361c02880bd62bcd45bf44404",
-    "campaign_sector_shadowing": "968e1dec031bf2caa85405982c17dcb1caa8a97c8f3a7882a666aefc73b96920",
-    "densify": "8d4eb308d2ab32ba4c93d94c3c8496e57e6d176ec71cc379ea89aaa21b52411e",
-    "densify_default_ratios": "03cceb82c6dd480f75f575f25984f961ee05780c0e1ff86babf7a8679dac1e82",
-    "links": "a434e26f52f05e1362eca41a58bd58ea45444ab94b949e0c2e72147a6a485312",
-    "links_cm": "ee9b94dbce4ba762dd0b8cd20ca274f367c1829e6ae7a4b978b45dc60c95ed61",
+    "campaign": "ca00db7a6c680fe3c72cf429f6ab6f229d0b99ac4e43fcc3c0c0c4116c90f45e",
+    "campaign_cm": "4ec4b2c4c7fd2550a6bd7a11dccc00046f15b2e05bbc9d9d7c7f8445683af06d",
+    "campaign_random_offsets": "747a6978da22e09c52d656843de5f4387e7a118a35200c67f53b3a814b760264",
+    "campaign_saturated": "251ad5f4b2ad51ba431c519bbf7f160f402a545ac64d4dd149929d19b999656d",
+    "campaign_sector_shadowing": "aa592b700af3bac371d573246cbd0b1cf341e8dfa290fb4e9ab3887b87709282",
+    "densify": "13cfc6de0595a2eeda4b1d4240c8bab9f5fbc17081c681f657f939ad4de286b5",
+    "densify_default_ratios": "0b15cb6d7e20de5e6fa3e744166ef65e5ac4a80615394501acb42fe255c6502f",
+    "links": "d53cc341abc05d71cf1ba58c6cdeeb0d9e9d7b99a8d4fa929a70a3de8db755d0",
+    "links_cm": "62c898549eabe11479363996b362e3d95ca5f40d7f54b310b6a25c737b940f17",
     "sweep_beta_db": "558e2b6ffe785685bd77ba6e71bf98f79c6947e53b856d8f04143345434e99e5",
-    "sweep_delta": "bd1ed152696357369c447ed4d608baeac469a490f492fd5dbf0e6e2bd14cdf32",
-    "sweep_l_over_lj": "10561b55570fa1457ac4000c85cca01e6b277dd1cbaa11980de5779591cc5dfb",
-    "sweep_p_over_n_db": "ad3c1b55419bdbc993a481df2f50ab3c036598219b936da3ff1ddc887d56a338",
-    "sweep_preset": "01c89b57cf49ed6d9834a89ed39dc389b4311ffc0ee797bfc2250d329b04d909",
-    "sweep_zeta": "64369b9111217e7054f6be2dc4563db7d63efdbdca426541dd20f29209b574f3",
+    "sweep_delta": "d61ec65fbf3526c327515196beb0f72c5f9eb42f78d370ac77d8502773b5ded3",
+    "sweep_l_over_lj": "935a542b4edf67d3a3a02eeba415fb64456fbaf419ffb1affbc07e2d06a6b5f3",
+    "sweep_p_over_n_db": "d44ade2f442aad63e862195ca1038bd76a5b0f94ba2c4b5a405c4a73bb8e411f",
+    "sweep_preset": "95ad9f432f8df28f18a499e261a495e45830320b61044bfbfc42e89379a2cdae",
+    "sweep_zeta": "5a2741ea8ab82e9740a810758513d788df5d0bda1103bae77393d153cd6cd868",
     "validate": "378e6530f68ac386d31db6c5d685c8d2a6901650c723b75a0b0dea1eca5735e4",
 }
 
@@ -165,11 +165,13 @@ def _golden_run(env_update):
     env = dict(os.environ, **env_update)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    # one line per failing case, naming it and its hash, so that one run
+    # gives a whole re-pin
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_golden_csv_hash"],
+         "--tb=line", f"{__file__}::test_golden_csv_hash"],
         cwd=root, env=env, capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stdout[-3000:]
+    assert done.returncode == 0, done.stdout
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

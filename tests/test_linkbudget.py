@@ -9,7 +9,7 @@ from fhuplink.linkbudget import (InterferenceProfile, build_interferer_sets,
                                  fractional_durations, gamma0, link_profiles,
                                  power_control_ratio, spectral_factor,
                                  timing_offset, truncate_strongest)
-from fhuplink.propagation import (SPEED_OF_LIGHT_KM_S, path_loss,
+from fhuplink.propagation import (SPEED_OF_LIGHT_KM_S, path_gain_db,
                                   round_integer_m, sample_shadowing)
 from fhuplink.topology import Topology, generate_topology, place_mobiles, square
 
@@ -109,9 +109,10 @@ def test_build_interferer_sets():
 
 
 def test_gamma0():
-    assert gamma0(1e7, 0.0, 1.0) == 1e7
-    assert gamma0(1e7, -10.0, 1.0) == pytest.approx(1e6)
-    assert gamma0(100.0, 0.0, 0.5) == pytest.approx(50.0)
+    assert gamma0(70.0, 0.0) == 1e7
+    assert gamma0(70.0, -10.0) == pytest.approx(1e6)
+    assert gamma0(20.0, 10 * np.log10(0.5)) == pytest.approx(50.0)
+    assert gamma0(70.0, np.array([0.0, -10.0])) == pytest.approx([1e7, 1e6])
 
 
 def test_profile_validation():
@@ -159,17 +160,17 @@ def test_truncate_strongest():
 
 
 def test_power_control_ratio_full_inversion():
-    # delta = 1, no shadowing, interferer's distance to the reference
-    # sector equals its serving distance, mainlobe-to-mainlobe, F = 1:
-    # local-mean powers equalize exactly
-    om = power_control_ratio(0.0, 0.0, 0.0, 1e-3, 1e-3, 1e-2, 1.0, 1.0,
+    # delta = 1, the interferer's link gain toward the reference sector
+    # equals its serving link's, mainlobe-to-mainlobe, F = 1: local-mean
+    # powers equalize exactly
+    om = power_control_ratio(-30.0, -30.0, -20.0, 1.0, 1.0,
                              mobile_levels(NY)[0], sector_levels(NY)[0], NY)
     assert om == 1.0
 
 
 def test_power_control_ratio_sidelobe_scaling():
-    kwargs = dict(xi_ij_db=0.0, xi_ig_db=0.0, xi_ref_db=0.0, f_ij=1e-4,
-                  f_ig=1e-3, f_dr=1e-2, delta=0.1, spec_factor=1.0, cfg=NY)
+    kwargs = dict(g_ij_db=-40.0, g_ig_db=-30.0, g_ref_db=-20.0, delta=0.1,
+                  spec_factor=1.0, cfg=NY)
     main = power_control_ratio(mobile_level=mobile_levels(NY)[0],
                                sector_level=sector_levels(NY)[0], **kwargs)
     side = power_control_ratio(mobile_level=mobile_levels(NY)[1],
@@ -178,11 +179,11 @@ def test_power_control_ratio_sidelobe_scaling():
 
 
 def test_power_control_ratio_delta_zero_ignores_own_link():
-    base = dict(xi_ij_db=3.0, xi_ref_db=-2.0, f_ij=1e-4, f_dr=1e-2,
-                delta=0.0, spec_factor=0.5, mobile_level=mobile_levels(NY)[0],
+    base = dict(g_ij_db=-37.0, g_ref_db=-22.0, delta=0.0, spec_factor=0.5,
+                mobile_level=mobile_levels(NY)[0],
                 sector_level=sector_levels(NY)[1], cfg=NY)
-    a = power_control_ratio(xi_ig_db=0.0, f_ig=1e-3, **base)
-    b = power_control_ratio(xi_ig_db=25.0, f_ig=1e-7, **base)
+    a = power_control_ratio(g_ig_db=-30.0, **base)
+    b = power_control_ratio(g_ig_db=-45.0, **base)
     assert a == b
 
 
@@ -216,10 +217,11 @@ def test_one_reference_link_invariants():
     j = assoc.serving[ref]
     assert info["d_r"][0] == pytest.approx(
         np.linalg.norm(xy[ref] - t.sector_position(j)))
-    # the reference link's shadowing is the value association ranked it by
+    # the reference link's shadowing is the value association ranked it by;
+    # 1-element arrays round as the block's arrays do
     slot = list(shadow.near[ref]).index(j // t.sectors_per_bs)
-    assert prof.gamma0[0] == gamma0(1e7, shadow.xi_db[ref, slot],
-                                    path_loss(info["d_r"][0], NY))
+    gain = shadow.xi_db[ref, slot:slot + 1] + path_gain_db(info["d_r"], NY)
+    assert prof.gamma0[0] == gamma0(70.0, gain)[0]
     assert prof.beta[0] == cfg.beta_linear
 
 
@@ -229,8 +231,9 @@ def test_one_reference_link_typical_override():
                                [np.random.default_rng(10)], 0.05)
     assert info["d_r"][0] == 0.05
     # the typical link's shadowing is the rng's first draw, at length d_r
-    xi = float(sample_shadowing(0.05, NY, np.random.default_rng(10)))
-    assert prof.gamma0[0] == gamma0(1e7, xi, path_loss(0.05, NY))
+    d_r = np.array([0.05])
+    xi = sample_shadowing(d_r, NY, np.random.default_rng(10))
+    assert prof.gamma0[0] == gamma0(70.0, xi + path_gain_db(d_r, NY))[0]
     for d_r in (0.0, -0.05):
         with pytest.raises(ValueError, match="length must be positive"):
             link_profiles(cfg, shadow, assoc, [ref],
@@ -250,10 +253,10 @@ def test_one_reference_link_without_interferers():
                       [np.random.default_rng(1)])
     prof, info = link_profiles(cfg, shadow, assoc, [1],
                                [np.random.default_rng(2)])
-    d_r = info["d_r"][0]
-    want = empty_profile(gamma0(cfg.p_over_n_linear, shadow.xi_db[1, 0],
-                                path_loss(d_r, NY)),
-                         round_integer_m(d_r, NY), cfg.beta_linear)
+    d_r = info["d_r"]
+    gain = shadow.xi_db[1:2, 0] + path_gain_db(d_r, NY)
+    want = empty_profile(gamma0(cfg.p_over_n_db, gain)[0],
+                         round_integer_m(d_r[0], NY), cfg.beta_linear)
     assert info["n_potential"][0] == prof.n_interferers[0] == 0
     assert (prof.gamma0[0], prof.m0[0], prof.beta[0]) == (want.gamma0, want.m0,
                                                           want.beta)

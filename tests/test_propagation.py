@@ -3,8 +3,9 @@ import pytest
 from scipy import stats
 
 from fhuplink.config import ConfigError, RunConfig, parse_config_text
-from fhuplink.propagation import (alpha_of, m_of, path_loss, round_integer_m,
-                                  sample_power_gain, sample_shadowing, sigma_of)
+from fhuplink.propagation import (alpha_of, m_of, path_gain_db,
+                                  round_integer_m, sample_power_gain,
+                                  sample_shadowing, sigma_of)
 
 NY = RunConfig()  # New York preset, mu = 20 /km, d0 = 0.004 km
 
@@ -61,18 +62,23 @@ def test_sigma_and_m_values():
     assert m_of(50.0, NY) >= NY.m_min
 
 
-def test_path_loss():
-    assert path_loss(NY.d0_km, NY) == 1.0
-    # direct evaluation at twice the reference distance
-    expected = 2.0 ** -(2.3 + 2.4 * np.tanh(20 * 0.008))
-    assert path_loss(0.008, NY) == pytest.approx(expected, rel=1e-14)
-    assert path_loss(0.008, NY) == pytest.approx(0.1559, abs=5e-4)
-    # clamped to 1 below the reference distance
-    assert path_loss(0.001, NY) == 1.0
-    assert path_loss(0.0, NY) == 1.0
+def test_path_gain_db():
+    # +0.0, not -0.0, at and below the reference distance
+    for d in (NY.d0_km, 0.001, 0.0):
+        assert path_gain_db(d, NY) == 0.0
+        assert np.copysign(1.0, path_gain_db(d, NY)) == 1.0
+    # the linear law at twice the reference distance, in dB
+    expected = 10 * np.log10(2.0 ** -(2.3 + 2.4 * np.tanh(20 * 0.008)))
+    assert abs(path_gain_db(0.008, NY) - expected) <= 1e-12
+    assert path_gain_db(0.008, NY) == pytest.approx(-8.07, abs=5e-3)
     d = np.linspace(NY.d0_km, 3.0, 2000)
-    assert np.all(np.diff(path_loss(d, NY)) < 0)
-    assert path_loss(0.1, NY) < path_loss(0.05, NY)
+    assert np.all(np.diff(path_gain_db(d, NY)) < 0)
+    assert path_gain_db(0.1, NY) < path_gain_db(0.05, NY)
+    # finite where the linear gain underflows to 0
+    steep = NY.replace(alpha_max=200.0)
+    d = np.linspace(0.0, 3.0, 2000)
+    assert np.all(np.isfinite(path_gain_db(d, steep)))
+    assert (3.0 / steep.d0_km) ** -alpha_of(3.0, steep) == 0.0
 
 
 def test_round_integer_m():
