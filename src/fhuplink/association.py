@@ -24,38 +24,38 @@ from .topology import Topology, distance
 
 @dataclass(frozen=True, eq=False)
 class ShadowingTable:
-    """Shadowing in dB of a block of trials' links, one value per link.
+    """Gains in dB, shadowing plus path gain, of a block of trials' links.
 
     cfg is the RunConfig whose propagation values apply.  Its
     shadowing_per = bs gives one factor per (mobile, BS), shared by the
     BS's sectors (their links share the propagation path); sector gives
     one per (mobile, sector).  Rows are mobiles, trial by trial, and seed
-    holds one value per trial.  xi_db holds the candidate links, row r
+    holds one value per trial.  gain_db holds the candidate links, row r
     toward BS near[r, s] (its covering sector, per sector).  Any other
-    link of a trial's mobile i is sigma_of(its length) times entry i of
-    unit normals drawn from (seed, BS or sector).
+    link of a trial's mobile i has the shadowing sigma_of(its length)
+    times entry i of unit normals drawn from (seed, BS or sector).
     """
 
     t: Topology
     mobile_xy: np.ndarray  # (R, 2) km
     near: np.ndarray       # (R, k) candidate BSs, nearest first
     dist: np.ndarray       # (R, k) km
-    xi_db: np.ndarray      # (R, k) dB
+    gain_db: np.ndarray    # (R, k) dB
     cfg: RunConfig
     seed: np.ndarray = (0,)    # (trials,); one trial by default
 
-    def toward_sector(self, mobile_idx, sector_id):
-        """Shadowing in dB of the link(s) from mobile row(s) to sector(s);
+    def gain_toward(self, rows, sectors):
+        """Gain in dB of the link(s) from mobile row(s) to sector(s);
         link_profiles reads only the links toward a reference sector here,
-        and a serving link as xi_db[row, Association.slot[row]]."""
-        i, sector = np.broadcast_arrays(mobile_idx, sector_id)
+        and a serving link as gain_db[row, Association.slot[row]]."""
+        i, sector = np.broadcast_arrays(rows, sectors)
         shape, i, sector = i.shape, i.ravel(), sector.ravel()
         bs = sector // self.t.sectors_per_bs
         hit = self.near[i] == bs[:, None]
         per = self.cfg.shadowing_per
         if per == "sector":
             hit &= (self.t.covering_sector(bs, self.mobile_xy[i]) == sector)[:, None]
-        xi = self.xi_db[i, hit.argmax(axis=1)]
+        gain = self.gain_db[i, hit.argmax(axis=1)]
         off = np.flatnonzero(~hit.any(axis=1))
         m = len(self.mobile_xy) // len(self.seed)
         trial, row = np.divmod(i[off], m)
@@ -63,25 +63,26 @@ class ShadowingTable:
         n = self.t.n_sectors
         keys, at = np.unique(trial * n + (bs if per == "bs" else sector)[off],
                              return_inverse=True)
-        z = [derive_rng(self.seed[k // n], k % n).standard_normal(m)
-             for k in keys]
+        z = np.reshape([derive_rng(self.seed[k // n], k % n).standard_normal(m)
+                        for k in keys], (-1, m))
         d = distance(self.mobile_xy[i[off]], self.t.bs_xy[bs[off]])
-        xi[off] = np.reshape(z, (-1, m))[at, row] * sigma_of(d, self.cfg)
-        return xi.reshape(shape)
+        gain[off] = z[at, row] * sigma_of(d, self.cfg) + path_gain_db(d, self.cfg)
+        return gain.reshape(shape)
 
 
 def draw_shadowing_table(t: Topology, mobile_xy, near, dist, cfg,
                          rngs) -> ShadowingTable:
     """Draw one factor per candidate link (near, dist: the (R, k) BSs and
-    distances in km from Topology.nearest_bs), its standard deviation set
-    by the link's length under cfg, and per trial one seed for the links
-    outside the table; rngs holds one generator per trial."""
+    distances in km from Topology.nearest_bs), scaled by sigma_of its length
+    under cfg and added to its path gain, and per trial one seed for the
+    links outside the table; rngs holds one generator per trial."""
     z, m = np.empty(np.shape(near)), len(near) // len(rngs)
     for b, r in enumerate(rngs):
         r.standard_normal(out=z[b * m:(b + 1) * m])
     seed = np.array([r.integers(2**63) for r in rngs])
+    gain = z * sigma_of(dist, cfg) + path_gain_db(dist, cfg)
     return ShadowingTable(t, np.asarray(mobile_xy, dtype=float), near, dist,
-                          z * sigma_of(dist, cfg), cfg, seed)
+                          gain, cfg, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +91,8 @@ class Association:
 
     It holds its trials' mobiles one trial after another and one row of
     loads per trial.  The serving sector covers the mobile from BS
-    near[row, slot[row]] of the shadowing table, so xi_db[row, slot[row]]
-    is the serving link's shadowing in either shadowing_per mode, and
+    near[row, slot[row]] of the shadowing table, so gain_db[row, slot[row]]
+    is the serving link's gain in either shadowing_per mode, and
     dist[row, slot[row]] its length.
     """
 
@@ -125,15 +126,14 @@ def associate(shadow: ShadowingTable, capacity: int, rngs) -> Association:
     orders = [r.permutation(m) for r in rngs]
     rows = np.arange(len(shadow.near))[:, None]
     xy = shadow.mobile_xy[:, None, :]
-    rank = shadow.xi_db + path_gain_db(shadow.dist, shadow.cfg)
-    best = rank.argmax(axis=1)[:, None]
+    best = shadow.gain_db.argmax(axis=1)[:, None]
     serving, slot = t.covering_sector(shadow.near[rows, best], xy)[:, 0], best[:, 0]
     loads = np.bincount(rows[:, 0] // m * t.n_sectors + serving,
                         minlength=len(rngs) * t.n_sectors).reshape(len(rngs), -1)
     full = np.flatnonzero(loads.max(axis=1) > capacity)
     if full.size:
         cand_sec = t.covering_sector(shadow.near, xy)
-        pref = np.argsort(-rank, axis=1, kind="stable")
+        pref = np.argsort(-shadow.gain_db, axis=1, kind="stable")
     for b in full:
         own, took, load = serving[b * m:(b + 1) * m], slot[b * m:(b + 1) * m], loads[b]
         own[:], took[:], load[:] = -1, -1, 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import warnings
 
@@ -241,7 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(words) - 1, 0, -1):  # argparse reads -3,0 as an option
+        if words[i - 1] in ("--ratios", "--values", "--beta-db") \
+                and re.match(r"-[\d.]", words[i]):
+            words[i - 1:i + 1] = [f"{words[i - 1]}={words[i]}"]
+    args = build_parser().parse_args(words)
     with warnings.catch_warnings():     # a warning, like an error, is one line
         warnings.showwarning = lambda message, *_: print(
             f"fhuplink {args.command}: {message}", file=sys.stderr)

@@ -148,6 +148,12 @@ _RANGES = {
     "mobile_beamwidth_rad": (1e-12, 2 * np.pi, "must be in (0, 2*pi]"),
     "shannon_loss": (1e-12, 1.0, "must be in (0, 1]"),
     "m_min": (0.5, np.inf, "must be >= 0.5 for a valid Nakagami shape"),
+    # below 1 mm every path gain, 10*alpha*log10(d0/d), runs toward -inf dB
+    "d0_km": (1e-6, np.inf, "must be at least 1e-6 (1 mm)"),
+    # m0 <= m_max sets the closed form's 2*m0 terms, folded in O(m0^2) calls
+    "m_max": (0.0, 100.0, "must be at most 100"),
+    # omega is 10^(x/10) of shadowed gains: 8 SDs stay far below x = 3,080 dB
+    "sigma_max_db": (0.0, 100.0, "must be at most 100 dB"),
 }
 _POSITIVE = {"mu_per_km", "d0_km", "density_per_km2", "slot_ms", "dr0_km",
              "alpha_min", "alpha_max", "sigma_min_db", "sigma_max_db",
@@ -191,19 +197,19 @@ def _check_key(key, value, line):
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(f"{key} must be one of "
                           f"{sorted(_CHOICES[key])}{where}")
+    if key in _POSITIVE and not value > 0:
+        raise ConfigError(f"{key} must be positive{where}")
     if key in _RANGES:
         lo, hi, msg = _RANGES[key]
         if not (lo <= value <= hi):
             raise ConfigError(f"{key} {msg}{where}")
-    if key in _POSITIVE and not value > 0:
-        raise ConfigError(f"{key} must be positive{where}")
     if key in _NONNEG and value < 0:
         raise ConfigError(f"{key} must be non-negative{where}")
     if key in ("beta_db", "p_over_n_db") and not 0 < db_to_linear(value) < np.inf:
         raise ConfigError(f"{key} must have a positive, finite linear value{where}")
-    if key == "beta_db" and value > 300:
-        # the closed forms' products of beta overflow far below float's max
-        raise ConfigError(f"beta_db must be at most 300 dB{where}")
+    if key == "beta_db" and not -300 <= value <= 300:
+        # products of beta overflow above it; gamma0's floor needs beta >= 1e-30
+        raise ConfigError(f"beta_db must be at most 300 dB in magnitude{where}")
     if key in _MIN_ONE and value < 1:
         raise ConfigError(f"{key} must be >= 1{where}")
     if key == "ref_zone_km" and value is not None and value < 0:

@@ -101,8 +101,10 @@ def build_interferer_sets(assoc: Association, cfg: RunConfig, ref_sector,
 
 
 def gamma0(p_over_n_db, gain_db):
-    """No-fading SNR of reference link(s) of gain_db: shadowing + path gain."""
-    return 10.0 ** ((p_over_n_db + gain_db) / 10.0)
+    """No-fading SNR of reference link(s) of gain_db: shadowing + path gain,
+    floored at -2700 dB, so 1/gamma0 * beta * 2*m0 <= 1e270 * 1e30 * 200 is
+    finite; below it noise alone is outage 1 for any beta_db >= -300."""
+    return 10.0 ** (np.maximum(p_over_n_db + gain_db, -2700.0) / 10.0)
 
 
 def check_threshold(beta) -> float:
@@ -231,10 +233,10 @@ def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,
     trial after another; its topology and mobiles are shadow's.  rngs holds
     one generator per reference, each drawn in turn.  cfg is the RunConfig
     whose propagation, beam, hopping and link-budget values apply.  By
-    default a link's length and shadowing are the table's serving-link
-    values; a typical length d_r, as in densification studies, replaces the
-    length and draws the link's shadowing at it from its generator, so the
-    whole link model is consistent.  Returns (block, info) where info holds,
+    default a link's length and gain are the table's serving-link values;
+    a typical length d_r, as in densification studies, replaces the length
+    and draws the link's shadowing at it from its generator, so the whole
+    link model is consistent.  Returns (block, info) where info holds,
     per reference, the link length and the pre-truncation interferer count.
     """
     t, xy, refs = shadow.t, shadow.mobile_xy, np.asarray(refs)
@@ -248,28 +250,26 @@ def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,
     d_r = np.full(n, float(d_r)) if typical else shadow.dist[refs, slot]
     if np.any(d_r <= 0):
         raise ValueError("reference link length must be positive")
-    xi_ref = (np.array([r.normal(0.0, 1.0) for r in rngs]) * sigma_of(d_r, cfg)
-              if typical else shadow.xi_db[refs, slot])
-    g_ref = xi_ref + path_gain_db(d_r, cfg)
+    g_ref = (np.array([r.normal(0.0, 1.0) for r in rngs]) * sigma_of(d_r, cfg)
+             + path_gain_db(d_r, cfg) if typical else shadow.gain_db[refs, slot])
     ref, row = build_interferer_sets(assoc, cfg, j, rngs, trial)
     info = {"d_r": d_r, "n_potential": np.bincount(ref, minlength=n)}
 
-    g_sec, xy_i, j_i, own = assoc.serving[row], xy[row], j[ref], assoc.slot[row]
+    g_sec, xy_i, j_i = assoc.serving[row], xy[row], j[ref]
     pos_g = t.sector_position(g_sec)
-    d_ij = distance(xy_i, pos_j[ref])
-    g_ij = shadow.toward_sector(row, j_i) + path_gain_db(d_ij, cfg)
-    g_ig = shadow.xi_db[row, own] + path_gain_db(shadow.dist[row, own], cfg)
     # mobile beams point at their serving BS; sector j's wedge is fixed
     mob_level = bm.mobile_gain_toward(xy_i, pos_j[ref], pos_g, cfg)
     in_wedge = t.covering_sector(j_i // t.sectors_per_bs, xy_i) == j_i
     sec_level = np.where(in_wedge, *bm.sector_levels(cfg))
     omega = power_control_ratio(
-        g_ij, g_ig, g_ref[ref], cfg.delta,
+        shadow.gain_toward(row, j_i), shadow.gain_db[row, assoc.slot[row]],
+        g_ref[ref], cfg.delta,
         spectral_factor(cfg.ref_block_channels, cfg.sector_block_channels),
         mob_level, sec_level, cfg)
     # cut to the strongest K first: later columns are built for kept rows only
     top = truncate_strongest(omega, cfg.k_strongest, ref)
-    ref, d_ij, g_sec = ref[top], d_ij[top], g_sec[top]
+    ref, g_sec = ref[top], g_sec[top]
+    d_ij = distance(xy_i[top], pos_j[ref])
 
     n_g = assoc.loads[trial[ref], g_sec]
     q1 = collision_probability(n_g, cfg.sector_block_channels,

@@ -13,7 +13,6 @@ import numpy as np
 from scipy import integrate, stats
 
 from fhuplink.linkbudget import check_threshold
-from fhuplink.propagation import alpha_of
 from fhuplink.topology import distance_matrix, mobile_count
 
 
@@ -205,11 +204,10 @@ def associate_sequential(shadow, capacity, rng):
 
     Takes each mobile's candidates, as many as the table has columns,
     from all its BS distances in (distance, index) order; reads their
-    shadowing through the table, toward each BS's covering sector; ranks
-    them by that plus path loss, ties to the earlier candidate; then
-    admits mobiles in one uniformly random order, each to its
-    best-ranked candidate with load below capacity.  Returns (serving,
-    loads, denied).
+    gains through the table, toward each BS's covering sector; ranks
+    them by gain, ties to the earlier candidate; then admits mobiles in
+    one uniformly random order, each to its best-ranked candidate with
+    load below capacity.  Returns (serving, loads, denied).
     """
     t, xy = shadow.t, shadow.mobile_xy
     m, k = shadow.near.shape
@@ -218,12 +216,8 @@ def associate_sequential(shadow, capacity, rng):
     near = np.lexsort((index, dist), axis=1)[:, :k]
     rows = np.arange(m)[:, None]
     cand_sec = t.covering_sector(near, xy[:, None, :])
-    xi = shadow.toward_sector(np.broadcast_to(rows, near.shape), cand_sec)
-    # the linear law (d/d0)^(-alpha(d)), clamped at d0, then its dB value
-    cfg = shadow.cfg
-    d = np.maximum(dist[rows, near], cfg.d0_km)
-    rank_db = xi + 10.0 * np.log10((d / cfg.d0_km) ** -alpha_of(d, cfg))
-    pref = np.argsort(-rank_db, axis=1, kind="stable")
+    gain = shadow.gain_toward(np.broadcast_to(rows, near.shape), cand_sec)
+    pref = np.argsort(-gain, axis=1, kind="stable")
     serving = np.full(m, -1, dtype=int)
     loads = np.zeros(t.n_sectors, dtype=int)
     for i in rng.permutation(m):

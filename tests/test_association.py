@@ -4,24 +4,25 @@ import pytest
 from fhuplink.association import (ShadowingTable, associate,
                                   draw_shadowing_table)
 from oracles import associate_sequential
-from fhuplink.config import ConfigError, RunConfig
-from fhuplink.propagation import sigma_of
+from fhuplink.config import ConfigError, RunConfig, build_topology
+from fhuplink.experiments import scale_to_cm
+from fhuplink.propagation import alpha_of, path_gain_db, sigma_of
 from fhuplink.seeding import derive_rng
-from fhuplink.topology import (Topology, distance_matrix, generate_topology,
-                               place_mobiles, square)
+from fhuplink.topology import (Topology, distance, distance_matrix,
+                               generate_topology, place_mobiles, square)
 
 NY = RunConfig()
 
 
 def _table(t, xy, rng=None, k=12, per="bs", xi=None):
-    """Shadowing of one trial's mobiles at xy: drawn from rng, or xi dB
-    (nearest first)."""
+    """Link gains of one trial's mobiles at xy: shadowing drawn from rng,
+    or xi dB (nearest first), plus the path gain."""
     xy, cfg = np.asarray(xy, dtype=float), NY.replace(shadowing_per=per)
     near, dist = t.nearest_bs(xy, k)
     if xi is None:
         return draw_shadowing_table(t, xy, near, dist, cfg, [rng])
     return ShadowingTable(t, xy, near, dist,
-                          np.broadcast_to(np.asarray(xi, dtype=float), near.shape),
+                          np.asarray(xi, dtype=float) + path_gain_db(dist, cfg),
                           cfg)
 
 
@@ -118,19 +119,20 @@ def test_sector_mode_shadowing():
     t = generate_topology("uniform-random", 4, 1.0, rng, sectors_per_bs=3)
     xy = place_mobiles(t, 100.0, 0.0, rng)
     shadow = _table(t, xy, rng, per="sector")
-    assert shadow.xi_db.shape == (len(xy), 4)
+    assert shadow.gain_db.shape == (len(xy), 4)
     assoc = associate(shadow, 10, [rng])
     assert np.all(assoc.loads <= 10)
     # a candidate link is the covering sector of the candidate BS
     bs = shadow.near[0, 1]
     covering = t.covering_sector(bs, xy[0])
-    assert shadow.toward_sector(0, covering) == shadow.xi_db[0, 1]
+    assert shadow.gain_toward(0, covering) == shadow.gain_db[0, 1]
     # another sector of the same BS gets its own draw, not the ranked value
     other = bs * 3 + (covering + 1) % 3
     d = distance_matrix(xy[:1], t.bs_xy[bs:bs + 1])[0, 0]
     want = derive_rng(shadow.seed[0], other).standard_normal(len(xy))[0]
-    assert shadow.toward_sector(0, other) == want * sigma_of(d, NY)
-    assert shadow.toward_sector(0, other) != shadow.xi_db[0, 1]
+    assert shadow.gain_toward(0, other) == (want * sigma_of(d, NY)
+                                            + path_gain_db(d, NY))
+    assert shadow.gain_toward(0, other) != shadow.gain_db[0, 1]
 
 
 def test_draw_shadowing_table_stddev_tracks_distance():
@@ -141,14 +143,40 @@ def test_draw_shadowing_table_stddev_tracks_distance():
     xy = np.tile([0.5, 0.51], (200000, 1))
     shadow = _table(t, xy, np.random.default_rng(123), k=1)
     assert np.array_equal(shadow.near, np.zeros((200000, 1), dtype=int))
-    assert np.std(shadow.xi_db) == pytest.approx(float(sigma_of(0.01, NY)), rel=0.01)
+    # the path gain is the same on every row: the rest is shadowing
+    xi_near = shadow.gain_db[:, 0] - path_gain_db(0.01, NY)
+    assert np.std(xi_near) == pytest.approx(float(sigma_of(0.01, NY)), rel=0.01)
     rows = np.arange(200000)
-    far = shadow.toward_sector(rows, np.ones_like(rows))
-    assert np.std(far) == pytest.approx(11.0503, abs=0.05)
-    assert abs(np.corrcoef(far, shadow.xi_db[:, 0])[0, 1]) < 0.01
+    xi_far = (shadow.gain_toward(rows, np.ones_like(rows))
+              - path_gain_db(np.hypot(0.05, 0.01), NY))
+    assert np.std(xi_far) == pytest.approx(11.0503, abs=0.05)
+    assert abs(np.corrcoef(xi_far, xi_near)[0, 1]) < 0.01
     # the config, not the table, checks the shadowing mode
     with pytest.raises(ConfigError, match="shadowing_per"):
         _table(t, xy[:2], np.random.default_rng(1), per="link")
+
+
+@pytest.mark.parametrize("per", ["bs", "sector"])
+@pytest.mark.parametrize("cm", [0.05, 1.0])
+def test_table_holds_each_candidate_links_gain(cm, per):
+    # link_profiles reads a candidate link's gain from the table instead of
+    # computing it again, so the table must hold distance()'s bits and the
+    # shadowing plus the path gain at that distance
+    cfg = RunConfig(seed=29, shadowing_per=per)
+    t = scale_to_cm(build_topology(cfg), cfg.density_per_km2, cm)
+    xy = place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km,
+                       np.random.default_rng(3))
+    near, dist = t.nearest_bs(xy, cfg.candidate_bs)
+    shadow = draw_shadowing_table(t, xy, near, dist, cfg,
+                                  [np.random.default_rng(4)])
+    d = distance(xy[:, None, :], t.bs_xy[near])
+    assert np.array_equal(shadow.dist, d)
+    # the linear law (d/d0)^(-alpha(d)), clamped at d0, then its dB value
+    z = np.random.default_rng(4).standard_normal(near.shape)
+    dd = np.maximum(d, cfg.d0_km)
+    want = (z * sigma_of(d, cfg)
+            + 10.0 * np.log10((dd / cfg.d0_km) ** -alpha_of(dd, cfg)))
+    assert np.max(np.abs(shadow.gain_db - want)) <= 1e-9
 
 
 def _scene(seed, n_bs=12, zeta=4, per="bs", k=12, density=150.0):
@@ -164,21 +192,21 @@ def test_one_link_one_shadowing_value(per):
     assoc = associate(shadow, 1000, [np.random.default_rng(0)])
     m = len(xy)
     rows = np.arange(m)
-    # the serving link (xi_ref, xi_ig) reads the value it was ranked by
+    # the serving link (g_ref, g_ig) reads the value it was ranked by
     slot = np.argmax(shadow.near == (assoc.serving // t.sectors_per_bs)[:, None],
                      axis=1)
-    assert np.array_equal(shadow.toward_sector(rows, assoc.serving),
-                          shadow.xi_db[rows, slot])
-    # so does every other candidate link toward its covering sector (xi_ij)
+    assert np.array_equal(shadow.gain_toward(rows, assoc.serving),
+                          shadow.gain_db[rows, slot])
+    # so does every other candidate link toward its covering sector (g_ij)
     cand_sec = t.covering_sector(shadow.near, xy[:, None, :])
     every = np.broadcast_to(rows[:, None], cand_sec.shape)
-    assert np.array_equal(shadow.toward_sector(every, cand_sec), shadow.xi_db)
+    assert np.array_equal(shadow.gain_toward(every, cand_sec), shadow.gain_db)
     # all (mobile, sector) links: any read order, one value per link
     i, s = np.divmod(np.arange(m * t.n_sectors), t.n_sectors)
-    at_once = shadow.toward_sector(i, s)
+    at_once = shadow.gain_toward(i, s)
     fresh = _scene(31, per=per, k=4)[2]
     rev = np.random.default_rng(1).permutation(len(i))
-    one_by_one = np.array([fresh.toward_sector(i[n], s[n]) for n in rev])
+    one_by_one = np.array([fresh.gain_toward(i[n], s[n]) for n in rev])
     assert np.array_equal(one_by_one, at_once[rev])
     per_link = at_once.reshape(m, t.n_bs, t.sectors_per_bs)
     if per == "bs":     # the sectors of one BS share the link's value
@@ -195,8 +223,8 @@ def test_slot_names_the_serving_link(per, capacity):
     assoc = associate(shadow, capacity, [np.random.default_rng(0)])
     assert assoc.sequential == (capacity == 2)
     served = np.flatnonzero(assoc.served_mask)
-    assert np.array_equal(shadow.xi_db[served, assoc.slot[served]],
-                          shadow.toward_sector(served, assoc.serving[served]))
+    assert np.array_equal(shadow.gain_db[served, assoc.slot[served]],
+                          shadow.gain_toward(served, assoc.serving[served]))
     assert np.all(assoc.slot[assoc.denied] == -1)
     assert (len(assoc.denied) > 0) == (capacity == 2)
 
@@ -269,7 +297,7 @@ def test_block_association_matches_the_oracle_per_trial():
         rng = np.random.default_rng(b)
         own = _table(t, own_xy, rng)
         rows = slice(b * m, (b + 1) * m)
-        assert np.array_equal(own.xi_db, block.xi_db[rows])
+        assert np.array_equal(own.gain_db, block.gain_db[rows])
         assert own.seed[0] == block.seed[b]
         alone = associate(own, capacity, [np.random.default_rng(b)])
         assert alone.sequential == (b == 0)

@@ -345,7 +345,13 @@ def test_cli_error_reporting(tmp_path, capsys):
     # finite linear values whose products in the closed forms overflow
     ("beta_db=3082 validate --profiles 1 --samples 10",
      "beta_db must be at most 300 dB"),
-    ("beta_db=3080 campaign", "beta_db must be at most 300 dB")])
+    ("beta_db=3080 campaign", "beta_db must be at most 300 dB"),
+    ("beta_db=-301 campaign", "beta_db must be at most 300 dB in magnitude"),
+    # model values whose gains or fading shapes overflow a run's floats
+    ("d0_km=1e-300 campaign", "d0_km must be at least 1e-6"),
+    ("m_max=1e200 campaign", "m_max must be at most 100"),
+    ("sigma_min_db=1e200 sigma_max_db=1e200 campaign",
+     "sigma_max_db must be at most 100 dB")])
 def test_cli_bad_input_exits_2_with_one_line(args, named, tmp_path, capsys,
                                              monkeypatch):
     # an empty list would leave a CSV without rows, so without a column line
@@ -379,6 +385,36 @@ def test_campaign_with_a_steep_path_loss(alpha_max, tmp_path, capsys):
     eps = [float(v) for c, v in zip(columns.split(","), row.split(","))
            if c.startswith("epsilon")]
     assert len(eps) == 2 and all(0 <= e <= 1 for e in eps), eps
+
+
+def test_campaign_with_a_steep_path_loss_over_many_trials(tmp_path, capsys):
+    # some reference SNRs fall below -3,000 dB, where gamma0 underflows and
+    # 1/gamma0 overflowed: gamma0's floor leaves them in outage, quietly
+    out = tmp_path / "out.csv"
+    cfg = _write_cfg(tmp_path, "bs_count = 20\nextent_km = 1.0\ntrials = 200\n"
+                               "alpha_max = 200\n")
+    assert cli.main(["campaign", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    columns, row = out.read_text().splitlines()[-2:]
+    eps = [float(v) for c, v in zip(columns.split(","), row.split(","))
+           if c.startswith("epsilon")]
+    assert len(eps) == 2 and all(0 <= e <= 1 for e in eps), eps
+
+
+@pytest.mark.parametrize("command, option", [
+    (["links", "--links", "2"], "--beta-db"),
+    (["sweep", "--axis", "beta_db", "--ratios", "1", "--trials", "2"],
+     "--values")])
+def test_list_option_takes_a_negative_first_value(command, option, tmp_path):
+    # argparse reads a word like -3,0 as an option unless it is bound by "="
+    cfg = _write_cfg(tmp_path)
+    texts = []
+    for value in ([option, "-3,0"], [f"{option}=-3,0"]):
+        out = tmp_path / "out.csv"
+        assert cli.main(command + value + ["--config", cfg,
+                                           "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1] and " = -3,0\n" in texts[0]
 
 
 @pytest.mark.parametrize("line", ["extent_km = 1e200", "density_per_km2 = 1e300"])

@@ -217,11 +217,10 @@ def test_one_reference_link_invariants():
     j = assoc.serving[ref]
     assert info["d_r"][0] == pytest.approx(
         np.linalg.norm(xy[ref] - t.sector_position(j)))
-    # the reference link's shadowing is the value association ranked it by;
+    # the reference link's gain is the value association ranked it by;
     # 1-element arrays round as the block's arrays do
     slot = list(shadow.near[ref]).index(j // t.sectors_per_bs)
-    gain = shadow.xi_db[ref, slot:slot + 1] + path_gain_db(info["d_r"], NY)
-    assert prof.gamma0[0] == gamma0(70.0, gain)[0]
+    assert prof.gamma0[0] == gamma0(70.0, shadow.gain_db[ref, slot:slot + 1])[0]
     assert prof.beta[0] == cfg.beta_linear
 
 
@@ -254,8 +253,7 @@ def test_one_reference_link_without_interferers():
     prof, info = link_profiles(cfg, shadow, assoc, [1],
                                [np.random.default_rng(2)])
     d_r = info["d_r"]
-    gain = shadow.xi_db[1:2, 0] + path_gain_db(d_r, NY)
-    want = empty_profile(gamma0(cfg.p_over_n_db, gain)[0],
+    want = empty_profile(gamma0(cfg.p_over_n_db, shadow.gain_db[1:2, 0])[0],
                          round_integer_m(d_r[0], NY), cfg.beta_linear)
     assert info["n_potential"][0] == prof.n_interferers[0] == 0
     assert (prof.gamma0[0], prof.m0[0], prof.beta[0]) == (want.gamma0, want.m0,

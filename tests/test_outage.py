@@ -5,7 +5,8 @@ from scipy import special
 
 from fhuplink.config import RunConfig, build_topology
 from fhuplink.experiments import _run_block, scale_to_cm
-from fhuplink.linkbudget import InterferenceProfile, empty_profile, fractional_durations
+from fhuplink.linkbudget import (InterferenceProfile, empty_profile,
+                                 fractional_durations, gamma0)
 from fhuplink.outage import (h_t_all, outage_batch, outage_closed_form,
                              outage_monte_carlo, random_profile,
                              run_validation)
@@ -122,6 +123,11 @@ def test_limits():
     assert outage_closed_form(empty_profile(1e-12, 2, 2.0)) == 1.0
     # e^-(beta0 z) underflows to 0 and no (beta0 z)^k ever forms
     assert outage_closed_form(empty_profile(1e-300, 2, 2.0)) == 1.0
+    # gamma0's -2700 dB floor: at the lowest threshold the config accepts,
+    # -300 dB, and the widest reference shape, noise alone is outage 1
+    floor = gamma0(0.0, -3000.0)
+    assert floor == gamma0(0.0, -2700.0)
+    assert outage_closed_form(empty_profile(floor, 100, 1e-30)) == 1.0
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
