@@ -6,8 +6,8 @@ is admitted to the best-ranked sector with spare capacity.  Overflowing
 mobiles fall through to their next candidate; a mobile with no candidate
 left is denied service.  Shadowing is drawn for these candidate links;
 any other link is drawn when it is read.  Both steps run on a block of
-trials, mobiles one trial after another, with one generator per trial,
-and read the propagation values from a RunConfig.
+realizations, mobiles one after another, with one generator for each
+(the "trial" below), and read the propagation values from a RunConfig.
 """
 
 from __future__ import annotations

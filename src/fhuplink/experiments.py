@@ -1,14 +1,14 @@
 """Monte Carlo campaigns over network realizations and parameter sweeps.
 
-A trial freezes one network realization (mobile drop, shadowing,
-association) and builds the reference link's interference profile, and
-the campaign averages the trials' conditional outages into outage,
-throughput, and area spectral efficiency.  A realization is a block of
-trials, one generator per trial, each derived from (master seed, trial
-index).  A block runs the arithmetic between draws once as stacked
-arrays; a trial's record does not depend on which trials share its
-block, and results are reduced in index order, so campaigns are
-bit-for-bit the same for any worker count.
+A trial is one reference link of a network realization (mobile drop,
+shadowing, association) and its conditional outage; a campaign averages
+trials into outage, throughput, and area spectral efficiency.  The GROUP
+trials of a group share a realization drawn from (seed, DOMAIN_TRIAL,
+group); a trial draws its reference pick, typical-length shadowing and
+interferer subset from (seed, DOMAIN_REFERENCE, trial).  A record thus
+depends only on (seed, trial), and results are reduced in index order,
+so campaigns are bit-for-bit the same for any worker count.  Half-widths
+use a cluster-robust standard error from the group sums.
 """
 
 from __future__ import annotations
@@ -24,13 +24,16 @@ from .association import associate, draw_shadowing_table
 from .config import RunConfig, build_topology, set_key
 from .linkbudget import link_profiles
 from .outage import outage_batch
-from .seeding import DOMAIN_LINKS, DOMAIN_TRIAL, derive_rng
+from .seeding import (DOMAIN_LINKS, DOMAIN_REFERENCE, DOMAIN_TRIAL,
+                      derive_rng)
 from .topology import (Topology, mobile_count, pick_reference_mobile,
                        place_mobiles, scale_topology)
 
 
 # trials whose profiles are held at once and evaluated in one call
 TRIAL_BLOCK = 64
+# trials that share one network realization, each with its own reference
+GROUP = 8
 # mobiles whose realization arrays a sub-block stacks at once
 ROW_BUDGET = 2 ** 11
 
@@ -49,7 +52,8 @@ class OutageStats:
     """Spatially averaged campaign outputs.
 
     ase is exactly density * code_rate * (1 - epsilon_bar); half-widths
-    are 95% normal-approximation intervals on the trial means.
+    are 95% normal intervals with the cluster-robust standard error of the
+    group sums, as a group's trials share one DOMAIN_TRIAL realization.
     """
 
     epsilon_bar: float
@@ -76,10 +80,9 @@ TRIAL_DTYPE = np.dtype([
 
 
 def realize_network(t: Topology, cfg: RunConfig, rngs):
-    """Draw the network realizations of a block of trials, one generator
-    per trial in rngs: placement, shadowing, association.  Returns (shadow,
-    assoc); shadow.mobile_xy holds the trials' mobiles one trial after
-    another."""
+    """Draw network realizations, one per generator in rngs: placement,
+    shadowing, association.  Returns (shadow, assoc); shadow.mobile_xy
+    holds the realizations' mobiles one after another."""
     xy = np.concatenate([place_mobiles(t, cfg.density_per_km2, cfg.r_ex_km, r)
                          for r in rngs])
     near, dist = t.nearest_bs(xy, cfg.candidate_bs)
@@ -88,60 +91,60 @@ def realize_network(t: Topology, cfg: RunConfig, rngs):
     return shadow, assoc
 
 
-def _run_block(t: Topology, cfg: RunConfig, rngs, d_r_override):
-    """Run the trials drawn from rngs, one generator per trial.
-
-    Yields, per realization attempt, (trials, TRIAL_DTYPE records with
-    NaN outages, ProfileBlock) of the trials that found a served mobile
+def _run_block(t: Topology, cfg: RunConfig, lo, hi, d_r_override):
+    """Run trials lo .. hi - 1 of cfg.seed on their groups' realizations:
+    yields, per realization attempt, (trials, TRIAL_DTYPE records without
+    their outages, ProfileBlock) of the groups that found a served mobile
     in the reference zone; the others realize again, together, up to 100
-    attempts in all.
-    """
-    todo = np.arange(len(rngs))
+    attempts in all."""
+    trials = np.arange(lo, hi)
+    gens = {g: derive_rng(cfg.seed, DOMAIN_TRIAL, g) for g in set(trials // GROUP)}
+    refs = {i: derive_rng(cfg.seed, DOMAIN_REFERENCE, i) for i in trials}
     for _ in range(100):
-        gens = [rngs[b] for b in todo]
-        shadow, assoc = realize_network(t, cfg, gens)
-        ref = pick_reference_mobile(shadow.mobile_xy, t, gens, assoc.served_mask)
-        ok = np.flatnonzero(ref >= 0)
-        if ok.size:
-            refs = ok * (len(shadow.mobile_xy) // len(gens)) + ref[ok]
-            block, info = link_profiles(cfg, shadow, assoc, refs,
-                                        [gens[b] for b in ok], d_r_override)
-            denied = assoc.serving.reshape(len(gens), -1)[ok] < 0
-            records = np.empty(len(ok), dtype=TRIAL_DTYPE)
-            records["epsilon"] = records["epsilon_no_hop"] = np.nan
-            records["d_r"] = info["d_r"]
-            records["serving_sector"] = assoc.serving[refs]
+        todo, owner = np.unique(trials // GROUP, return_inverse=True)
+        shadow, assoc = realize_network(t, cfg, [gens[g] for g in todo])
+        picks = [[refs[i] for i in trials[owner == k]] for k in range(len(todo))]
+        ref = pick_reference_mobile(shadow.mobile_xy, t, picks, assoc.served_mask)
+        ok = ref >= 0
+        if ok.any():
+            rows = (owner * (len(shadow.mobile_xy) // len(todo)) + ref)[ok]
+            block, info = link_profiles(cfg, shadow, assoc, rows,
+                                        [refs[i] for i in trials[ok]],
+                                        d_r_override)
+            denied = np.sum(assoc.serving.reshape(len(todo), -1) < 0, axis=1)
+            records = np.empty(len(rows), dtype=TRIAL_DTYPE)
+            records["d_r"], records["n_denied"] = info["d_r"], denied[owner[ok]]
+            records["serving_sector"] = assoc.serving[rows]
             records["n_interferers"] = block.n_interferers
-            records["n_denied"] = np.sum(denied, axis=1)
-            yield todo[ok], records, block
-        todo = todo[ref < 0]
-        if not todo.size:
+            yield trials[ok], records, block
+        trials = trials[~ok]
+        if not trials.size:
             return
     raise RuntimeError("no served mobile fell inside the reference zone; "
                        "check density and reference-zone size")
 
 
-def run_trials(t: Topology, cfg: RunConfig, lo, hi, d_r_override=None):
-    """TRIAL_DTYPE records of trials lo .. hi - 1 of cfg.seed.
+def _spans(lo, hi, step):
+    """The spans (a, b) of lo .. hi cut at the multiples of step."""
+    cuts = sorted({lo, hi, *range(lo - lo % step + step, hi, step)})
+    return list(zip(cuts, cuts[1:]))
 
-    A block of TRIAL_BLOCK trials is realized and linked in sub-blocks
-    of at most ROW_BUDGET mobiles (or one trial), and its outages are one
-    outage_batch call.
-    """
+
+def run_trials(t: Topology, cfg: RunConfig, lo, hi, d_r_override=None):
+    """TRIAL_DTYPE records of trials lo .. hi - 1 of cfg.seed, which do not
+    depend on lo and hi.  Blocks start at multiples of TRIAL_BLOCK trials
+    and are realized and linked in sub-blocks of whole groups, at most
+    ROW_BUDGET mobiles (or one realization) in all; a block's outages are
+    one outage_batch call."""
     records = np.empty(hi - lo, dtype=TRIAL_DTYPE)
-    cap = max(1, ROW_BUDGET // mobile_count(t, cfg.density_per_km2))
-    for start in range(lo, hi, TRIAL_BLOCK):
-        block = records[start - lo:min(start + TRIAL_BLOCK, hi) - lo]
-        profiles, order = [], []
-        for sub in range(0, len(block), cap):
-            rngs = [derive_rng(cfg.seed, DOMAIN_TRIAL, start + i)
-                    for i in range(sub, min(sub + cap, len(block)))]
-            for trials, rows, profile in _run_block(t, cfg, rngs, d_r_override):
-                block[sub + trials] = rows
-                order.append(sub + trials)
-                profiles.append(profile)
-        order, eps = np.concatenate(order), outage_batch(profiles)
-        block["epsilon"][order], block["epsilon_no_hop"][order] = eps
+    cap = GROUP * max(1, ROW_BUDGET // mobile_count(t, cfg.density_per_km2))
+    for start, stop in _spans(lo, hi, TRIAL_BLOCK):
+        trials, rows, profiles = zip(*(
+            part for a, b in _spans(start, stop, cap)
+            for part in _run_block(t, cfg, a, b, d_r_override)))
+        rows = np.concatenate(rows)
+        rows["epsilon"], rows["epsilon_no_hop"] = outage_batch(profiles)
+        records[np.concatenate(trials) - lo] = rows
     return records
 
 
@@ -169,7 +172,11 @@ def run_points(points, threads):
         return [run_trials(t, cfg, 0, cfg.trials, d_r)
                 for t, cfg, d_r in points]
 
-    chunk = max(1, -(-max(cfg.trials for _, cfg, _ in points) // (threads * 8)))
+    # whole groups a chunk, so no group is realized in two workers
+    chunk = GROUP * -(-max(cfg.trials for _, cfg, _ in points)
+                      // (threads * 8 * GROUP))
+    for t, cfg, _ in points:    # the workers get each layout's grid built
+        t.nearest_bs(t.extent.center, cfg.candidate_bs)
     tasks = [(point, lo, min(lo + chunk, cfg.trials))
              for point, (_, cfg, _) in enumerate(points)
              for lo in range(0, cfg.trials, chunk)]
@@ -190,29 +197,39 @@ def _with_run(cfg: RunConfig, n_trials, seed, threads) -> RunConfig:
 
 def run_campaign(t: Topology, cfg: RunConfig, n_trials=None, seed=None,
                  threads=None, d_r_override=None):
-    """Average cfg.trials independent realizations; returns (stats, records).
+    """Average cfg.trials reference links; returns (stats, records).
 
-    The per-trial records come back in trial order and the reduction is a
-    fixed-order pairwise sum, so the result does not depend on the number
-    of workers.
+    Group g of GROUP trials realizes the network (placement, shadowing
+    table and its seed, admission order) from DOMAIN_TRIAL, g, and trial i
+    draws its reference pick, typical-length shadowing and interferer
+    subset from DOMAIN_REFERENCE, i; half-widths are cluster-robust, from
+    the group sums.  Records come back in trial order and are reduced by
+    a fixed-order pairwise sum, whatever the number of workers.
     """
     cfg = _with_run(cfg, n_trials, seed, threads)
     (records,) = run_points([(t, cfg, d_r_override)], cfg.threads)
     return _stats_from_records(records, cfg), records
 
 
+def _halfwidth95(eps) -> float:
+    """95% normal half-width of the mean of trials 0 .. n - 1, cluster-robust
+    over groups of n_g trials summing to S_g: s^2 = G / (G - 1) * sum_g (S_g
+    - n_g * mean)^2 / n^2.  One group keeps the trial-level s, 0 for n = 1."""
+    n = len(eps)
+    starts = np.arange(0, n, GROUP if n > GROUP else 1)
+    g, mean = len(starts), np.sum(eps) / n
+    dev = np.add.reduceat(eps, starts) - np.diff(starts, append=n) * mean
+    return 1.96 * math.sqrt(g / max(g - 1, 1) * float(np.sum(dev ** 2))) / n
+
+
 def _stats_from_records(records, cfg: RunConfig) -> OutageStats:
-    n = len(records)
-    eps = records["epsilon"]
-    eps_nh = records["epsilon_no_hop"]
+    n, eps, eps_nh = len(records), records["epsilon"], records["epsilon_no_hop"]
     eps_bar = float(np.sum(eps) / n)
-    eps_nh_bar = float(np.sum(eps_nh) / n)
-    hw = 1.96 * float(np.std(eps, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    hw_nh = 1.96 * float(np.std(eps_nh, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     r = code_rate(cfg.beta_linear, cfg.shannon_loss)
     return OutageStats(
-        epsilon_bar=eps_bar, halfwidth95=hw,
-        epsilon_bar_no_hop=eps_nh_bar, halfwidth95_no_hop=hw_nh,
+        epsilon_bar=eps_bar, halfwidth95=_halfwidth95(eps),
+        epsilon_bar_no_hop=float(np.sum(eps_nh) / n),
+        halfwidth95_no_hop=_halfwidth95(eps_nh),
         code_rate=r, throughput=r * (1.0 - eps_bar),
         ase=cfg.density_per_km2 * r * (1.0 - eps_bar),
         n_trials=n, density=cfg.density_per_km2,

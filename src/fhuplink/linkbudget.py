@@ -75,8 +75,8 @@ def build_interferer_sets(assoc: Association, cfg: RunConfig, ref_sector,
     sector_block_channels), so a loaded sector beyond that contributes a
     uniformly random subset of that size; the subset is drawn once and
     reused for all four overlap periods, because block occupancy is fixed
-    within a subframe.  ref_sector, rngs and trial (its trial in the
-    association) hold one entry per reference; returns (reference, row)
+    within a subframe.  ref_sector, rngs and trial (its realization in
+    the association) hold one entry per reference; returns (reference, row)
     pairs ordered by reference, then row.
     """
     sectors, trial = np.asarray(ref_sector), np.asarray(trial)
@@ -229,8 +229,8 @@ def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,
                   refs, rngs, d_r: float | None = None):
     """Assemble the ProfileBlock of the reference uplinks from rows refs.
 
-    shadow and assoc are one realization of one or more trials, rows one
-    trial after another; its topology and mobiles are shadow's.  rngs holds
+    shadow and assoc hold one or more realizations, rows one realization
+    after another; the topology and mobiles are shadow's.  rngs holds
     one generator per reference, each drawn in turn.  cfg is the RunConfig
     whose propagation, beam, hopping and link-budget values apply.  By
     default a link's length and gain are the table's serving-link values;

@@ -106,11 +106,19 @@ def _count_laws(q, w, m, z, beta0, n):
     0) and every sum runs in a fixed order along its axis, so a row's
     bits do not depend on which rows share the call.
     """
-    a = beta0 * w / m
+    with np.errstate(over="ignore"):
+        a = beta0 * w / m
+    # where a overflows, 1/a < 1e-308 leaves rho = 1 and log1p(a) = log(a)
+    huge = np.isinf(a)
+    b, w_h, m_h = (np.broadcast_to(v, a.shape)[huge] for v in (beta0, w, m))
+    a[huge] = 0.0
     lam = beta0 * z
     rho = a / (1.0 + a)
+    log1p_a = np.log1p(a)
+    rho[huge] = 1.0
+    log1p_a[huge] = np.log(b) + np.log(w_h) - np.log(m_h)
     alpha = np.vstack([m * rho, lam])
-    log_p0 = np.vstack([-m * np.log1p(a), -lam])
+    log_p0 = np.vstack([-m * log1p_a, -lam])
     q = np.vstack([q, np.ones_like(lam)])
     rho = np.vstack([rho, np.zeros_like(lam)])
 

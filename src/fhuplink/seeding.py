@@ -1,9 +1,9 @@
 """Counter-style RNG derivation for order-free, reproducible simulation.
 
 Every random stream in a run is derived from the master seed plus a short
-integer key path (a domain constant and, for trials, the trial index), so
-streams are independent and identical no matter which worker draws them
-or in which order.
+integer key path (a domain constant and a group, trial or profile
+index), so streams are independent and identical no matter which worker
+draws them or in which order.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ DOMAIN_TRIAL = 0
 DOMAIN_TOPOLOGY = 1
 DOMAIN_VALIDATE = 2
 DOMAIN_LINKS = 3
+DOMAIN_REFERENCE = 4
 
 
 def derive_rng(master_seed, *key) -> np.random.Generator:

@@ -5,8 +5,8 @@ are split into equal angular sectors.  Mobiles are re-placed every trial
 with a uniform clustering rule: sequential uniform draws, rejecting any
 candidate that lands within the exclusion radius of an already accepted
 mobile.  Coordinates are in km, and a trial's mobiles are a bare (M, 2)
-array.  The reference pick runs on a block of trials, one generator per
-trial.
+array.  The reference pick runs on a block of realizations, one
+generator per pick.
 """
 
 from __future__ import annotations
@@ -191,14 +191,16 @@ class Topology:
         span = np.array([self.extent.width, self.extent.height])
         reach = float(distance(span / n, 0.0)) * (1.0 + 1e-9)   # 2h, rounded up
         centre_y = lo[1] + (np.arange(n) + 0.5) * span[1] / n
-        keep = []
+        cols, c = [], self.n_bs
         for x in lo[0] + (np.arange(n) + 0.5) * span[0] / n:
             d = distance_matrix(np.column_stack([np.full(n, x), centre_y]), self.bs_xy)
             d_k = np.partition(d, k - 1, axis=1)[:, k - 1:k]
-            keep.append(d <= d_k * (1.0 + 1e-9) + reach)
-        cells, bs = np.nonzero(np.concatenate(keep))     # by cell, then index
-        cand = np.full((n * n, np.bincount(cells).max()), self.n_bs)
-        cand[cells, np.arange(len(cells)) - np.searchsorted(cells, cells)] = bs
+            keep = d <= d_k * (1.0 + 1e-9) + reach
+            row = np.sort(np.where(keep, np.arange(c), c))    # kept BSs, then C
+            cols.append(row[:, :keep.sum(1).max()].copy())   # frees the rest
+        cand = np.full((n * n, max(col.shape[1] for col in cols)), c)
+        for i, col in enumerate(cols):
+            cand[i * n:(i + 1) * n, :col.shape[1]] = col
         return n, cand
 
 
@@ -392,15 +394,17 @@ def distance_matrix(a, b):
 
 
 def pick_reference_mobile(mobile_xy, t: Topology, rngs, eligible=None):
-    """Uniformly pick a mobile inside the reference zone of each trial.
+    """Uniformly pick mobiles in each realization's reference zone.
 
-    mobile_xy holds the trials' mobiles one trial after another and rngs
-    one generator per trial; eligible optionally restricts the draw (e.g.
-    to served mobiles).  Returns each trial's pick, as an index within its
-    trial, or -1 for an empty zone.
+    mobile_xy holds the realizations' mobiles one after another and rngs,
+    per realization, one generator per pick, with replacement; eligible
+    optionally restricts the draw (e.g. to served mobiles).  Returns the
+    picks in order, each as an index within its realization, or -1 for an
+    empty zone, which draws nothing.
     """
     mask = t.reference_zone.contains(mobile_xy).reshape(len(rngs), -1)
     if eligible is not None:
         mask = mask & np.asarray(eligible, dtype=bool).reshape(mask.shape)
     return np.array([int(idx[r.integers(len(idx))]) if len(idx) else -1
-                     for r, idx in zip(rngs, map(np.flatnonzero, mask))])
+                     for gens, idx in zip(rngs, map(np.flatnonzero, mask))
+                     for r in gens])

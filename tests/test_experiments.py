@@ -1,5 +1,6 @@
 import concurrent.futures
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from fhuplink import cli, experiments
 from fhuplink.config import (ConfigError, RunConfig, build_topology,
                              parse_config_text, serialize, set_key)
-from fhuplink.experiments import (TRIAL_BLOCK, TRIAL_DTYPE, _run_block,
-                                  cm_ratio_of, code_rate, densification_sweep,
-                                  per_link_rate_curves, run_campaign,
-                                  run_trials, scale_to_cm, sweep)
+from fhuplink.experiments import (GROUP, TRIAL_BLOCK, TRIAL_DTYPE,
+                                  _run_block, cm_ratio_of, code_rate,
+                                  densification_sweep, per_link_rate_curves,
+                                  run_campaign, run_trials, scale_to_cm, sweep)
 from fhuplink.linkbudget import ProfileBlock
 from fhuplink.seeding import DOMAIN_TRIAL, derive_rng
 from fhuplink.topology import distance
@@ -55,8 +56,7 @@ def test_run_trial_checks_each_object_once(monkeypatch, d_r_override):
     checked = ProfileBlock.checked
     monkeypatch.setattr(ProfileBlock, "checked",
                         lambda self: sizes.append(len(self.m0)) or checked(self))
-    ((_, _, block),) = _run_block(t, SMALL, [derive_rng(3, DOMAIN_TRIAL, 0)],
-                                  d_r_override)
+    ((_, _, block),) = _run_block(t, SMALL, 0, 1, d_r_override)
     assert block.n_interferers[0] > 0
     assert built == [] and sizes == [1]
 
@@ -79,8 +79,7 @@ def test_single_mobile_reduces_to_noise_only():
     cfg = RunConfig(bs_count=4, extent_km=0.1, density_per_km2=100.0,
                     r_ex_km=0.0, ref_zone_km=0.0, trials=1, seed=9)
     t = _topo(cfg, 9)
-    ((_, _, block),) = _run_block(t, cfg, [derive_rng(9, DOMAIN_TRIAL, 0)],
-                                  None)
+    ((_, _, block),) = _run_block(t, cfg, 0, 1, None)
     _, (result,) = run_campaign(t, cfg)
     assert block.n_interferers[0] == 0
     assert result["n_interferers"] == 0
@@ -118,11 +117,12 @@ def test_campaign_thread_invariance(tmp_path):
     assert s1 == s2
 
     # one pool runs every ratio of a sweep; capacity 2 a sector makes
-    # sequential admission run inside the workers' blocks
+    # sequential admission run inside the workers' blocks; 13 trials end
+    # inside a group
     full = SMALL.replace(zeta=1, ref_block_channels=50, sector_block_channels=50)
     for cfg in (SMALL, full):
         t = _topo(cfg)
-        rows = [densification_sweep(t, cfg.replace(trials=8, threads=threads),
+        rows = [densification_sweep(t, cfg.replace(trials=13, threads=threads),
                                     ratios=(1.0, 0.25, 0.1))
                 for threads in (1, 2, 3)]
         assert rows[0] == rows[1] == rows[2]
@@ -166,6 +166,23 @@ def test_densification_sweep_opens_one_pool(monkeypatch):
     assert calls == []
 
 
+def test_workers_get_each_layouts_grid(monkeypatch):
+    # the points a pool pickles for its workers carry the nearest-BS grid,
+    # one for every rescaled copy of a layout, so no worker builds it
+    shipped = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def recorded(*args, **kwargs):
+        shipped.append(pickle.loads(pickle.dumps(kwargs["initargs"][0])))
+        return executor(*args, **kwargs)
+    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor",
+                        recorded)
+    densification_sweep(_topo(SMALL), SMALL.replace(trials=2, threads=2),
+                        ratios=(1.0, 0.25))
+    ((a, cfg, _), (b, _, _)) = shipped[0]
+    assert a._grids is b._grids and cfg.candidate_bs in a._grids
+
+
 def test_densify_worker_error_exits_2_and_leaves_no_worker(tmp_path, capsys):
     # no mobile falls in a 1 mm reference zone, so a worker raises
     path = tmp_path / "empty_zone.cfg"
@@ -193,13 +210,18 @@ def test_block_size_does_not_change_a_record(monkeypatch):
     assert 10 < TRIAL_BLOCK < 70
     assert short.tobytes() == long[:10].tobytes()
     assert short.tobytes() == _one_trial_records(t, SMALL, 10).tobytes()
+    # a range cut inside groups at both ends gives the same records
+    assert (run_trials(t, SMALL, 3, 13).tobytes()
+            == run_trials(t, SMALL, 0, 16)[3:13].tobytes())
 
-    # 600 mobiles a trial: the row budget splits 7 trials into sub-blocks
+    # 600 mobiles a realization: the row budget splits 5 groups into
+    # sub-blocks of 3 realizations
     big = SMALL.replace(extent_km=2.0, density_per_km2=150.0, bs_count=40)
     t = _topo(big)
-    assert 1 < experiments.ROW_BUDGET // 600 < 7
-    _, got = run_campaign(t, big, n_trials=7, threads=1, d_r_override=0.05)
-    assert got.tobytes() == _one_trial_records(t, big, 7, 0.05).tobytes()
+    assert 1 < experiments.ROW_BUDGET // 600 < 5
+    _, got = run_campaign(t, big, n_trials=5 * GROUP, threads=1,
+                          d_r_override=0.05)
+    assert got.tobytes() == _one_trial_records(t, big, 5 * GROUP, 0.05).tobytes()
 
     # capacity 2 a sector: sequential admission runs inside the block
     full = SMALL.replace(zeta=1, ref_block_channels=50, sector_block_channels=50)
@@ -208,7 +230,7 @@ def test_block_size_does_not_change_a_record(monkeypatch):
     assert np.all(got["n_denied"] > 0)
     assert got.tobytes() == _one_trial_records(t, full, 6).tobytes()
 
-    # a small reference zone is often empty: some trials of the block
+    # a small reference zone is often empty: some groups of the block
     # realize again, together, and the others do not
     sizes = []
     realize = experiments.realize_network
@@ -216,13 +238,26 @@ def test_block_size_does_not_change_a_record(monkeypatch):
     def counted(t, cfg, rng):
         sizes.append(len(rng))
         return realize(t, cfg, rng)
-    sparse = SMALL.replace(ref_zone_km=0.12)
+    sparse = SMALL.replace(ref_zone_km=0.1)
     t = _topo(sparse)
     monkeypatch.setattr(experiments, "realize_network", counted)
-    _, got = run_campaign(t, sparse, n_trials=12, threads=1)
-    assert sizes[0] == 12 and 0 < sizes[1] < 12
+    _, got = run_campaign(t, sparse, n_trials=TRIAL_BLOCK, threads=1)
+    groups = TRIAL_BLOCK // GROUP
+    assert sizes[0] == groups and 1 < sizes[1] < groups
     monkeypatch.undo()
-    assert got.tobytes() == _one_trial_records(t, sparse, 12).tobytes()
+    assert got.tobytes() == _one_trial_records(t, sparse, TRIAL_BLOCK).tobytes()
+
+
+def test_halfwidth_is_cluster_robust():
+    # a group's trials share a realization, so on equal groups the
+    # halfwidth comes from the spread of the group means
+    stats, rec = run_campaign(_topo(SMALL), SMALL, n_trials=3 * GROUP,
+                              threads=1)
+    for key, hw in (("epsilon", stats.halfwidth95),
+                    ("epsilon_no_hop", stats.halfwidth95_no_hop)):
+        means = rec[key].reshape(3, GROUP).mean(axis=1)
+        assert hw / 1.96 == pytest.approx(np.std(means, ddof=1) / np.sqrt(3),
+                                          rel=1e-12)
 
 
 @pytest.mark.parametrize("keys", [

@@ -34,20 +34,20 @@ SATURATED = "zeta = 1\nref_block_channels = 50\nsector_block_channels = 50\n"
 
 CASES = {
     "campaign": (["campaign"],
-                 "eda91b9ba16ae09f9ea62e53d77ece2f1520d803eeda8547c9039d58e967b86e"),
+                 "4424439de71d0a38199d9d47d517aefd3d290e2d29c1a07e3633f27404bdf186"),
     "campaign_cm": (["campaign", "--cm", "0.3"],
-                    "4ec4b2c4c7fd2550a6bd7a11dccc00046f15b2e05bbc9d9d7c7f8445683af06d"),
+                    "66969b8a684ec5b15380086c13b839820b974acd0573816c138fa900bbbddba9"),
     "densify": (["densify", "--ratios", "0.35,1"],
-                "8b5be3718f9f4689673785bd4ba268bdff35d7644ef5ec220c1a178e42cf5105"),
+                "49ba5b9b281b0d8d80af209fb28e3cdced6cec528840c338a3c5c9a1cc99d602"),
     "sweep_delta": (["sweep", "--axis", "delta", "--values", "0,0.5",
                      "--ratios", "1", "--trials", "3"],
-                    "3547bc4ed8ad967a3f6c42ceac6da5a0a6e604f1cffab025b3f1d403add54d01"),
+                    "4231b2d6bc4db0968a54c4805ba1e2c8389dad9c7dd493ad0fa9c20a7c554497"),
     "sweep_zeta": (["sweep", "--axis", "zeta", "--values", "8,24",
                     "--ratios", "1", "--trials", "3"],
-                   "acd1a250783151697a9f9df7181a494674fb70ec9c8f462fc6741dd325210853"),
+                   "2301521d49d2c7642a7d489647c8e12c04c42466e74ec0453ffdb9d191113b99"),
     "sweep_preset": (["sweep", "--axis", "preset", "--values",
                       "newyork,austin", "--ratios", "1", "--trials", "3"],
-                     "0dd46c59cc3b700138c3314c1cc19ef2b718f5e9f160a58f5f0f0762ab11e513"),
+                     "4bd4a036398ac42c2313708831ddaf3f15dddc9107df0f6b38ad583065c24344"),
     "links_cm": (["links", "--cm", "0.3", "--links", "3",
                   "--beta-db", "0,3"],
                  "ec9374829c1775e459ade0bd0b05383b8ea970b5fee03149c0aa2cbd0f3a0b3b"),
@@ -55,52 +55,52 @@ CASES = {
                  "84c96998ac7e13dd56f65c73566a2b3cbc443a138d1fcbdafb635c7a6c00e1d7"),
     "campaign_saturated": (
         ["campaign"],
-        "191594e1f03a9c81e33405c44a83d71649ccf1d07b1f80886b184f2889f25fcd",
+        "a25f74a9f6b2a64411dbcc6901e7617f9ff889e3e888137ca74c842b614c203a",
         SATURATED),
     "campaign_sector_shadowing": (
         ["campaign"],
-        "fe74b0cc362ccab9ea97751bbfdb33b0ca1d1f450a17dd70a412fc4ac11cd24c",
+        "249e1b856f15e285e76843afcc3e76f361306874003a4c729c308f2676369138",
         "shadowing_per = sector\n"),
     # the one case whose sector wedges do not start at angle 0
     "campaign_random_offsets": (
         ["campaign"],
-        "ef5edd2edb099efe2e4acf71534694d1893f23e5bd4a83a98bde7334a8366b7a",
+        "7ea39c8c7b72d3a3bbe0a1414cf5d527b378ce8c9b43751c07826d1d7a56bcdb",
         "psi_offsets = random\n"),
     "sweep_beta_db": (["sweep", "--axis", "beta_db", "--values", "0,6",
                        "--ratios", "1", "--trials", "3"],
-                      "a03cbf833ccacfe8e0ed4abb162cea0a1eeb783fca8a10c2e3ad6b4225a4ffae"),
+                      "b2749c6fd3fa1b9988fc144d6444414a5820ffee17349fb3f573f9632045dd6f"),
     "sweep_p_over_n_db": (["sweep", "--axis", "p_over_n_db", "--values",
                            "40,70", "--ratios", "0.35", "--trials", "3"],
-                          "5af7a08a43b1a8ee1926794996fb785a1872028eccb1029091f0ed1feae7ca0e"),
+                          "3c1d45aebbe84b3bf4d1ef19aee402ca4069056269453bd69c71444fcd824a2d"),
     # no --ratios: the ratios come from cfg.cm_ratios
     "densify_default_ratios": (
         ["densify"],
-        "a5f6fc02666480f88b552353821e78f89639806bf8f27c061f92d72c33286ca9"),
+        "00185cefd7b0f01d6326fccef0b9620c7519adea824780d8eda4883168263f11"),
     "links": (["links", "--links", "3", "--beta-db", "0,3"],
               "4aa4b2198a2a902fc1febc72511648b7c913ba60962b37df8aeef92b9e0cb5f5"),
     "sweep_l_over_lj": (["sweep", "--axis", "L_over_Lj", "--values", "1,10",
                          "--ratios", "1", "--trials", "3"],
-                        "1a429bd1a588101592ddfdbe51f570146ee341986a73c721c483d58ba1ae4777"),
+                        "a58372c5815a4b44f35ba4a036e24eb985f6587f0ab808e2c94a9ad83147f75c"),
 }
 
 # the same cases at numpy's X86_V3 dispatch, pinned from the code the
 # default set was pinned on
 X86_V3 = {
-    "campaign": "ca00db7a6c680fe3c72cf429f6ab6f229d0b99ac4e43fcc3c0c0c4116c90f45e",
-    "campaign_cm": "4ec4b2c4c7fd2550a6bd7a11dccc00046f15b2e05bbc9d9d7c7f8445683af06d",
-    "campaign_random_offsets": "747a6978da22e09c52d656843de5f4387e7a118a35200c67f53b3a814b760264",
-    "campaign_saturated": "251ad5f4b2ad51ba431c519bbf7f160f402a545ac64d4dd149929d19b999656d",
-    "campaign_sector_shadowing": "aa592b700af3bac371d573246cbd0b1cf341e8dfa290fb4e9ab3887b87709282",
-    "densify": "13cfc6de0595a2eeda4b1d4240c8bab9f5fbc17081c681f657f939ad4de286b5",
-    "densify_default_ratios": "0b15cb6d7e20de5e6fa3e744166ef65e5ac4a80615394501acb42fe255c6502f",
+    "campaign": "d69a4cc332dba01b0bc5bbae0a57a0e101a7aad86f85a1d1521b484d48d92920",
+    "campaign_cm": "aa3fd9172f42947c0e5a53fcfbfca044e9a0e3b54b05782b47358e9fe7a45ba2",
+    "campaign_random_offsets": "826e410be1c84b16da6dac87c3fd20f65c09c178ac9668061c112de9cdc6b133",
+    "campaign_saturated": "261d4ce791fa8c08aadc7176a49b3be8140bd11330383f5bbaabd36c1b733a87",
+    "campaign_sector_shadowing": "249e1b856f15e285e76843afcc3e76f361306874003a4c729c308f2676369138",
+    "densify": "66e5e64ed740c97e4ea139c481cf87b7f6259d7f46feebfb20aab290cd69c46b",
+    "densify_default_ratios": "cf25b32d179d2e8514722e1199134d40f5ee3488144987ff21a2d12a53aeebc0",
     "links": "d53cc341abc05d71cf1ba58c6cdeeb0d9e9d7b99a8d4fa929a70a3de8db755d0",
     "links_cm": "62c898549eabe11479363996b362e3d95ca5f40d7f54b310b6a25c737b940f17",
-    "sweep_beta_db": "558e2b6ffe785685bd77ba6e71bf98f79c6947e53b856d8f04143345434e99e5",
-    "sweep_delta": "d61ec65fbf3526c327515196beb0f72c5f9eb42f78d370ac77d8502773b5ded3",
-    "sweep_l_over_lj": "935a542b4edf67d3a3a02eeba415fb64456fbaf419ffb1affbc07e2d06a6b5f3",
-    "sweep_p_over_n_db": "d44ade2f442aad63e862195ca1038bd76a5b0f94ba2c4b5a405c4a73bb8e411f",
-    "sweep_preset": "95ad9f432f8df28f18a499e261a495e45830320b61044bfbfc42e89379a2cdae",
-    "sweep_zeta": "5a2741ea8ab82e9740a810758513d788df5d0bda1103bae77393d153cd6cd868",
+    "sweep_beta_db": "c83221b374fdadc1bbcb466b037e357c37cee149eadd2c4971f1a7b238fc393f",
+    "sweep_delta": "c1763c487ff9a4ffcca9c8cf54b086b579ceb5d254f5798413b106d6f02d4e95",
+    "sweep_l_over_lj": "034de8e0d4e082a8130e942640496fcab9e3e101b53cb0ff9eec7d6ae1170cf1",
+    "sweep_p_over_n_db": "e3d0f94a12292ade1b30b5702f35dafc20b9583e9d4f520511b4648ce942e171",
+    "sweep_preset": "5ea5bec2510c54fe592784e5dd3f8700d2ab29e9f879acce492c3c2ff9a0a094",
+    "sweep_zeta": "8155772427b7e02f7b329c00de7760063a8a07f1f6f34ce4ce98b68e243dc8c7",
     "validate": "378e6530f68ac386d31db6c5d685c8d2a6901650c723b75a0b0dea1eca5735e4",
 }
 

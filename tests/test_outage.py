@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -185,7 +187,7 @@ def test_relative_accuracy_against_g_series():
                  _trial_like_profile(rng, 1e12, 2)]
     cfg = RunConfig(seed=29)
     topo = scale_to_cm(build_topology(cfg, cfg.seed), cfg.density_per_km2, 1.0)
-    ((_, _, trial),) = _run_block(topo, cfg, [np.random.default_rng(0)], None)
+    ((_, _, trial),) = _run_block(topo, cfg, 0, 1, None)
     profiles.append(InterferenceProfile(trial.gamma0[0], trial.m0[0],
                                         trial.beta[0], trial.omega, trial.m,
                                         trial.q, trial.c))
@@ -256,8 +258,7 @@ def test_batch_partners_do_not_change_a_row():
     lone = np.hstack([outage_batch(p) for p in profiles])
     assert lone.tobytes() == alone.tobytes()
     cfg = RunConfig(bs_count=16, extent_km=0.8, candidate_bs=8, seed=3)
-    gens = [np.random.default_rng(i) for i in range(4)]
-    _, _, trial = next(_run_block(build_topology(cfg), cfg, gens, None))
+    _, _, trial = next(_run_block(build_topology(cfg), cfg, 0, 16, None))
     assert len(trial.m0) > 1 and trial.n_interferers.min() > 0
     stop = np.cumsum(trial.n_interferers)
     rows = [InterferenceProfile(*(f[b] for f in trial[:3]),
@@ -273,6 +274,27 @@ def test_batch_partners_do_not_change_a_row():
     grid = outage_batch(profiles, [2, 2, 2], betas)
     assert grid.tolist() == [[outage_closed_form(p, beta=b) for p in profiles]
                              for b in betas]
+
+
+@pytest.mark.parametrize("q, m", [(1.0, 0.5), (0.5, 1.5), (0.1, 2.0)])
+def test_overwhelming_interferer_does_not_overflow(q, m):
+    # beta0 * omega is 2e230 at omega = 1e200 and overflows at 1e300, while
+    # noise alone stays far below the threshold: the outage must stay a
+    # probability and must not fall as omega grows
+    eps = []
+    for omega in (1e-40, 1e200, 1e300, 1.7e308):
+        prof = InterferenceProfile(1e300, 1, 1e30, [omega], [m], [[q] * 4],
+                                   [[0.25] * 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps.append([outage_closed_form(prof, hopping=h)
+                        for h in (True, False)])
+    eps = np.array(eps)
+    assert np.all((0 <= eps) & (eps <= 1))
+    assert np.all(np.diff(eps, axis=0) >= 0)
+    # a pair that always collides (q = 1) is outage 1, else each of the
+    # four periods escapes it with 1 - q
+    assert eps[-1, 0] == pytest.approx(1 - (1 - q) ** 4, rel=1e-12)
 
 
 def test_single_pair_against_quadrature():

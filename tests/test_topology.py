@@ -359,20 +359,29 @@ def test_pick_reference_mobile():
     t = Topology(np.array([[1.0, 1.0]]), ext, central_zone(ext, 1.0))
     xy = np.array([[1.0, 1.0], [0.1, 0.1], [1.2, 0.8], [1.9, 1.9]])
     rng = np.random.default_rng(0)
-    picks = {pick_reference_mobile(xy, t, [rng])[0] for _ in range(200)}
+    picks = {pick_reference_mobile(xy, t, [[rng]])[0] for _ in range(200)}
     assert picks == {0, 2}  # only the in-zone mobiles
 
     # exactly one candidate -> always chosen
     only = np.array([[0.1, 0.1], [1.0, 1.0]])
-    assert all(pick_reference_mobile(only, t, [rng])[0] == 1 for _ in range(20))
+    assert all(pick_reference_mobile(only, t, [[rng]])[0] == 1 for _ in range(20))
 
     # none inside -> -1
     none = np.array([[0.1, 0.1]])
-    assert pick_reference_mobile(none, t, [rng])[0] == -1
+    assert pick_reference_mobile(none, t, [[rng]])[0] == -1
 
     # eligibility mask is honored
-    assert pick_reference_mobile(xy, t, [rng],
+    assert pick_reference_mobile(xy, t, [[rng]],
                                  eligible=[False, True, True, True])[0] == 2
+
+    # one pick per generator from its realization; an empty zone draws
+    # nothing, so a realization drawn again picks as if it were the first
+    gens = [np.random.default_rng(s) for s in range(3)]
+    state = gens[2].bit_generator.state
+    picks = pick_reference_mobile(np.vstack([xy, np.repeat(none, 4, axis=0)]),
+                                  t, [gens[:2], gens[2:]])
+    assert set(picks[:2]) <= {0, 2} and picks[2] == -1
+    assert gens[2].bit_generator.state == state
 
 
 def test_pick_reference_uniform_frequency():
@@ -383,7 +392,7 @@ def test_pick_reference_uniform_frequency():
     rng = np.random.default_rng(13)
     counts = np.zeros(8)
     for _ in range(10**5):
-        counts[pick_reference_mobile(xy, t, [rng])[0]] += 1
+        counts[pick_reference_mobile(xy, t, [[rng]])[0]] += 1
     assert counts[7] == 0
     res = stats.chisquare(counts[:7])
     assert res.pvalue > 0.01
