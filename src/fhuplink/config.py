@@ -7,9 +7,10 @@ dB-valued keys stay in dB: link gains are dB sums, converted once per
 interference ratio and once per SNR, and beta_db once, by beta_linear.
 
 A RunConfig is the model's one parameter set: the propagation, beam,
-hopping and link-budget functions read their values from it, and it is
-the one place those values are checked, key by key (file errors name
-the line) and across keys.
+hopping and link-budget functions read their values from it.  It is the
+one place they are checked: each key against its one declaration in
+DOMAINS, a kind and ordered (low, high, message) rules (file errors name
+the line), then across keys.
 """
 
 from __future__ import annotations
@@ -124,100 +125,95 @@ class RunConfig:
         return dataclasses.replace(self, **kw)
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-
-# each key's type is its RunConfig annotation (a string, see __future__)
-_INT_KEYS = {k for k, f in _FIELDS.items() if f.type == "int"}
-_STR_KEYS = {k for k, f in _FIELDS.items() if f.type == "str"}
-
-_CHOICES = {
-    "preset": set(PRESETS),
-    "topology": {"uniform-random", "grid", "file"},
-    "psi_offsets": {"zero", "random"},
-    "shadowing_per": {"bs", "sector"},
-    "dr_mode": {"auto", "typical", "realized"},
-}
-
-# closed ranges checked per key; cross-field invariants live in
-# validate_config
-_RANGES = {
-    "delta": (0.0, 1.0, "must be in [0, 1]"),
-    "activity_prob": (0.0, 1.0, "must be in [0, 1]"),
-    "sidelobe_bs": (0.0, 1.0 - 1e-12, "must be in [0, 1)"),
-    "sidelobe_mobile": (0.0, 1.0 - 1e-12, "must be in [0, 1)"),
-    "mobile_beamwidth_rad": (1e-12, 2 * np.pi, "must be in (0, 2*pi]"),
-    "shannon_loss": (1e-12, 1.0, "must be in (0, 1]"),
-    "m_min": (0.5, np.inf, "must be >= 0.5 for a valid Nakagami shape"),
-    # below 1 mm every path gain, 10*alpha*log10(d0/d), runs toward -inf dB
-    "d0_km": (1e-6, np.inf, "must be at least 1e-6 (1 mm)"),
-    # m0 <= m_max sets the closed form's 2*m0 terms, folded in O(m0^2) calls
-    "m_max": (0.0, 100.0, "must be at most 100"),
+# Each key's domain, declared once and in field order: its kind, then the
+# rules (low, high, message) it must meet, in order, closed at both ends.
+# A str key's kind is the set of its choices; a "line" is text that a config
+# line carries unchanged; a "dB" value's linear value is positive and finite.
+POSITIVE = (np.nextafter(0.0, 1.0), np.inf, "must be positive")
+NON_NEGATIVE = (0.0, np.inf, "must be non-negative")
+COUNT = ("int", (1, np.inf, "must be >= 1"))
+PROBABILITY = ("float", (0.0, 1.0, "must be in [0, 1]"))
+SIDELOBE = ("float", (0.0, 1.0 - 1e-12, "must be in [0, 1)"))
+# a path gain, 10*alpha*log10(d0/d), and a sum of three stay finite, as
+# log10(d/d0) < 315 for any float d and d0 >= 1e-6 km
+ALPHA = ("float", POSITIVE, (0.0, 1e300, "must be at most 1e300"))
+DOMAINS = {
+    "preset": (set(PRESETS),), "alpha_min": ALPHA, "alpha_max": ALPHA,
+    "sigma_min_db": ("float", POSITIVE),
     # omega is 10^(x/10) of shadowed gains: 8 SDs stay far below x = 3,080 dB
-    "sigma_max_db": (0.0, 100.0, "must be at most 100 dB"),
+    "sigma_max_db": ("float", POSITIVE, (0.0, 100.0, "must be at most 100 dB")),
+    "m_min": ("float", (0.5, np.inf, "must be >= 0.5 for a valid Nakagami shape")),
+    # m0 <= m_max sets the closed form's 2*m0 terms, folded in O(m0^2) calls
+    "m_max": ("float", POSITIVE, (0.0, 100.0, "must be at most 100")),
+    "mu_per_km": ("float", POSITIVE),
+    # below 1 mm every path gain, 10*alpha*log10(d0/d), runs toward -inf dB
+    "d0_km": ("float", POSITIVE, (1e-6, np.inf, "must be at least 1e-6 (1 mm)")),
+    "topology": ({"uniform-random", "grid", "file"},), "topology_file": ("line",),
+    "bs_count": COUNT, "extent_km": ("float", NON_NEGATIVE),
+    "ref_zone_km": ("float|none", (0.0, np.inf, "must be non-negative or 'none'")),
+    "psi_offsets": ({"zero", "random"},), "density_per_km2": ("float", POSITIVE),
+    "r_ex_km": ("float", NON_NEGATIVE), "candidate_bs": COUNT,
+    "shadowing_per": ({"bs", "sector"},), "zeta": COUNT, "sidelobe_bs": SIDELOBE,
+    "mobile_beamwidth_rad": ("float", (1e-12, 2 * np.pi, "must be in (0, 2*pi]")),
+    "sidelobe_mobile": SIDELOBE, "hopset_channels": COUNT,
+    "ref_block_channels": COUNT, "sector_block_channels": COUNT,
+    "slot_ms": ("float", POSITIVE), "activity_prob": PROBABILITY,
+    # products of beta overflow above it; gamma0's floor needs beta >= 1e-30
+    "beta_db": ("dB", (-300.0, 300.0, "must be at most 300 dB in magnitude")),
+    "delta": PROBABILITY, "p_over_n_db": ("dB",), "k_strongest": COUNT,
+    "dr_mode": ({"auto", "typical", "realized"},),
+    # dr0/sqrt(C/M) and a run's mean of it stay finite: C/M >= 2^-63 (mobiles < 2^63)
+    "dr0_km": ("float", POSITIVE, (0.0, 1e200, "must be at most 1e200")),
+    "shannon_loss": ("float", (1e-12, 1.0, "must be in (0, 1]")),
+    "trials": COUNT, "seed": ("int", NON_NEGATIVE), "threads": COUNT,
+    "cm_ratios": ("ratios", (POSITIVE[0], np.finfo(float).max,
+                             "must be one or more positive, finite ratios")),
 }
-_POSITIVE = {"mu_per_km", "d0_km", "density_per_km2", "slot_ms", "dr0_km",
-             "alpha_min", "alpha_max", "sigma_min_db", "sigma_max_db",
-             "m_max"}
-_NONNEG = {"r_ex_km", "extent_km", "seed"}
-_MIN_ONE = _INT_KEYS - {"seed"}
 
 _LINE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*[:=]\s*(.*?)\s*$")
 
 
-def _where(line):
-    return f" (line {line})" if line else ""
+def _error(message, line):
+    return ConfigError(message + (f" (line {line})" if line else ""))
 
 
 def _cast(key, text, line):
-    if key in _STR_KEYS:
+    kind = DOMAINS[key][0]
+    if isinstance(kind, set) or kind == "line":
         return text
-    if key == "ref_zone_km":
-        return None if text.lower() == "none" else _num(key, text, line, float)
-    if key == "cm_ratios":
-        try:
-            return tuple(float(v) for v in text.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers"
-                              f"{_where(line)}") from None
-    return _num(key, text, line, int if key in _INT_KEYS else float)
-
-
-def _num(key, text, line, typ):
+    if kind == "float|none" and text.lower() == "none":
+        return None
     try:
-        return typ(text)
+        if kind == "ratios":
+            return tuple(float(v) for v in text.split(",") if v.strip())
+        return int(text) if kind == "int" else float(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected {typ.__name__} value, got "
-                          f"{text!r}{_where(line)}") from None
+        what = "comma-separated numbers" if kind == "ratios" else \
+            f"{'int' if kind == 'int' else 'float'} value, got {text!r}"
+        raise _error(f"{key}: expected {what}", line) from None
 
 
 def _check_key(key, value, line):
-    where = _where(line)
+    kind, *rules = DOMAINS[key]
+    if kind == "int" and (isinstance(value, bool)
+                          or not isinstance(value, (int, np.integer))):
+        raise _error(f"{key}: expected int value, got {str(value)!r}", line)
     if isinstance(value, float) and not np.isfinite(value):
-        raise ConfigError(f"{key} must be finite{where}")
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(f"{key} must be one of "
-                          f"{sorted(_CHOICES[key])}{where}")
-    if key in _POSITIVE and not value > 0:
-        raise ConfigError(f"{key} must be positive{where}")
-    if key in _RANGES:
-        lo, hi, msg = _RANGES[key]
-        if not (lo <= value <= hi):
-            raise ConfigError(f"{key} {msg}{where}")
-    if key in _NONNEG and value < 0:
-        raise ConfigError(f"{key} must be non-negative{where}")
-    if key in ("beta_db", "p_over_n_db") and not 0 < db_to_linear(value) < np.inf:
-        raise ConfigError(f"{key} must have a positive, finite linear value{where}")
-    if key == "beta_db" and not -300 <= value <= 300:
-        # products of beta overflow above it; gamma0's floor needs beta >= 1e-30
-        raise ConfigError(f"beta_db must be at most 300 dB in magnitude{where}")
-    if key in _MIN_ONE and value < 1:
-        raise ConfigError(f"{key} must be >= 1{where}")
-    if key == "ref_zone_km" and value is not None and value < 0:
-        raise ConfigError(f"{key} must be non-negative or 'none'{where}")
-    if key == "cm_ratios":
-        if not value or not all(0 < v < np.inf for v in value):
-            raise ConfigError(f"cm_ratios must be one or more positive, "
-                              f"finite ratios{where}")
+        raise _error(f"{key} must be finite", line)
+    if isinstance(kind, set) and value not in kind:
+        raise _error(f"{key} must be one of {sorted(kind)}", line)
+    if kind == "line" and ("#" in (text := str(value)) or text != text.strip()
+                           or len(text.splitlines()) > 1):
+        raise _error(f"{key} must be one line, without '#' or white space "
+                     "around it", line)
+    if kind == "dB" and not 0 < db_to_linear(value) < np.inf:
+        raise _error(f"{key} must have a positive, finite linear value", line)
+    if value is None and kind == "float|none":
+        return
+    values = value if kind == "ratios" else (value,)
+    for low, high, message in rules:    # an empty ratio list meets no rule
+        if not (len(values) and all(low <= v <= high for v in values)):
+            raise _error(f"{key} {message}", line)
 
 
 def set_key(cfg: RunConfig, key, text) -> RunConfig:
@@ -233,7 +229,7 @@ def set_key(cfg: RunConfig, key, text) -> RunConfig:
                               f"hopset_channels, got {text!r}")
         block = cfg.hopset_channels // ratio
         return cfg.replace(ref_block_channels=block, sector_block_channels=block)
-    if key not in _FIELDS:
+    if key not in DOMAINS:
         raise ConfigError(f"unknown key '{key}'")
     return cfg.replace(**{key: _cast(key, str(text), None)})
 
@@ -250,18 +246,16 @@ def parse_config_text(text, source="<config>") -> RunConfig:
         if not m:
             raise ConfigError(f"{source}:{lineno}: cannot parse line {raw!r}")
         key, value = m.group(1), m.group(2)
-        if key not in _FIELDS:
+        if key not in DOMAINS:
             raise ConfigError(f"unknown key '{key}' (line {lineno})")
         if key in entries:
             raise ConfigError(f"duplicate key '{key}' (line {lineno})")
         entries[key] = (value, lineno)
 
     kwargs = {}
-    for key in [k for k in _FIELDS if k in entries]:
-        text_v, line = entries[key]
-        value = _cast(key, text_v, line)
-        _check_key(key, value, line)
-        kwargs[key] = value
+    for key in [k for k in DOMAINS if k in entries]:
+        kwargs[key] = _cast(key, *entries[key])
+        _check_key(key, kwargs[key], entries[key][1])
     return RunConfig(**kwargs)
 
 
@@ -276,7 +270,7 @@ def validate_config(cfg: RunConfig):
 
     RunConfig runs it on construction.
     """
-    for key in _FIELDS:
+    for key in DOMAINS:
         _check_key(key, getattr(cfg, key), None)
     for low, high in (("alpha_min", "alpha_max"),
                       ("sigma_min_db", "sigma_max_db"), ("m_min", "m_max")):
@@ -299,17 +293,12 @@ def validate_config(cfg: RunConfig):
 def serialize(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
     lines = []
-    for key in _FIELDS:
+    for key, (kind, *_) in DOMAINS.items():
         val = getattr(cfg, key)
-        if val is None:
-            continue
-        if key == "cm_ratios":
-            txt = ",".join(repr(float(v)) for v in val)
-        elif isinstance(val, float):
-            txt = repr(val)
-        else:
-            txt = str(val)
-        lines.append(f"{key} = {txt}")
+        if kind == "ratios":
+            val = ",".join(repr(float(v)) for v in val)
+        if val is not None:
+            lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"
 
 

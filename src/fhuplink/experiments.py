@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -121,7 +122,7 @@ def _run_block(t: Topology, cfg: RunConfig, lo, hi, d_r_override):
         if not trials.size:
             return
     raise RuntimeError("no served mobile fell inside the reference zone; "
-                       "check density and reference-zone size")
+                       "check density_per_km2 and ref_zone_km")
 
 
 def _spans(lo, hi, step):
@@ -165,9 +166,9 @@ def _run_chunk(task):
 def run_points(points, threads):
     """Each point's TRIAL_DTYPE records, in trial order; a point is a
     (topology, RunConfig, d_r_override) triple, run for cfg.trials trials
-    of cfg.seed.  With threads > 1 one process pool gets the point list
-    once and runs chunks of trials point by point, so the first points
-    start first and the last ones fill the tail."""
+    of cfg.seed.  With threads > 1 one pool, of one process per usable CPU
+    at most, gets the point list once and runs chunks of trials point by
+    point, so the first points start first and the last ones fill the tail."""
     if threads <= 1 or sum(cfg.trials for _, cfg, _ in points) <= 1:
         return [run_trials(t, cfg, 0, cfg.trials, d_r)
                 for t, cfg, d_r in points]
@@ -181,8 +182,10 @@ def run_points(points, threads):
              for point, (_, cfg, _) in enumerate(points)
              for lo in range(0, cfg.trials, chunk)]
     runs = [[] for _ in points]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(threads, len(tasks)), initializer=_init_worker,
+            max_workers=min(threads, len(tasks), cpus), initializer=_init_worker,
             initargs=(points,)) as pool:
         for (point, _, _), rows in zip(tasks, pool.map(_run_chunk, tasks)):
             runs[point].append(rows)
@@ -262,8 +265,11 @@ def scale_to_cm(t: Topology, density, ratio) -> Topology:
         raise ValueError(f"C/M ratio must be positive and finite, got {ratio}")
     if not 0 < t.extent.area < math.inf:
         raise _area_error(t)
-    target_area = t.n_bs / (density * ratio)
-    return scale_topology(t, math.sqrt(target_area / t.extent.area))
+    scale = t.n_bs / (density * ratio) / t.extent.area if density * ratio else math.inf
+    if not 0 < scale < math.inf:    # of the area: the square of the layout's scale
+        raise ValueError(f"C/M ratio {ratio} at density_per_km2 = {density:g} "
+                         "scales the layout out of float range")
+    return scale_topology(t, math.sqrt(scale))
 
 
 def resolve_dr_override(cfg: RunConfig, cm, sweep_default="typical"):
@@ -279,6 +285,7 @@ def _ratio_rows(layouts, ratios, threads):
     for t, cfg in layouts:
         for ratio in ratios:
             scaled = scale_to_cm(t, cfg.density_per_km2, ratio)
+            mobile_count(scaled, cfg.density_per_km2)   # fail before warning
             if not (0.05 <= ratio <= 1.0):
                 warnings.warn(f"C/M ratio {ratio} outside the calibrated "
                               "range [0.05, 1]; computing anyway")

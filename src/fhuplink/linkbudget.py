@@ -50,8 +50,8 @@ def fractional_durations(t, slot_ms):
     0 <= t < slot_ms, the range timing_offset returns.
     """
     t = np.asarray(t, dtype=float)
-    c_odd = t / (2.0 * slot_ms)
-    c_even = (slot_ms - t) / (2.0 * slot_ms)
+    c_odd = t / slot_ms / 2.0       # 2 * slot_ms would overflow near float's max
+    c_even = (slot_ms - t) / slot_ms / 2.0
     return np.stack([c_odd, c_even, c_odd, c_even], axis=-1)
 
 
@@ -218,11 +218,12 @@ def power_control_ratio(g_ij_db, g_ig_db, g_ref_db, delta, spec_factor,
     sector, reference link.  Fractional power control with parameter
     delta partially inverts each interferer's own link gain; the beam
     levels enter relative to the maximum pair gain of cfg's patterns, so
-    the average antenna gains cancel exactly.  Domain: 0 <= delta <= 1.
+    the average antenna gains cancel exactly.  The dB sum is capped at
+    +2700 dB, as gamma0's is floored at -2700 dB.  Domain: 0 <= delta <= 1.
     """
     g_net = g_ij_db - delta * g_ig_db + (delta - 1.0) * g_ref_db
-    return (10.0 ** (g_net / 10.0) * spec_factor * mobile_level
-            * sector_level / bm.max_pair_gain(cfg))
+    return (10.0 ** (np.minimum(g_net, 2700.0) / 10.0) * spec_factor
+            * mobile_level * sector_level / bm.max_pair_gain(cfg))
 
 
 def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,

@@ -326,7 +326,7 @@ def run_validation(n_profiles, n_samples, seed, beta):
     one-sample proportion test.  Returns (records, all_ok).
     """
     if n_profiles < 1:
-        raise ValueError("validation needs at least one profile")
+        raise ValueError(f"validation needs at least one profile, got {n_profiles}")
     n_samples = int(n_samples)
     records = []
     for p in range(int(n_profiles)):

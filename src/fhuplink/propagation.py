@@ -26,20 +26,26 @@ PRESETS = {
 }
 
 
+def _ramp(d, cfg):
+    """tanh(mu d), the ramp from short range (0) to long range (1); mu d
+    overflows to inf only where the ramp is 1.0 already."""
+    with np.errstate(over="ignore"):
+        return np.tanh(cfg.mu_per_km * d)
+
+
 def alpha_of(d, cfg):
     """Path-loss exponent at link length d >= 0 km."""
-    return cfg.alpha_min + (cfg.alpha_max - cfg.alpha_min) * np.tanh(cfg.mu_per_km * d)
+    return cfg.alpha_min + (cfg.alpha_max - cfg.alpha_min) * _ramp(d, cfg)
 
 
 def sigma_of(d, cfg):
     """Shadowing standard deviation in dB at link length d >= 0 km."""
-    return cfg.sigma_min_db + ((cfg.sigma_max_db - cfg.sigma_min_db)
-                               * np.tanh(cfg.mu_per_km * d))
+    return cfg.sigma_min_db + (cfg.sigma_max_db - cfg.sigma_min_db) * _ramp(d, cfg)
 
 
 def m_of(d, cfg):
     """Nakagami shape at link length d >= 0 km; decreases with distance."""
-    return cfg.m_max - (cfg.m_max - cfg.m_min) * np.tanh(cfg.mu_per_km * d)
+    return cfg.m_max - (cfg.m_max - cfg.m_min) * _ramp(d, cfg)
 
 
 def round_integer_m(d, cfg) -> int:

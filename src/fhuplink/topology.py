@@ -99,7 +99,8 @@ class Topology:
             raise ValueError("BS coordinates must be finite")
         object.__setattr__(self, "bs_xy", xy)
         if len(np.unique(xy, axis=0)) != len(xy):
-            raise ValueError("duplicate BS positions")
+            raise ValueError("duplicate BS positions: check bs_count and "
+                             "extent_km, or the topology file")
         if not np.all(self.extent.contains(xy)):
             raise ValueError("all BS positions must lie inside the extent")
         if not self.extent.contains_rect(self.reference_zone):
@@ -309,7 +310,8 @@ def mobile_count(t: Topology, density) -> int:
                          f"area {t.extent.area:g} km^2 is too many mobiles")
     m = int(round(expected))
     if m < 1:
-        raise ValueError("density times extent area rounds to zero mobiles")
+        raise ValueError(f"density_per_km2 = {density:g} times the extent_km "
+                         f"area {t.extent.area:g} km^2 rounds to zero mobiles")
     return m
 
 
@@ -345,7 +347,7 @@ def place_mobiles(t: Topology, density, r_ex, rng: np.random.Generator) -> np.nd
         else:
             raise RuntimeError(
                 "uniform clustering failed: 10000 rejections while "
-                f"packing {m} mobiles with r_ex={r_ex} km into "
+                f"packing {m} mobiles with r_ex_km={r_ex} into "
                 f"{ext.area:g} km^2")
     return acc
 

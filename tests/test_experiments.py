@@ -183,6 +183,31 @@ def test_workers_get_each_layouts_grid(monkeypatch):
     assert a._grids is b._grids and cfg.candidate_bs in a._grids
 
 
+@pytest.mark.parametrize("affinity", [True, False])
+def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, affinity):
+    # 100,000 threads would be a worker per chunk of 8 trials; results do
+    # not depend on the worker count, so the pool stops at the usable CPUs
+    class Started(Exception):
+        pass
+
+    def recorded(max_workers, **_):
+        workers.append(max_workers)
+        raise Started       # no process starts
+    workers = []
+    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor",
+                        recorded)
+    if affinity:
+        monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+    else:   # where the affinity call does not exist, the CPU count
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    cfg = SMALL.replace(trials=8 * GROUP)
+    with pytest.raises(Started):
+        experiments.run_points([(_topo(cfg), cfg, None)], 100_000)
+    assert workers == [3]
+
+
 def test_densify_worker_error_exits_2_and_leaves_no_worker(tmp_path, capsys):
     # no mobile falls in a 1 mm reference zone, so a worker raises
     path = tmp_path / "empty_zone.cfg"
