@@ -44,29 +44,35 @@ class ShadowingTable:
     cfg: RunConfig
     seed: np.ndarray = (0,)    # (trials,); one trial by default
 
-    def gain_toward(self, rows, sectors):
-        """Gain in dB of the link(s) from mobile row(s) to sector(s);
-        link_profiles reads only the links toward a reference sector here,
-        and a serving link as gain_db[row, Association.slot[row]]."""
+    def gain_toward(self, rows, sectors, rel=None):
+        """Gain in dB of the link(s) from mobile row(s) to sector(s), rel the
+        mobile minus the BS position if formed; link_profiles reads only the
+        links toward a reference sector here, a serving one as gain_db[row, slot]."""
         i, sector = np.broadcast_arrays(rows, sectors)
         shape, i, sector = i.shape, i.ravel(), sector.ravel()
         bs = sector // self.t.sectors_per_bs
-        hit = self.near[i] == bs[:, None]
+        rel = self.mobile_xy[i] - self.t.bs_xy[bs] if rel is None else rel
+        d = distance(rel, 0.0)
+        hit = d <= self.dist[i, -1]      # no longer than the row's last candidate
         per = self.cfg.shadowing_per
         if per == "sector":
-            hit &= (self.t.covering_sector(bs, self.mobile_xy[i]) == sector)[:, None]
-        gain = self.gain_db[i, hit.argmax(axis=1)]
-        off = np.flatnonzero(~hit.any(axis=1))
+            hit &= self.t.covering_sector(bs, rel=rel) == sector
+        cand = np.flatnonzero(hit)
+        found, col = np.nonzero(self.near[i[cand]] == bs[cand, None])  # once a row
+        gain = np.empty(len(i))
+        gain[cand[found]] = self.gain_db[i[cand[found]], col]
+        off = np.flatnonzero(np.bincount(cand[found], minlength=len(i)) == 0)
         m = len(self.mobile_xy) // len(self.seed)
         trial, row = np.divmod(i[off], m)
-        # one column per (trial, key); a trial has n_sectors >= n_bs keys
+        # a column per key trial * n + BS (or sector), found once per run
         n = self.t.n_sectors
-        keys, at = np.unique(trial * n + (bs if per == "bs" else sector)[off],
-                             return_inverse=True)
+        key = trial * n + (bs if per == "bs" else sector)[off]
+        run = np.diff(key, prepend=-1) != 0
+        keys, at = np.unique(key[run], return_inverse=True)
         z = np.reshape([derive_rng(self.seed[k // n], k % n).standard_normal(m)
-                        for k in keys], (-1, m))
-        d = distance(self.mobile_xy[i[off]], self.t.bs_xy[bs[off]])
-        gain[off] = z[at, row] * sigma_of(d, self.cfg) + path_gain_db(d, self.cfg)
+                        for k in keys], (-1, m))[at[np.cumsum(run) - 1], row]
+        d = d[off]
+        gain[off] = z * sigma_of(d, self.cfg) + path_gain_db(d, self.cfg)
         return gain.reshape(shape)
 
 

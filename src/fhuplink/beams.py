@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .topology import distance
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -34,27 +36,25 @@ def mobile_levels(cfg):
     return a + TWO_PI * (1.0 - a) / cfg.mobile_beamwidth_rad, a
 
 
-def mobile_mainlobe_mask(mobile_xy, target_xy, serving_xy, theta):
+def mobile_mainlobe_mask(rel_target, rel_serving, theta):
     """True where the mobile's beam (aimed at its serving BS) covers the target.
 
-    The mobile faces the target when the angle between the directions to
-    the target and to the serving BS is strictly less than theta/2.
-    Vectorized over leading dimensions; positions are (..., 2).
+    rel_target and rel_serving are the mobile's displacements from the
+    target and from its serving BS (mobile minus receiver), (..., 2).  The
+    mobile faces the target when the angle between them is strictly less
+    than theta/2.
     """
-    u = np.asarray(target_xy, dtype=float) - mobile_xy
-    v = np.asarray(serving_xy, dtype=float) - mobile_xy
-    nu = np.linalg.norm(u, axis=-1)
-    nv = np.linalg.norm(v, axis=-1)
+    u, v = np.asarray(rel_target, dtype=float), np.asarray(rel_serving, dtype=float)
+    nu, nv = distance(u, 0.0), distance(v, 0.0)
     if np.any(nu == 0) or np.any(nv == 0):
         raise ValueError("mobile collocated with a sector receiver")
-    cosang = np.sum(u * v, axis=-1) / (nu * nv)
+    cosang = (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]) / (nu * nv)
     return cosang > np.cos(theta / 2.0)
 
 
-def mobile_gain_toward(mobile_xy, target_xy, serving_xy, cfg):
-    """Mobile-beam level in the direction of the target sector receiver."""
-    main = mobile_mainlobe_mask(mobile_xy, target_xy, serving_xy,
-                                cfg.mobile_beamwidth_rad)
+def mobile_gain_toward(rel_target, rel_serving, cfg):
+    """Mobile-beam level toward the target, as mobile_mainlobe_mask sees it."""
+    main = mobile_mainlobe_mask(rel_target, rel_serving, cfg.mobile_beamwidth_rad)
     return np.where(main, *mobile_levels(cfg))
 
 

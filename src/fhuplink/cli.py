@@ -187,10 +187,21 @@ def cmd_gen_topo(args) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """A command line that argparse cannot read."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors main reports in one line."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fhuplink",
         description="Frequency-hopping mmWave uplink outage/ASE simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,10 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     words = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(words) - 1, 0, -1):  # argparse reads -3,0 as an option
-        if words[i - 1] in ("--ratios", "--values", "--beta-db") \
+        if words[i - 1] in ("--ratios", "--values", "--beta-db", "--cm") \
                 and re.match(r"-[\d.]", words[i]):
             words[i - 1:i + 1] = [f"{words[i - 1]}={words[i]}"]
-    args = build_parser().parse_args(words)
+    try:
+        args = build_parser().parse_args(words)
+    except UsageError as exc:       # one line and status 2, as a bad value
+        print(exc, file=sys.stderr)
+        return 2
     with warnings.catch_warnings():     # a warning, like an error, is one line
         warnings.showwarning = lambda message, *_: print(
             f"fhuplink {args.command}: {message}", file=sys.stderr)

@@ -170,6 +170,12 @@ DOMAINS = {
                              "must be one or more positive, finite ratios")),
 }
 
+# the types a numeric kind takes in a RunConfig: a bool is an int to
+# Python, and a str is text for the parser, so neither is a number here
+NUMBER_TYPES = {"int": (int, np.integer),
+                **dict.fromkeys(("float", "dB", "float|none"),
+                                (int, float, np.integer, np.floating))}
+
 _LINE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*[:=]\s*(.*?)\s*$")
 
 
@@ -195,9 +201,11 @@ def _cast(key, text, line):
 
 def _check_key(key, value, line):
     kind, *rules = DOMAINS[key]
-    if kind == "int" and (isinstance(value, bool)
-                          or not isinstance(value, (int, np.integer))):
-        raise _error(f"{key}: expected int value, got {str(value)!r}", line)
+    number = NUMBER_TYPES.get(kind) if isinstance(kind, str) else None
+    if number and not (value is None and kind == "float|none") and (
+            isinstance(value, bool) or not isinstance(value, number)):
+        raise _error(f"{key}: expected {'int' if kind == 'int' else 'float'} "
+                     f"value, got {str(value)!r}", line)
     if isinstance(value, float) and not np.isfinite(value):
         raise _error(f"{key} must be finite", line)
     if isinstance(kind, set) and value not in kind:

@@ -75,9 +75,10 @@ def build_interferer_sets(assoc: Association, cfg: RunConfig, ref_sector,
     sector_block_channels), so a loaded sector beyond that contributes a
     uniformly random subset of that size; the subset is drawn once and
     reused for all four overlap periods, because block occupancy is fixed
-    within a subframe.  ref_sector, rngs and trial (its realization in
-    the association) hold one entry per reference; returns (reference, row)
-    pairs ordered by reference, then row.
+    within a subframe: each reference's pool is permuted whole, and round r
+    of np.minimum.at finds each sector's r-th draw.  ref_sector, rngs and
+    trial (its realization in the association) hold one entry per
+    reference; returns (reference, row) pairs ordered by reference, then row.
     """
     sectors, trial = np.asarray(ref_sector), np.asarray(trial)
     m = len(assoc.serving) // len(assoc.loads)
@@ -91,12 +92,15 @@ def build_interferer_sets(assoc: Association, cfg: RunConfig, ref_sector,
     # each reference's pool in ascending row order, or its random order
     order = np.concatenate([s + (r.permutation(int(k)) if k and d else np.arange(k))
                             for r, s, k, d in zip(rngs, np.cumsum(n) - n, n, draw)])
-    group = (ref * assoc.loads.shape[1] + serving)[order]
-    by_sector = np.argsort(group, kind="stable")
-    group = group[by_sector]
-    # rank of each mobile within its sector, as in Topology._cell_grid
-    rank = np.arange(len(group)) - np.searchsorted(group, group)
-    kept = np.sort(order[by_sector[rank < keep_max]])
+    # label (reference, rank among its realization's loaded sectors) in draw order
+    width = (loaded := assoc.loads > 0).sum(axis=1).max()
+    label = (ref * width + (np.cumsum(loaded, axis=1) - 1)[trial[ref], serving])[order]
+    free = np.ones(len(order), dtype=bool)
+    for _ in range(min(keep_max, assoc.loads.max())):
+        first = np.full(len(sectors) * width, len(order))
+        np.minimum.at(first, label[free], np.flatnonzero(free))
+        free[first[first < len(order)]] = False
+    kept = np.sort(order[~free])
     return ref[kept], row[kept]
 
 
@@ -246,7 +250,6 @@ def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,
     j = assoc.serving[refs]
     if np.any(j < 0):
         raise ValueError("reference mobile is not served")
-    pos_j = t.sector_position(j)
     typical, slot = d_r is not None, assoc.slot[refs]
     d_r = np.full(n, float(d_r)) if typical else shadow.dist[refs, slot]
     if np.any(d_r <= 0):
@@ -257,20 +260,20 @@ def link_profiles(cfg: RunConfig, shadow: ShadowingTable, assoc: Association,
     info = {"d_r": d_r, "n_potential": np.bincount(ref, minlength=n)}
 
     g_sec, xy_i, j_i = assoc.serving[row], xy[row], j[ref]
-    pos_g = t.sector_position(g_sec)
+    rel = xy_i - t.sector_position(j_i)     # from the reference BS, formed once
     # mobile beams point at their serving BS; sector j's wedge is fixed
-    mob_level = bm.mobile_gain_toward(xy_i, pos_j[ref], pos_g, cfg)
-    in_wedge = t.covering_sector(j_i // t.sectors_per_bs, xy_i) == j_i
+    mob_level = bm.mobile_gain_toward(rel, xy_i - t.sector_position(g_sec), cfg)
+    in_wedge = t.covering_sector(j_i // t.sectors_per_bs, rel=rel) == j_i
     sec_level = np.where(in_wedge, *bm.sector_levels(cfg))
     omega = power_control_ratio(
-        shadow.gain_toward(row, j_i), shadow.gain_db[row, assoc.slot[row]],
+        shadow.gain_toward(row, j_i, rel), shadow.gain_db[row, assoc.slot[row]],
         g_ref[ref], cfg.delta,
         spectral_factor(cfg.ref_block_channels, cfg.sector_block_channels),
         mob_level, sec_level, cfg)
     # cut to the strongest K first: later columns are built for kept rows only
     top = truncate_strongest(omega, cfg.k_strongest, ref)
     ref, g_sec = ref[top], g_sec[top]
-    d_ij = distance(xy_i[top], pos_j[ref])
+    d_ij = distance(rel[top], 0.0)
 
     n_g = assoc.loads[trial[ref], g_sec]
     q1 = collision_probability(n_g, cfg.sector_block_channels,

@@ -125,15 +125,15 @@ class Topology:
         """Sector receivers are collocated with their BS."""
         return self.bs_xy[np.asarray(sector) // self.sectors_per_bs]
 
-    def covering_sector(self, bs_idx, xy):
+    def covering_sector(self, bs_idx, xy=None, rel=None):
         """Global index of the sector of bs_idx whose mainlobe covers xy.
 
         Exactly one sector per BS covers any point (wedges tile the circle).
-        Vectorized: bs_idx and xy broadcast elementwise, xy shaped (..., 2).
+        Vectorized: bs_idx and xy broadcast elementwise, xy shaped (..., 2);
+        a caller that has formed rel, xy minus the BS position, passes it.
         """
         bs_idx = np.asarray(bs_idx)
-        xy = np.asarray(xy, dtype=float)
-        rel = xy - self.bs_xy[bs_idx]
+        rel = np.asarray(xy, dtype=float) - self.bs_xy[bs_idx] if rel is None else rel
         theta = np.mod(np.arctan2(rel[..., 1], rel[..., 0]), TWO_PI)
         width = TWO_PI / self.sectors_per_bs
         local = np.floor(np.mod(theta - self.sector_offsets[bs_idx], TWO_PI)

@@ -268,3 +268,34 @@ def place_sequential(t, density, r_ex, rng):
         if _clear(acc, x, y, r_ex * r_ex):
             acc.append((x, y))
     return np.array(acc)
+
+
+def frozen_build_interferer_sets(assoc, cfg, ref_sector, rngs, trial):
+    """The interferer pick by a stable sort of every pool, frozen as the
+    reference for its draws: fhuplink's build_interferer_sets must return
+    the same (reference, row) pairs and leave each generator in the same
+    state.
+
+    Each reference's pool, its realization's served mobiles outside the
+    reference sector, is permuted whole when a loaded sector exceeds
+    keep_max = max(L_j/L_l, 1) and kept in row order otherwise; a stable
+    sort by (reference, sector) then ranks the members of each sector in
+    that order, and the first keep_max are kept.
+    """
+    sectors, trial = np.asarray(ref_sector), np.asarray(trial)
+    m = len(assoc.serving) // len(assoc.loads)
+    rows = (trial[:, None] * m + np.arange(m)).ravel()
+    serving = assoc.serving[rows]
+    pool = np.flatnonzero((serving >= 0) & (serving != np.repeat(sectors, m)))
+    ref, row, serving = pool // m, rows[pool], serving[pool]
+    n = np.bincount(ref, minlength=len(sectors))
+    keep_max = int(max(cfg.ref_block_channels / cfg.sector_block_channels, 1.0))
+    draw = keep_max < assoc.loads.max(axis=1)[trial]
+    order = np.concatenate([s + (r.permutation(int(k)) if k and d else np.arange(k))
+                            for r, s, k, d in zip(rngs, np.cumsum(n) - n, n, draw)])
+    group = (ref * assoc.loads.shape[1] + serving)[order]
+    by_sector = np.argsort(group, kind="stable")
+    group = group[by_sector]
+    rank = np.arange(len(group)) - np.searchsorted(group, group)
+    kept = np.sort(order[by_sector[rank < keep_max]])
+    return ref[kept], row[kept]

@@ -47,27 +47,27 @@ def test_sector_gain_omni_when_b_is_one_limit():
 
 
 def test_mobile_gain():
+    # displacements of a mobile at the origin: minus the receiver positions
     mobile = np.array([0.0, 0.0])
-    serving = np.array([1.0, 0.0])
+    serving = mobile - np.array([1.0, 0.0])
     # toward the serving sector: perfect alignment, mainlobe
-    assert mobile_gain_toward(mobile, serving, serving, DEFAULT) == pytest.approx(18.1)
+    assert mobile_gain_toward(serving, serving, DEFAULT) == pytest.approx(18.1)
     # 45 degrees off with theta = 18 degrees: sidelobe
-    off45 = np.array([1.0, 1.0])
-    assert mobile_gain_toward(mobile, off45, serving, DEFAULT) == pytest.approx(0.1)
+    off45 = mobile - np.array([1.0, 1.0])
+    assert mobile_gain_toward(off45, serving, DEFAULT) == pytest.approx(0.1)
     # exactly theta/2 off is sidelobe (strict inequality): theta = pi,
     # target orthogonal to serving, cos = 0 exactly
     wide = RunConfig(mobile_beamwidth_rad=np.pi, sidelobe_mobile=0.1)
-    target = np.array([0.0, 2.0])
-    assert not mobile_mainlobe_mask(mobile, target, serving,
-                                    wide.mobile_beamwidth_rad)
-    gain = mobile_gain_toward(mobile, target, serving, wide)
+    target = mobile - np.array([0.0, 2.0])
+    assert not mobile_mainlobe_mask(target, serving, wide.mobile_beamwidth_rad)
+    gain = mobile_gain_toward(target, serving, wide)
     assert gain == pytest.approx(mobile_levels(wide)[1])
 
 
 def test_mobile_gain_collocated_raises():
+    # a mobile at (1, 0), on the target receiver, served from the origin
     with pytest.raises(ValueError):
-        mobile_gain_toward(np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-                           np.array([0.0, 0.0]), DEFAULT)
+        mobile_gain_toward(np.array([0.0, 0.0]), np.array([1.0, 0.0]), DEFAULT)
 
 
 def test_max_pair_gain():

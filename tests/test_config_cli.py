@@ -321,6 +321,9 @@ def test_cli_error_reporting(tmp_path, capsys):
 @pytest.mark.parametrize("args, named", [
     ("campaign --cm 0", "0.0"),
     ("campaign --cm -1", "-1.0"),
+    # argparse's own errors, and a value with a leading '-' and an exponent
+    ("validate --samples 1e3", "invalid int value: '1e3'"),
+    ("campaign --cm -5e-324", "got -5e-324"),
     ("densify --ratios 0", "0.0"),
     ("densify --ratios ,", "--ratios"),
     ("sweep --axis delta --values ,", "--values"),

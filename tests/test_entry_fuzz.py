@@ -2,7 +2,8 @@
 
 A key's values come from config.DOMAINS: each choice and a near miss of
 it, or each rule's bounds and their float neighbours, plus the extremes
-0, 1e-300, 1e308, inf, nan and -1.  A key added to the declaration is
+0, 1e-300, 1e308, inf, nan and -1; a number key also draws bools and
+numeric strings, which RunConfig refuses.  A key added to the declaration is
 fuzzed without a test edit.  Runs stay small: the base config has 20 BSs
 on a 1 km square, 3 trials and 4 sectors, a draw that would place more
 than MAX_MOBILES mobiles is skipped, threads never exceeds 1 and validate
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fhuplink import cli
-from fhuplink.config import (DOMAINS, ConfigError, RunConfig,
+from fhuplink.config import (DOMAINS, NUMBER_TYPES, ConfigError, RunConfig,
                              parse_config_text, serialize, set_key)
 
 EXTREMES = (0.0, 1e-300, 1e308, math.inf, math.nan, -1.0)
@@ -54,11 +55,12 @@ def domain_values(key):
                 with np.errstate(over="ignore"):
                     floats += [float(np.nextafter(bound, -math.inf)),
                                float(bound), float(np.nextafter(bound, math.inf))]
-    if kind == "int":   # integral values also as ints, a few hundred at most
-        return _unique(floats + [True] + [int(v) for v in floats if
-                                          v.is_integer() and abs(v) <= 300])
     if kind == "ratios":
         return _unique([(v,) for v in floats] + [(), (0.5, 1.0)])
+    floats += [True, False, "0.5", "70"]
+    if kind == "int":   # integral values also as ints, a few hundred at most
+        return _unique(floats + ["3"] + [int(v) for v in floats if isinstance(
+            v, float) and v.is_integer() and abs(v) <= 300])
     return _unique(floats + [None] if kind == "float|none" else floats)
 
 
@@ -85,9 +87,15 @@ def _outcome(build):
 
 @pytest.mark.parametrize("key", DOMAINS)
 def test_every_path_accepts_and_rejects_the_same_values(key):
+    kind = DOMAINS[key][0]
     for value in domain_values(key):
         text = text_of(value)
         direct, why = _outcome(lambda: RunConfig(**{key: value}))
+        if isinstance(value, str) and isinstance(kind, str) and kind in NUMBER_TYPES:
+            # a str is a number only as config text, which the number covers
+            name = "int" if kind == "int" else "float"
+            assert why == f"{key}: expected {name} value, got {value!r}", why
+            continue
         paths = [_outcome(lambda: set_key(RunConfig(), key, text))]
         # '#', a line break or white space around a text is line syntax
         if text == text.strip() and "#" not in text and len(text.splitlines()) < 2:

@@ -4,6 +4,7 @@ import pytest
 from fhuplink.association import Association, draw_shadowing_table, associate
 from fhuplink.beams import mobile_levels, sector_levels
 from fhuplink.config import ConfigError, RunConfig
+from fhuplink.experiments import realize_network
 from fhuplink.linkbudget import (InterferenceProfile, build_interferer_sets,
                                  collision_probability, empty_profile,
                                  fractional_durations, gamma0, link_profiles,
@@ -12,6 +13,8 @@ from fhuplink.linkbudget import (InterferenceProfile, build_interferer_sets,
 from fhuplink.propagation import (SPEED_OF_LIGHT_KM_S, path_gain_db,
                                   round_integer_m, sample_shadowing)
 from fhuplink.topology import Topology, generate_topology, place_mobiles, square
+
+from oracles import frozen_build_interferer_sets
 
 NY = RunConfig()
 
@@ -106,6 +109,63 @@ def test_build_interferer_sets():
     hop_frac = RunConfig(ref_block_channels=25, sector_block_channels=10)
     s = build_interferer_sets(assoc, hop_frac, [0], [rng], [0])[1]
     assert len(s) == 3  # 2 from sector 1, 1 from sector 2
+
+
+def _block_association(rng, crowd, m=40, n_sectors=6):
+    """Four realizations of m mobiles: the first with five mobiles, one a
+    sector; two with mobiles spread over the sectors (a sixth denied) and
+    crowd more in sector 0; the last with every served mobile in sector 0,
+    so its references have empty pools."""
+    serving = rng.integers(-1, n_sectors, (4, m))
+    serving[0] = np.where(np.arange(m) < 5, np.arange(m) % n_sectors, -1)
+    serving[1:3, :crowd] = 0
+    serving[3] = np.where(serving[3] >= 0, 0, -1)
+    loads = np.array([np.bincount(s[s >= 0], minlength=n_sectors) for s in serving])
+    serving = serving.ravel()
+    return Association(serving, np.where(serving >= 0, 0, -1), loads,
+                       np.flatnonzero(serving < 0))
+
+
+def _assert_pick_matches_frozen(assoc, cfg, refs, trial, seeds):
+    new = [np.random.default_rng(s) for s in seeds]
+    old = [np.random.default_rng(s) for s in seeds]
+    sectors = assoc.serving[refs]
+    got = build_interferer_sets(assoc, cfg, sectors, new, trial)
+    want = frozen_build_interferer_sets(assoc, cfg, sectors, old, trial)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert [r.bit_generator.state for r in new] == [r.bit_generator.state
+                                                    for r in old]
+    return got
+
+
+@pytest.mark.parametrize("blocks", [(10, 10), (20, 10), (50, 10), (100, 1)])
+def test_the_pick_matches_the_frozen_stable_sort(blocks):
+    # keep_max 1, 2, 5, and 100, at or above every load; the first
+    # realization's loads are 1, so its references draw nothing unless
+    # another realization makes them; the last one's pools are empty
+    cfg = RunConfig(ref_block_channels=blocks[0], sector_block_channels=blocks[1])
+    rng = np.random.default_rng(blocks[0])
+    for crowd in (1, 2, 12):
+        assoc = _block_association(rng, crowd)
+        refs = np.sort(rng.choice(np.flatnonzero(assoc.serving >= 0), 16))
+        ref, _ = _assert_pick_matches_frozen(assoc, cfg, refs, refs // 40,
+                                             rng.integers(2**63, size=16))
+        assert not np.any(np.isin(np.flatnonzero(refs >= 120), ref))
+
+
+@pytest.mark.parametrize("ref_block", [50, 100])
+def test_the_pick_matches_the_frozen_sort_in_saturated_sectors(ref_block):
+    # one sector a BS and 50-channel blocks: capacity 2, so sectors fill,
+    # mobiles are denied, and keep_max 1 draws while keep_max 2 cannot
+    cfg = RunConfig(bs_count=16, extent_km=0.8, zeta=1, sector_block_channels=50,
+                    ref_block_channels=ref_block, seed=3)
+    t = generate_topology("uniform-random", 16, 0.8, np.random.default_rng(3))
+    shadow, assoc = realize_network(t, cfg, [np.random.default_rng(i)
+                                             for i in range(3)])
+    assert len(assoc.denied) and assoc.loads.max() == 2
+    refs = np.flatnonzero(assoc.served_mask)[::5]
+    _assert_pick_matches_frozen(assoc, cfg, refs, refs // 64,
+                                np.arange(len(refs)))
 
 
 def test_gamma0():
